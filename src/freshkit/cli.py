@@ -154,19 +154,18 @@ def _float_list(text: str) -> tuple[float, ...]:
         values = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
     return values
 
 
-def _seed_value(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
+def _bounded(parse, lo: float, hi: float = math.inf):
+    """type= that parses with parse and requires every value in [lo, hi)."""
+    def check(text: str):
+        value = parse(text)
+        if not all(lo <= v < hi for v in (value if isinstance(value, tuple) else (value,))):
+            raise argparse.ArgumentTypeError(f"values must lie in [{lo}, {hi}), got {text!r}")
+        return value
+    check.__name__ = parse.__name__  # argparse names the parser in its errors
+    return check
 
 
 def _score_records(records, scores) -> list[dict]:
@@ -571,7 +570,7 @@ LOGIT_CSV_HELP = (
 
 def build_parser() -> argparse.ArgumentParser:
     seed_parent = _Parser(add_help=False)
-    seed_parent.add_argument("--seed", type=_seed_value, default=42,
+    seed_parent.add_argument("--seed", type=_bounded(int, 0, 2 ** 64), default=42,
                              help="RNG seed, unsigned 64-bit (default 42)")
     out_parent = _Parser(add_help=False)
     out_parent.add_argument("--out", default=None, metavar="PATH",
@@ -722,13 +721,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", type=int, default=3)
     p.add_argument("--hidden", type=int, default=8,
                    help="hidden width of the small classifier (default 8)")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--head-lrs", type=_float_list, default=(1e-3, 3e-3))
-    p.add_argument("--weight-decays", type=_float_list, default=(1e-4, 1e-1))
-    p.add_argument("--smoothings", type=_float_list, default=(0.0, 0.1))
-    p.add_argument("--backbone-lrs", type=_float_list, default=(1e-5, 3e-4))
-    p.add_argument("--mixups", type=_float_list, default=(0.0, 0.2))
+    p.add_argument("--epochs", type=_bounded(int, 0), default=20)
+    p.add_argument("--batch-size", type=_bounded(int, 1), default=32)
+    p.add_argument("--head-lrs", type=_bounded(_float_list, 0.0), default=(1e-3, 3e-3))
+    p.add_argument("--weight-decays", type=_bounded(_float_list, 0.0), default=(1e-4, 1e-1))
+    p.add_argument("--smoothings", type=_bounded(_float_list, 0.0, 1.0), default=(0.0, 0.1))
+    p.add_argument("--backbone-lrs", type=_bounded(_float_list, 0.0), default=(1e-5, 3e-4))
+    p.add_argument("--mixups", type=_bounded(_float_list, 0.0), default=(0.0, 0.2))
     p.add_argument("--top-k", type=int, default=2,
                    help="stage-1 survivors carried into stage 2 (default 2)")
 

@@ -19,13 +19,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .cls_eval import accuracy
-from .hygiene import (
-    HyperGrid,
-    inner_select,
-    nested_cv_run,
-    nested_fold_plan,
-    stratified_split,
-)
+from .hygiene import HyperGrid, nested_cv_run, stratified_split
 from .ood_eval import DEFAULT_TAUS, ScoredSample, ood_metrics, threshold_sweep
 from .scoring import OdinConfig, energy_score, msp_score, odin_score
 from .stats import mcnemar, paired_acc_diff_ci, paired_outcomes
@@ -86,12 +80,8 @@ def run_demo(seed: int = 42) -> dict:
                        n_outer=5, n_inner=3, epochs=15, batch_size=32,
                        hidden_dim=HIDDEN_DIM, seed=seed)
 
-    # stage tables for fold 0, to pick the weakest stage-1 candidate
-    plan = nested_fold_plan(labels[train_ids], 5, 3, seed=seed)
-    fold0 = inner_select(DEMO_GRID, xs[train_ids], labels[train_ids], plan, 0,
-                         epochs=15, batch_size=32, hidden_dim=HIDDEN_DIM,
-                         seed=seed)
-    weakest = min(fold0.stage1, key=lambda c: c.mean_accuracy).config
+    # the rival is the weakest stage-1 candidate of outer fold 0
+    weakest = min(cv.selections[0].stage1, key=lambda c: c.mean_accuracy).config
 
     best = _majority_config(cv.selected)
     fit_ids = np.concatenate([train_ids, val_ids])

@@ -99,6 +99,10 @@ class NegativeStatistic(ComputeError):
     """A chi-square statistic must be nonnegative."""
 
 
+class BadTrainConfig(ComputeError):
+    """A training setting is outside its valid range."""
+
+
 class TooFewSamplesPerClass(ComputeError):
     """Some class has fewer samples than the fold layout needs."""
 

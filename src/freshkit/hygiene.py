@@ -476,8 +476,12 @@ class NestedCvResult:
     fold_accuracies: tuple[float, ...]
     mean_accuracy: float
     sd_accuracy: float
-    selected: tuple[TrainConfig, ...]
+    selections: tuple[SelectionResult, ...]  # one inner search per outer fold
     audit: dict[str, bool]
+
+    @property
+    def selected(self) -> tuple[TrainConfig, ...]:
+        return tuple(choice.best for choice in self.selections)
 
     @property
     def audit_passed(self) -> bool:
@@ -510,7 +514,7 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
     n_classes = int(labels.max()) + 1
 
     accuracies = []
-    selected = []
+    selections = []
     for k in range(n_outer):
         choice = inner_select(grid, xs, labels, plan, k, epochs=epochs,
                               batch_size=batch_size, hidden_dim=hidden_dim,
@@ -524,8 +528,8 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
                           replace(choice.best, seed=derive_seed(run_seed, 1)))
         pred = forward(fitted, xs[test_ids]).argmax(axis=1)
         accuracies.append(float((pred == labels[test_ids]).mean()))
-        selected.append(choice.best)
+        selections.append(choice)
 
     mean = float(np.mean(accuracies))
     sd = float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0
-    return NestedCvResult(tuple(accuracies), mean, sd, tuple(selected), audit)
+    return NestedCvResult(tuple(accuracies), mean, sd, tuple(selections), audit)

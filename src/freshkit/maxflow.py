@@ -17,7 +17,7 @@ from .errors import DimensionMismatch
 
 try:
     from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional `fast` extra
     def njit(*args, **kwargs):
         if args and callable(args[0]):
             return args[0]

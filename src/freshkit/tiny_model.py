@@ -13,13 +13,14 @@ decoupled weight decay, so a zero learning rate freezes its group exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadLabelIndex, DimensionMismatch, EmptyDataset
+from .errors import BadLabelIndex, BadTrainConfig, DimensionMismatch, EmptyDataset
 
 __all__ = [
     "TinyClassifier",
@@ -114,6 +115,13 @@ class TrainConfig:
     mixup_alpha: float = 0.0
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        rates = (self.head_lr, self.backbone_lr, self.weight_decay, self.mixup_alpha)
+        if (self.epochs < 0 or self.batch_size < 1 or not 0.0 <= self.label_smoothing < 1.0
+                or not all(math.isfinite(r) and r >= 0.0 for r in rates)):
+            raise BadTrainConfig(f"need epochs >= 0, batch_size >= 1, finite rates >= 0 "
+                                 f"and label_smoothing in [0, 1); got {self}")
+
 
 def derive_seed(*parts: int) -> int:
     """Fold integer parts into one 64-bit seed, stable across runs.
@@ -150,24 +158,61 @@ def _as_batch(x: np.ndarray, input_dim: int) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
+def _forward(params: tuple, xs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(hidden, logits) of a batch under raw (w_in, b_in, w_out, b_out) arrays;
+    hidden is None for the linear model."""
+    w_in, b_in, w_out, b_out = params
+    if w_in.shape[0]:
+        hidden = np.tanh(xs @ w_in.T + b_in)
+        return hidden, hidden @ w_out.T + b_out
+    return None, xs @ w_out.T + b_out
+
+
+def _backward(params: tuple, hidden: np.ndarray | None, dlogits: np.ndarray,
+              xs: np.ndarray | None = None) -> tuple[ParamGrads | None, np.ndarray]:
+    """(parameter gradients, input gradient) from the gradient wrt the logits.
+
+    The parameter gradients need the batch inputs xs; without them they are
+    None, which keeps the one-sample ODIN step free of work it would discard.
+    """
+    w_in, b_in, w_out, _ = params
+    dx = dlogits @ w_out
+    if hidden is not None:  # back through the tanh layer
+        dpre = dx * (1.0 - hidden * hidden)
+        dx = dpre @ w_in
+    if xs is None:
+        return None, dx
+    if hidden is None:
+        return ParamGrads(np.zeros_like(w_in), np.zeros_like(b_in), dlogits.T @ xs,
+                          dlogits.sum(axis=0)), dx
+    return ParamGrads(dpre.T @ xs, dpre.sum(axis=0), dlogits.T @ hidden,
+                      dlogits.sum(axis=0)), dx
+
+
 def forward(model: TinyClassifier, x: np.ndarray) -> np.ndarray:
     """Logits for one sample (D,) -> (C,) or a batch (N, D) -> (N, C)."""
     xs, single = _as_batch(x, model.input_dim)
-    if model.hidden_dim:
-        hidden = np.tanh(xs @ model.w_in.T + model.b_in)
-        logits = hidden @ model.w_out.T + model.b_out
-    else:
-        logits = xs @ model.w_out.T + model.b_out
+    logits = _forward((model.w_in, model.b_in, model.w_out, model.b_out), xs)[1]
     return logits[0] if single else logits
+
+
+def _smoothed(labels, n_classes: int, alpha: float) -> np.ndarray:
+    """(N, C) rows of (1 - alpha) * onehot + alpha / C, one per label."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise BadLabelIndex(f"labels must be a 1-D integer array, got {labels.dtype} "
+                            f"of shape {labels.shape}")
+    bad = (labels < 0) | (labels >= n_classes)
+    if bad.any():
+        raise BadLabelIndex(f"label {int(labels[bad][0])} outside [0, {n_classes})")
+    targets = np.full((labels.size, n_classes), alpha / n_classes)
+    targets[np.arange(labels.size), labels] += 1.0 - alpha
+    return targets
 
 
 def smooth_targets(label: int, n_classes: int, alpha: float) -> np.ndarray:
     """(1 - alpha) * onehot + alpha / C."""
-    if not 0 <= label < n_classes:
-        raise BadLabelIndex(f"label {label} outside [0, {n_classes})")
-    target = np.full(n_classes, alpha / n_classes)
-    target[label] += 1.0 - alpha
-    return target
+    return _smoothed([label], n_classes, alpha)[0]
 
 
 def mixup(x1: np.ndarray, t1: np.ndarray, x2: np.ndarray, t2: np.ndarray,
@@ -187,6 +232,17 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _mean_nll(logp: np.ndarray, targets: np.ndarray) -> float:
+    return float(-(targets * logp).sum() / logp.shape[0])
+
+
+def _grads(params: tuple, xs: np.ndarray, targets: np.ndarray) -> GradResult:
+    hidden, logits = _forward(params, xs)
+    logp = _log_softmax(logits)
+    param_grads, dx = _backward(params, hidden, (np.exp(logp) - targets) / xs.shape[0], xs)
+    return GradResult(_mean_nll(logp, targets), param_grads, dx)
+
+
 def grads_from_targets(model: TinyClassifier, xs: np.ndarray,
                        targets: np.ndarray) -> GradResult:
     """Exact gradients of the mean cross-entropy against target distributions.
@@ -202,45 +258,13 @@ def grads_from_targets(model: TinyClassifier, xs: np.ndarray,
         raise DimensionMismatch(
             f"targets shape {targets.shape}, expected ({xs.shape[0]}, {model.n_classes})"
         )
-    n = xs.shape[0]
-    if model.hidden_dim:
-        hidden = np.tanh(xs @ model.w_in.T + model.b_in)
-        logits = hidden @ model.w_out.T + model.b_out
-    else:
-        hidden = None
-        logits = xs @ model.w_out.T + model.b_out
-    logp = _log_softmax(logits)
-    loss = float(-(targets * logp).sum() / n)
-    dlogits = (np.exp(logp) - targets) / n
-    if hidden is not None:
-        gw_out = dlogits.T @ hidden
-        gb_out = dlogits.sum(axis=0)
-        dpre = (dlogits @ model.w_out) * (1.0 - hidden * hidden)
-        gw_in = dpre.T @ xs
-        gb_in = dpre.sum(axis=0)
-        dx = dpre @ model.w_in
-    else:
-        gw_out = dlogits.T @ xs
-        gb_out = dlogits.sum(axis=0)
-        gw_in = np.zeros_like(model.w_in)
-        gb_in = np.zeros_like(model.b_in)
-        dx = dlogits @ model.w_out
-    return GradResult(loss, ParamGrads(gw_in, gb_in, gw_out, gb_out), dx)
+    return _grads((model.w_in, model.b_in, model.w_out, model.b_out), xs, targets)
 
 
 def grads(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
           label_smoothing: float = 0.0) -> GradResult:
     """grads_from_targets with smoothed one-hot targets built from labels."""
-    labels = np.asarray(labels)
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[0] < 1:
-        raise EmptyDataset("need at least one sample")
-    if labels.shape != (xs.shape[0],):
-        raise DimensionMismatch("labels must be one per sample")
-    targets = np.stack([
-        smooth_targets(int(lbl), model.n_classes, label_smoothing) for lbl in labels
-    ])
-    return grads_from_targets(model, xs, targets)
+    return grads_from_targets(model, xs, _smoothed(labels, model.n_classes, label_smoothing))
 
 
 def nll_input_gradient(model: TinyClassifier, x: np.ndarray, label: int,
@@ -249,31 +273,12 @@ def nll_input_gradient(model: TinyClassifier, x: np.ndarray, label: int,
     xs, _ = _as_batch(x, model.input_dim)
     if not 0 <= label < model.n_classes:
         raise BadLabelIndex(f"label {label} outside [0, {model.n_classes})")
-    if model.hidden_dim:
-        hidden = np.tanh(xs @ model.w_in.T + model.b_in)
-        logits = hidden @ model.w_out.T + model.b_out
-    else:
-        hidden = None
-        logits = xs @ model.w_out.T + model.b_out
-    p = np.exp(_log_softmax(logits / temperature))
-    dlogits = p.copy()
+    params = (model.w_in, model.b_in, model.w_out, model.b_out)
+    hidden, logits = _forward(params, xs)
+    dlogits = np.exp(_log_softmax(logits / temperature))
     dlogits[0, label] -= 1.0
     dlogits /= temperature
-    if hidden is not None:
-        dpre = (dlogits @ model.w_out) * (1.0 - hidden * hidden)
-        dx = dpre @ model.w_in
-    else:
-        dx = dlogits @ model.w_out
-    return dx[0]
-
-
-def _dataset_stats(model: TinyClassifier, xs: np.ndarray, targets: np.ndarray,
-                   labels: np.ndarray) -> EpochStats:
-    logits = forward(model, xs)
-    logp = _log_softmax(logits)
-    loss = float(-(targets * logp).sum() / xs.shape[0])
-    accuracy = float((logits.argmax(axis=1) == labels).mean())
-    return EpochStats(loss, accuracy)
+    return _backward(params, hidden, dlogits)[1][0]
 
 
 def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
@@ -292,27 +297,22 @@ def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
     if labels.shape != (xs.shape[0],):
         raise DimensionMismatch("labels must be one per sample")
     n = xs.shape[0]
-    base_targets = np.stack([
-        smooth_targets(int(lbl), model.n_classes, config.label_smoothing) for lbl in labels
-    ])
+    targets = _smoothed(labels, model.n_classes, config.label_smoothing)
     rng = np.random.default_rng(config.seed)
-    w_in = model.w_in.copy()
-    b_in = model.b_in.copy()
-    w_out = model.w_out.copy()
-    b_out = model.b_out.copy()
+    params = tuple(p.copy() for p in (model.w_in, model.b_in, model.w_out, model.b_out))
+    w_in, b_in, w_out, b_out = params
     trace: list[EpochStats] = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             xb = xs[idx]
-            tb = base_targets[idx]
+            tb = targets[idx]
             if config.mixup_alpha > 0.0:
                 lam = float(rng.beta(config.mixup_alpha, config.mixup_alpha))
                 pair = rng.permutation(len(idx))
                 xb, tb = mixup(xb, tb, xb[pair], tb[pair], lam)
-            current = TinyClassifier(w_in, b_in, w_out, b_out)
-            g = grads_from_targets(current, xb, tb).params
+            g = _grads(params, xb, tb).params
             # group lr scales the decay too, so lr 0 freezes the group exactly
             if config.backbone_lr != 0.0 and model.hidden_dim:
                 w_in -= config.backbone_lr * (g.w_in + config.weight_decay * w_in)
@@ -320,9 +320,10 @@ def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
             if config.head_lr != 0.0:
                 w_out -= config.head_lr * (g.w_out + config.weight_decay * w_out)
                 b_out -= config.head_lr * g.b_out
-        snapshot = TinyClassifier(w_in, b_in, w_out, b_out)
-        trace.append(_dataset_stats(snapshot, xs, base_targets, labels))
-    return TinyClassifier(w_in, b_in, w_out, b_out), trace
+        logits = _forward(params, xs)[1]
+        trace.append(EpochStats(_mean_nll(_log_softmax(logits), targets),
+                                float((logits.argmax(axis=1) == labels).mean())))
+    return TinyClassifier(*params), trace
 
 
 # --- serialization ----------------------------------------------------------

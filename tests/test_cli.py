@@ -566,6 +566,26 @@ def test_unknown_command_exits_1():
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--batch-size", "0"],
+    ["--batch-size", "-3"],
+    ["--epochs", "-1"],
+    ["--head-lrs", "0.05,nan"],
+    ["--weight-decays", "-0.1"],
+    ["--backbone-lrs", "inf"],
+    ["--smoothings", "0.0,1.0"],
+    ["--mixups", "-0.2"],
+])
+def test_bad_training_flags_fail_at_parse_time(tmp_path, capsys, flags):
+    # the data file does not exist: reaching it would exit 2, not 1
+    with pytest.raises(SystemExit) as info:
+        main(["nested-cv", "--data", str(tmp_path / "missing.csv"), *flags])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert flags[0] in err
+    assert "Traceback" not in err
+
+
 def test_help_exits_0():
     for argv in (["--help"], ["mcnemar", "--help"], ["pseudomask", "--help"]):
         with pytest.raises(SystemExit) as info:

@@ -299,6 +299,26 @@ def test_nested_cv_on_separable_data():
     assert set(d) >= {"fold_accuracies", "mean_accuracy", "sd_accuracy", "audit"}
 
 
+def test_nested_cv_keeps_every_fold_selection():
+    xs, labels = _blobs(15, seed=20)
+    grid = HyperGrid(head_lrs=(0.0, 0.05), weight_decays=(0.0,),
+                     label_smoothings=(0.0,), backbone_lrs=(0.0, 0.05),
+                     mixup_alphas=(0.0,), top_k=1)
+    result = nested_cv_run(grid, xs, labels, n_outer=3, n_inner=2, epochs=3,
+                           batch_size=16, hidden_dim=4, seed=21)
+    plan = nested_fold_plan(labels, 3, 2, seed=21)
+    assert len(result.selections) == 3
+    for k in range(3):
+        alone = inner_select(grid, xs, labels, plan, k, epochs=3, batch_size=16,
+                             hidden_dim=4, seed=21)
+        assert result.selections[k] == alone
+    assert result.selected == tuple(s.best for s in result.selections)
+    assert list(result.to_dict()) == [
+        "fold_accuracies", "mean_accuracy", "sd_accuracy", "selected", "audit",
+        "audit_passed",
+    ]
+
+
 def test_nested_cv_deterministic():
     xs, labels = _blobs(20, seed=18)
     grid = HyperGrid(head_lrs=(0.05,), weight_decays=(0.0,),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from freshkit.errors import BadLabelIndex, BadTrainConfig, ComputeError
 from freshkit.tiny_model import (
     TinyClassifier,
     TrainConfig,
@@ -134,6 +135,36 @@ def test_smooth_targets():
     assert t[0] == pytest.approx(0.05, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_out_of_range_labels_are_rejected(bad):
+    # vectorised target building must not let numpy wrap -1 to the last class
+    with pytest.raises(BadLabelIndex):
+        smooth_targets(bad, 4, 0.1)
+    model = init_model(3, 2, 4, seed=0)
+    xs = np.zeros((3, 3))
+    labels = np.array([0, bad, 1])
+    with pytest.raises(BadLabelIndex):
+        grads(model, xs, labels, label_smoothing=0.1)
+    with pytest.raises(BadLabelIndex):
+        train(model, xs, labels, TrainConfig(epochs=1, head_lr=0.1, seed=0))
+
+
+def test_label_targets_match_a_per_label_loop():
+    rng = np.random.default_rng(3)
+    model = init_model(4, 3, 3, seed=3)
+    xs = rng.normal(size=(5, 4))
+    labels = rng.integers(0, 3, size=5)
+    targets = np.full((5, 3), 0.2 / 3)
+    for row, label in enumerate(labels):
+        targets[row, label] += 1.0 - 0.2
+    a = grads(model, xs, labels, label_smoothing=0.2)
+    b = grads_from_targets(model, xs, targets)
+    assert a.loss == b.loss
+    for name in ("w_in", "b_in", "w_out", "b_out"):
+        assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
+    assert np.array_equal(a.inputs, b.inputs)
+
+
 def test_mixup_combines_inputs_and_targets():
     x1 = np.ones((2, 3))
     x2 = np.zeros((2, 3))
@@ -217,6 +248,64 @@ def test_training_is_deterministic():
     assert np.array_equal(a.w_in, b.w_in)
     assert np.array_equal(a.w_out, b.w_out)
     assert [e.loss for e in trace_a] == [e.loss for e in trace_b]
+
+
+def _reference_train(model, xs, labels, cfg):
+    """The SGD loop of `train`, written out with public pieces only."""
+    rng = np.random.default_rng(cfg.seed)
+    targets = np.stack([smooth_targets(int(y), model.n_classes, cfg.label_smoothing)
+                        for y in labels])
+    current = model
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(labels))
+        for start in range(0, len(labels), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb, tb = xs[idx], targets[idx]
+            if cfg.mixup_alpha > 0.0:
+                lam = float(rng.beta(cfg.mixup_alpha, cfg.mixup_alpha))
+                pair = rng.permutation(len(idx))
+                xb, tb = mixup(xb, tb, xb[pair], tb[pair], lam)
+            g = grads_from_targets(current, xb, tb).params
+            current = TinyClassifier(
+                current.w_in - cfg.backbone_lr * (g.w_in + cfg.weight_decay * current.w_in),
+                current.b_in - cfg.backbone_lr * g.b_in,
+                current.w_out - cfg.head_lr * (g.w_out + cfg.weight_decay * current.w_out),
+                current.b_out - cfg.head_lr * g.b_out,
+            )
+        loss = grads_from_targets(current, xs, targets).loss
+        accuracy = float((forward(current, xs).argmax(axis=1) == labels).mean())
+        trace.append((loss, accuracy))
+    return current, trace
+
+
+def test_train_is_bit_identical_to_reference_loop():
+    xs, labels = _blobs(13, 3, 3, spread=0.6, seed=21)
+    model = init_model(3, 5, 3, seed=22)
+    cfg = TrainConfig(epochs=4, batch_size=8, head_lr=0.05, backbone_lr=0.03,
+                      weight_decay=0.01, label_smoothing=0.1, mixup_alpha=0.3, seed=23)
+    trained, trace = train(model, xs, labels, cfg)
+    expected, expected_trace = _reference_train(model, xs, labels, cfg)
+    for name in ("w_in", "b_in", "w_out", "b_out"):
+        assert np.array_equal(getattr(trained, name), getattr(expected, name))
+    assert [(e.loss, e.accuracy) for e in trace] == expected_trace
+
+
+@pytest.mark.parametrize("fields", [
+    {"batch_size": 0},
+    {"batch_size": -3},
+    {"epochs": -1},
+    {"head_lr": float("nan")},
+    {"backbone_lr": -0.1},
+    {"weight_decay": float("inf")},
+    {"label_smoothing": 1.0},
+    {"label_smoothing": -0.1},
+    {"mixup_alpha": -0.2},
+])
+def test_train_config_rejects_out_of_range_settings(fields):
+    with pytest.raises(BadTrainConfig) as info:
+        TrainConfig(**fields)
+    assert isinstance(info.value, ComputeError)
 
 
 def test_mixup_changes_the_path():
