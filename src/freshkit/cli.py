@@ -157,12 +157,15 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _bounded(parse, lo: float, hi: float = math.inf):
-    """type= that parses with parse and requires every value in [lo, hi)."""
+def _bounded(parse, lo: float, hi: float = math.inf, *, open_lo: bool = False):
+    """type= that parses with parse and requires every value in [lo, hi),
+    or in (lo, hi) with open_lo; nan lies in neither."""
     def check(text: str):
         value = parse(text)
-        if not all(lo <= v < hi for v in (value if isinstance(value, tuple) else (value,))):
-            raise argparse.ArgumentTypeError(f"values must lie in [{lo}, {hi}), got {text!r}")
+        if not all((lo < v if open_lo else lo <= v) and v < hi
+                   for v in (value if isinstance(value, tuple) else (value,))):
+            interval = f"{'(' if open_lo else '['}{lo}, {hi})"
+            raise argparse.ArgumentTypeError(f"values must lie in {interval}, got {text!r}")
         return value
     check.__name__ = parse.__name__  # argparse names the parser in its errors
     return check
@@ -221,7 +224,7 @@ def _cmd_score(args) -> dict:
         xs = np.stack(values)
         if args.temperature is not None:
             config = OdinConfig(args.temperature, args.epsilon)
-            scores = [odin_score(model, x, config) for x in xs]
+            scores = odin_score(model, xs, config).tolist()
             report = {"method": "odin", "mode": "fixed",
                       "temperature": config.temperature,
                       "epsilon": config.epsilon, "n": len(records),
@@ -239,7 +242,7 @@ def _cmd_score(args) -> dict:
             for temperature in ODIN_GRID_TEMPERATURES:
                 for epsilon in ODIN_GRID_EPSILONS:
                     config = OdinConfig(temperature, epsilon)
-                    scores = [odin_score(model, x, config) for x in xs]
+                    scores = odin_score(model, xs, config).tolist()
                     samples = [
                         ScoredSample(rec.id, s, keep)
                         for rec, s, keep in zip(records, scores, is_id)
@@ -602,12 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input records (see description for the layout)")
     p.add_argument("--prefix", default="logit",
                    help="numeric column prefix (default logit)")
-    p.add_argument("--temperature", type=float, default=None,
+    p.add_argument("--temperature", type=_bounded(float, 0.0, open_lo=True), default=None,
                    help="softmax temperature; energy default 1.0; for odin, "
                         "give neither --temperature nor --epsilon to tune "
                         "over the built-in grid (T in 1/10/100/1000, eps in "
                         "0/0.001/0.002/0.004) against the split=ood rows")
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=_bounded(float, 0.0), default=None,
                    help="odin input perturbation size; set together with "
                         "--temperature")
     p.add_argument("--model", metavar="JSON",
@@ -676,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
             "interval, linear interpolation between order statistics.")
     p.add_argument("--values", required=True, metavar="TXT")
     p.add_argument("--stat", choices=("mean", "median"), default="mean")
-    p.add_argument("--b", type=int, default=4000,
+    p.add_argument("--b", type=_bounded(int, 1), default=4000,
                    help="bootstrap replicates (default 4000)")
 
     p = add("dedup", _cmd_dedup, "perceptual-hash near-duplicate clusters",
@@ -685,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
             "distance is within --max-dist by transitive closure; the "
             "lexicographically smallest id of each cluster is kept.")
     p.add_argument("--images", required=True, metavar="DIR")
-    p.add_argument("--max-dist", type=int, default=10,
+    p.add_argument("--max-dist", type=_bounded(int, 0, 65), default=10,
                    help="Hamming radius in bits, of 64 (default 10)")
 
     p = add("split", _cmd_split, "stratified train/val/test assignment",

@@ -108,7 +108,7 @@ def run_demo(seed: int = 42) -> dict:
             "msp": [msp_score(row) for row in logits],
             # detectors share the larger-is-ID orientation, so energy enters negated
             "energy": [-energy_score(row) for row in logits],
-            "odin": [odin_score(model, p, odin_config) for p in points],
+            "odin": odin_score(model, points, odin_config),
         }
         return {
             method: [

@@ -11,6 +11,7 @@ generator family (numpy PCG64 via default_rng) like the rest of the package.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -19,6 +20,7 @@ import numpy as np
 from .data_model import RgbImage
 from .errors import (
     EmptyInput,
+    InputFormatError,
     LengthMismatch,
     MissingClass,
     RowNotNormalized,
@@ -66,21 +68,23 @@ def _dct_matrix(n: int) -> np.ndarray:
 _DCT32 = _dct_matrix(32)
 
 
+@functools.lru_cache(maxsize=64)
 def _area_weights(length: int, bins: int = 32) -> np.ndarray:
-    """Integer overlap of each source pixel with each target bin.
+    """Integer overlap of each source pixel with each target bin, as read-only float64.
 
     Pixel p covers [p, p+1) and bin j covers [j*length/bins, (j+1)*length/bins);
     scaling both by `bins` makes every overlap an integer. Each row sums to
     `length`, so bin means are (row @ values) / length.
     """
-    weights = np.zeros((bins, length), dtype=np.int64)
-    for j in range(bins):
-        lo, hi = j * length, (j + 1) * length
-        for p in range(lo // bins, min((hi + bins - 1) // bins, length)):
-            overlap = min((p + 1) * bins, hi) - max(p * bins, lo)
-            if overlap > 0:
-                weights[j, p] = overlap
+    pixel = np.arange(length)[None, :] * bins
+    edge = np.arange(bins)[:, None] * length
+    overlap = np.minimum(pixel + bins, edge + length) - np.maximum(pixel, edge)
+    weights = np.maximum(overlap, 0).astype(np.float64)
+    weights.flags.writeable = False
     return weights
+
+
+_BIT_SHIFTS = np.arange(63, 0, -1, dtype=np.uint64)
 
 
 def phash64(image: RgbImage) -> int:
@@ -92,18 +96,17 @@ def phash64(image: RgbImage) -> int:
     """
     px = image.pixels.astype(np.int64)
     luma = 299 * px[:, :, 0] + 587 * px[:, :, 1] + 114 * px[:, :, 2]
-    rows = _area_weights(image.height)
-    cols = _area_weights(image.width)
-    cells = rows @ luma @ cols.T
+    # the resize runs in float64 BLAS but stays exact: every partial sum is
+    # an integer <= 255000 * h * w, below 2**53 for any image under 3.5e10 px
+    resized = _area_weights(image.height) @ luma.astype(np.float64) @ _area_weights(image.width).T
+    cells = resized.astype(np.int64)
     # exact integer centering: true cell values scaled by 1024 * 1000 * h * w
     centered = 1024 * cells - cells.sum()
     coeffs = _DCT32 @ centered.astype(np.float64) @ _DCT32.T
     ac = coeffs[:8, :8].ravel()[1:]
-    median = np.median(ac)
-    value = 0
-    for coeff in ac:
-        value = (value << 1) | int(coeff > median)
-    return value << 1
+    median = np.partition(ac, 31)[31]  # the middle of 63 values, exactly np.median
+    bits = (ac > median).astype(np.uint64)
+    return int((bits << _BIT_SHIFTS).sum())
 
 
 def hamming(a: int, b: int) -> int:
@@ -138,34 +141,63 @@ class DedupReport:
         }
 
 
-def cluster_near_duplicates(hashes: dict[str, int], max_dist: int = 10) -> DedupReport:
-    """Group ids whose hashes chain together within max_dist.
+_DEDUP_BLOCK = 256  # rows per XOR block: one block is 256 x n uint64 words at a time
 
-    Pairwise O(n^2) comparison with union-find; a cluster may span more than
-    max_dist end to end because closure is transitive.
+
+def _near_pairs(values: np.ndarray, max_dist: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j whose hashes differ in at most max_dist bits."""
+    firsts, seconds = [], []
+    for start in range(0, values.size, _DEDUP_BLOCK):
+        block = values[start:start + _DEDUP_BLOCK]
+        near = np.bitwise_count(block[:, None] ^ values[None, start:]) <= max_dist
+        i, j = np.nonzero(np.triu(near, 1))
+        firsts.append(i + start)
+        seconds.append(j + start)
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+def _components(n: int, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
+    """Smallest member index of each node's connected component.
+
+    Every round moves the smaller label of each pair onto both ends, then
+    lets each node jump to its label's label; it stops once no pair joins
+    two labels, and the smallest index never changes, so it wins.
+    """
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[firsts], label[seconds])
+        new = label.copy()
+        np.minimum.at(new, firsts, low)
+        np.minimum.at(new, seconds, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def cluster_near_duplicates(hashes: dict[str, int], max_dist: int = 10) -> DedupReport:
+    """Group ids whose 64-bit hashes chain together within max_dist.
+
+    All pairs are compared by XOR and popcount over blocks of rows, which
+    keeps the O(n^2) distance matrix to a block at a time; connected
+    components of the pairs within max_dist are the clusters. A cluster may
+    span more than max_dist end to end because closure is transitive.
     """
     ids = sorted(hashes)
     if not ids:
         raise EmptyInput("no hashes to cluster")
-    parent = list(range(len(ids)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    values = [hashes[i] for i in ids]
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if hamming(values[i], values[j]) <= max_dist:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[str]] = {}
-    for i, name in enumerate(ids):
-        groups.setdefault(find(i), []).append(name)
-    clusters = sorted(tuple(sorted(g)) for g in groups.values())
+    raw = [hashes[i] for i in ids]
+    # a uint64 array would truncate floats silently, so check the type first
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and 0 <= v < 2**64 for v in raw):
+        raise InputFormatError("hashes must be integers in [0, 2**64)")
+    values = np.array(raw, dtype=np.uint64)
+    roots = _components(len(ids), *_near_pairs(values, max_dist))
+    # a root is its cluster's smallest index, hence its smallest id, so
+    # grouping by root yields clusters already in representative order
+    order = np.argsort(roots, kind="stable")
+    bounds = np.flatnonzero(np.diff(roots[order])) + 1
+    clusters = [tuple(ids[k] for k in group) for group in np.split(order, bounds)]
     removed = len(ids) - len(clusters)
     return DedupReport(
         clusters=tuple(clusters),

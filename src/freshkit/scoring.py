@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyVector, NonPositiveTemperature
-from .tiny_model import TinyClassifier, forward, nll_input_gradient
+from .tiny_model import TinyClassifier, forward_rows, nll_input_gradient
 
 __all__ = [
     "stable_logsumexp",
@@ -75,18 +75,23 @@ class OdinConfig:
             raise NonPositiveTemperature(f"temperature {self.temperature} must be > 0")
 
 
-def odin_score(model: TinyClassifier, x, config: OdinConfig) -> float:
+def odin_score(model: TinyClassifier, x, config: OdinConfig) -> float | np.ndarray:
     """Max temperature-scaled softmax after nudging x toward higher confidence.
 
     The input moves one signed step of size epsilon against the gradient of
     the temperature-scaled NLL at the predicted class. With epsilon 0 this
     is exactly msp of the temperature-scaled logits.
+
+    One sample (D,) gives a float. A batch (N, D) is scored in one pass and
+    gives an (N,) float64 array whose entry i is bit-identical to the
+    one-sample score of row i.
     """
-    x = np.asarray(x, dtype=np.float64)
-    logits = forward(model, x)
-    predicted = int(np.argmax(logits))
+    xs = np.asarray(x, dtype=np.float64)
+    logits = forward_rows(model, xs)
     if config.epsilon != 0.0:
-        grad = nll_input_gradient(model, x, predicted, config.temperature)
-        x = x - config.epsilon * np.sign(grad)
-        logits = forward(model, x)
-    return float(softmax(logits, config.temperature).max())
+        grad = nll_input_gradient(model, xs, logits.argmax(axis=1), config.temperature)
+        logits = forward_rows(model, xs - config.epsilon * np.sign(grad))
+    scaled = logits / config.temperature
+    shifted = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+    scores = (shifted / shifted.sum(axis=1, keepdims=True)).max(axis=1)
+    return float(scores[0]) if xs.ndim == 1 else scores

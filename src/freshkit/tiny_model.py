@@ -30,6 +30,7 @@ __all__ = [
     "EpochStats",
     "init_model",
     "forward",
+    "forward_rows",
     "smooth_targets",
     "mixup",
     "grads",
@@ -160,7 +161,11 @@ def _as_batch(x: np.ndarray, input_dim: int) -> tuple[np.ndarray, bool]:
 
 def _forward(params: tuple, xs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """(hidden, logits) of a batch under raw (w_in, b_in, w_out, b_out) arrays;
-    hidden is None for the linear model."""
+    hidden is None for the linear model.
+
+    xs is (N, D), or (N, 1, D) to evaluate every row as its own one-row
+    product, which rounds exactly as a one-sample call does.
+    """
     w_in, b_in, w_out, b_out = params
     if w_in.shape[0]:
         hidden = np.tanh(xs @ w_in.T + b_in)
@@ -196,6 +201,16 @@ def forward(model: TinyClassifier, x: np.ndarray) -> np.ndarray:
     return logits[0] if single else logits
 
 
+def forward_rows(model: TinyClassifier, xs: np.ndarray) -> np.ndarray:
+    """Logits (N, C) of a batch (N, D), row i bit-identical to forward(model, xs[i]).
+
+    A batched gemm may round the output layer differently from the one-row
+    product, so per-sample procedures (ODIN) use this instead of forward.
+    """
+    xs, _ = _as_batch(xs, model.input_dim)
+    return _forward((model.w_in, model.b_in, model.w_out, model.b_out), xs[:, None, :])[1][:, 0]
+
+
 def _smoothed(labels, n_classes: int, alpha: float) -> np.ndarray:
     """(N, C) rows of (1 - alpha) * onehot + alpha / C, one per label."""
     labels = np.asarray(labels)
@@ -228,8 +243,8 @@ def mixup(x1: np.ndarray, t1: np.ndarray, x2: np.ndarray, t2: np.ndarray,
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _mean_nll(logp: np.ndarray, targets: np.ndarray) -> float:
@@ -267,18 +282,23 @@ def grads(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
     return grads_from_targets(model, xs, _smoothed(labels, model.n_classes, label_smoothing))
 
 
-def nll_input_gradient(model: TinyClassifier, x: np.ndarray, label: int,
+def nll_input_gradient(model: TinyClassifier, x: np.ndarray, label: int | np.ndarray,
                        temperature: float = 1.0) -> np.ndarray:
-    """Gradient wrt x of -log softmax(f(x)/T)[label], one sample."""
-    xs, _ = _as_batch(x, model.input_dim)
-    if not 0 <= label < model.n_classes:
-        raise BadLabelIndex(f"label {label} outside [0, {model.n_classes})")
+    """Gradient wrt x of -log softmax(f(x)/T)[label].
+
+    One sample (D,) with an integer label gives (D,). A batch (N, D) with one
+    label per row gives (N, D), row i bit-identical to the one-sample call on
+    row i.
+    """
+    xs, single = _as_batch(x, model.input_dim)
+    onehot = _smoothed(np.reshape(label, -1), model.n_classes, 0.0)
+    if onehot.shape[0] != xs.shape[0]:
+        raise DimensionMismatch(f"{onehot.shape[0]} labels for {xs.shape[0]} inputs")
     params = (model.w_in, model.b_in, model.w_out, model.b_out)
-    hidden, logits = _forward(params, xs)
-    dlogits = np.exp(_log_softmax(logits / temperature))
-    dlogits[0, label] -= 1.0
-    dlogits /= temperature
-    return _backward(params, hidden, dlogits)[1][0]
+    hidden, logits = _forward(params, xs[:, None, :])
+    dlogits = (np.exp(_log_softmax(logits / temperature)) - onehot[:, None, :]) / temperature
+    dx = _backward(params, hidden, dlogits)[1][:, 0]
+    return dx[0] if single else dx
 
 
 def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,

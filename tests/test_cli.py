@@ -586,6 +586,39 @@ def test_bad_training_flags_fail_at_parse_time(tmp_path, capsys, flags):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["score", "--method", "energy", "--temperature", "nan"], "--temperature"),
+    (["score", "--method", "energy", "--temperature", "inf"], "--temperature"),
+    (["score", "--method", "energy", "--temperature", "0"], "--temperature"),
+    (["score", "--method", "odin", "--temperature", "nan", "--epsilon", "0.001"], "--temperature"),
+    (["score", "--method", "odin", "--temperature", "1000", "--epsilon", "nan"], "--epsilon"),
+    (["score", "--method", "odin", "--temperature", "1000", "--epsilon", "-0.5"], "--epsilon"),
+    (["dedup", "--max-dist", "-1"], "--max-dist"),
+    (["dedup", "--max-dist", "65"], "--max-dist"),
+    (["bootstrap", "--b", "0"], "--b"),
+    (["bootstrap", "--b", "-5"], "--b"),
+])
+def test_bad_numeric_flags_fail_at_parse_time(tmp_path, capsys, argv, flag):
+    # score gets real inputs, so only the parser stands between a bad flag
+    # and a written scores file; the others would exit 2 on their inputs
+    logits = tmp_path / "logits.csv"
+    write_labeled_logits(logits)
+    model = tmp_path / "model.json"
+    save_model(model, init_model(3, 4, 3, seed=0))
+    scores = tmp_path / "scores.csv"
+    missing = str(tmp_path / "missing")
+    inputs = {"score": ["--logits", str(logits), "--scores-out", str(scores)]
+              + (["--model", str(model), "--prefix", "logit"] if "odin" in argv else []),
+              "dedup": ["--images", missing], "bootstrap": ["--values", missing]}
+    with pytest.raises(SystemExit) as info:
+        main([*argv, *inputs[argv[0]]])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert not scores.exists()
+
+
 def test_help_exits_0():
     for argv in (["--help"], ["mcnemar", "--help"], ["pseudomask", "--help"]):
         with pytest.raises(SystemExit) as info:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from freshkit.data_model import RgbImage, grayscale_as_rgb
-from freshkit.errors import RowNotNormalized, MissingClass, TooFewSamplesPerClass
+from freshkit.errors import InputFormatError, RowNotNormalized, MissingClass, TooFewSamplesPerClass
 from freshkit.hygiene import (
+    _DEDUP_BLOCK,
     HyperGrid,
+    _area_weights,
     audit_fold_plan,
     class_weights,
     cluster_near_duplicates,
@@ -62,6 +64,48 @@ def test_phash_separates_structured_images():
     assert d > 10
 
 
+def _reference_phash(image):
+    """phash64 with every step before the DCT in Python-loop integers."""
+    def weights(length, bins=32):
+        out = np.zeros((bins, length), dtype=np.int64)
+        for j in range(bins):
+            for p in range(length):
+                out[j, p] = max(0, min((p + 1) * bins, (j + 1) * length)
+                                - max(p * bins, j * length))
+        return out
+
+    px = image.pixels.astype(np.int64)
+    luma = 299 * px[:, :, 0] + 587 * px[:, :, 1] + 114 * px[:, :, 2]
+    cells = weights(image.height) @ luma @ weights(image.width).T  # int64 matmul, no BLAS
+    centered = 1024 * cells - cells.sum()
+    k = np.arange(32)[:, None]
+    dct = np.sqrt(2.0 / 32) * np.cos(np.pi * (2 * np.arange(32)[None, :] + 1) * k / 64)
+    dct[0] *= np.sqrt(0.5)
+    ac = (dct @ centered.astype(np.float64) @ dct.T)[:8, :8].ravel()[1:]
+    median = np.median(ac)
+    value = 0
+    for coeff in ac:
+        value = (value << 1) | int(coeff > median)
+    return value << 1
+
+
+@pytest.mark.parametrize("shape", [(9, 13), (48, 48), (257, 311), (1000, 700)])
+def test_phash_equals_integer_reference(shape):
+    rng = np.random.default_rng(shape[0])
+    for pixels in (rng.integers(0, 256, size=(*shape, 3), dtype=np.uint8),
+                   np.full((*shape, 3), 255, dtype=np.uint8)):
+        image = RgbImage(pixels)
+        assert phash64(image) == _reference_phash(image)
+
+
+def test_cached_area_weights_are_read_only():
+    weights = _area_weights(37)
+    assert weights is _area_weights(37)
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1.0
+
+
 def test_hamming_counts_bits():
     assert hamming(0b1010, 0b0110) == 2
     assert hamming(0, 2**64 - 1) == 64
@@ -103,6 +147,62 @@ def test_cluster_threshold_zero_splits_near_misses():
     assert len(report.clusters) == 2
     report = cluster_near_duplicates({"a": 0, "b": 1}, max_dist=1)
     assert len(report.clusters) == 1
+
+
+def _brute_force_clusters(hashes, max_dist):
+    ids = sorted(hashes)
+    parent = list(range(len(ids)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            if hamming(hashes[ids[i]], hashes[ids[j]]) <= max_dist:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, name in enumerate(ids):
+        groups.setdefault(find(i), []).append(name)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def _flip(rng, value, k):
+    for bit in rng.choice(64, size=k, replace=False):
+        value ^= 1 << int(bit)
+    return value
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_equals_brute_force_oracle(seed):
+    rng = np.random.default_rng(seed)
+    max_dist = int(rng.integers(0, 12))
+    n = 2 * _DEDUP_BLOCK + 37 + seed * 11  # above the block size, not a multiple
+    values = [int(v) for v in rng.integers(0, 2**64, size=n // 2, dtype=np.uint64)]
+    while len(values) < n:
+        kind = rng.integers(0, 3)
+        base = values[int(rng.integers(0, len(values)))]
+        if kind == 0:  # a pair at exactly max_dist
+            values.append(_flip(rng, base, max_dist))
+        elif kind == 1:  # a chain whose ends lie beyond max_dist
+            for _ in range(int(rng.integers(2, 6))):
+                base = _flip(rng, base, max(max_dist, 1))
+                values.append(base)
+        else:  # a near miss
+            values.append(_flip(rng, base, max_dist + 1))
+    order = rng.permutation(n)
+    hashes = {f"h{order[i]:04d}": v for i, v in enumerate(values[:n])}
+    report = cluster_near_duplicates(hashes, max_dist=max_dist)
+    assert report.clusters == _brute_force_clusters(hashes, max_dist)
+    assert report.representatives == tuple(c[0] for c in report.clusters)
+    assert any(len(c) > 2 for c in report.clusters)
+
+
+@pytest.mark.parametrize("bad", [1.5, -1, 2**64, True])
+def test_cluster_rejects_hashes_outside_uint64(bad):
+    with pytest.raises(InputFormatError):
+        cluster_near_duplicates({"a": 3, "b": bad}, max_dist=1)
 
 
 def test_dedup_of_constructed_corpus():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freshkit.cli import ODIN_GRID_EPSILONS, ODIN_GRID_TEMPERATURES
 from freshkit.errors import EmptyVector, NonPositiveTemperature
 from freshkit.scoring import (
     OdinConfig,
@@ -150,3 +151,16 @@ def test_odin_score_bounds():
 def test_odin_config_validation():
     with pytest.raises(NonPositiveTemperature):
         OdinConfig(temperature=0.0, epsilon=0.0)
+
+
+@pytest.mark.parametrize("hidden", [8, 0])
+@pytest.mark.parametrize("n", [1, 2000])
+def test_batched_odin_equals_per_row_calls_on_the_grid(hidden, n):
+    model = init_model(16, hidden, 4, seed=5)
+    xs = np.random.default_rng(6).normal(0.0, 2.0, (n, 16))
+    for temperature in ODIN_GRID_TEMPERATURES:
+        for epsilon in ODIN_GRID_EPSILONS:
+            cfg = OdinConfig(temperature, epsilon)
+            batched = odin_score(model, xs, cfg)
+            assert batched.shape == (n,) and batched.dtype == np.float64
+            assert np.array_equal(batched, [odin_score(model, x, cfg) for x in xs])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from freshkit.errors import BadLabelIndex, BadTrainConfig, ComputeError
+from freshkit.errors import BadLabelIndex, BadTrainConfig, ComputeError, DimensionMismatch
 from freshkit.tiny_model import (
     TinyClassifier,
     TrainConfig,
@@ -345,3 +345,26 @@ def test_forward_shapes():
     assert np.asarray(single).shape == (2,)
     assert np.asarray(batch).shape == (5, 2)
     assert np.allclose(batch[0], single)
+
+
+@pytest.mark.parametrize("hidden", [8, 0])
+@pytest.mark.parametrize("n", [1, 2000])
+def test_batched_input_gradient_equals_per_row_calls(hidden, n):
+    model = init_model(16, hidden, 4, seed=3)
+    rng = np.random.default_rng(4)
+    xs = rng.normal(0.0, 2.0, (n, 16))
+    labels = rng.integers(0, 4, n)
+    for temperature in (1.0, 10.0, 100.0, 1000.0):
+        batched = nll_input_gradient(model, xs, labels, temperature)
+        rows = np.stack([nll_input_gradient(model, x, int(label), temperature)
+                         for x, label in zip(xs, labels)])
+        assert batched.shape == (n, 16)
+        assert np.array_equal(batched, rows)
+
+
+def test_batched_input_gradient_needs_one_label_per_row():
+    model = init_model(3, 2, 2, seed=0)
+    with pytest.raises(DimensionMismatch):
+        nll_input_gradient(model, np.zeros((4, 3)), np.array([0, 1, 1]))
+    with pytest.raises(BadLabelIndex):
+        nll_input_gradient(model, np.zeros((2, 3)), np.array([0, 2]))
