@@ -202,15 +202,15 @@ def _cmd_score(args) -> dict:
 
     loader = _load_features if args.method == "odin" else _load_records
     records = loader(args.logits, args.prefix)
-    values = [np.asarray(rec.logits) for rec in records]
+    xs = np.array([rec.logits for rec in records])
 
     if args.method == "msp":
-        scores = [msp_score(v) for v in values]
+        scores = msp_score(xs)
         report = {"method": "msp", "n": len(records),
                   "scores": _score_records(records, scores)}
     elif args.method == "energy":
         temperature = 1.0 if args.temperature is None else args.temperature
-        scores = [energy_score(v, temperature) for v in values]
+        scores = energy_score(xs, temperature)
         report = {"method": "energy", "temperature": temperature,
                   "n": len(records),
                   "scores": _score_records(records, scores)}
@@ -221,7 +221,6 @@ def _cmd_score(args) -> dict:
             raise UsageError("give both --temperature and --epsilon, "
                              "or neither to tune over the built-in grid")
         model = load_model(args.model)
-        xs = np.stack(values)
         if args.temperature is not None:
             config = OdinConfig(args.temperature, args.epsilon)
             scores = odin_score(model, xs, config).tolist()
@@ -295,7 +294,7 @@ def _cmd_cls_eval(args) -> dict:
     n_classes = logits.shape[1]
     cm = confusion(labels, preds, n_classes)
     rep = prf_report(cm)
-    probs = np.stack([softmax(row) for row in logits])
+    probs = softmax(logits)
     ce = cross_entropy(probs, labels, args.label_smoothing)
     return {
         "n": len(records),
@@ -656,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, metavar="DIR")
     p.add_argument("--gt", required=True, metavar="DIR")
     p.add_argument("--classes", metavar="CSV", default=None)
-    p.add_argument("--boot", type=int, default=5000,
+    p.add_argument("--boot", type=_bounded(int, 1), default=5000,
                    help="bootstrap replicates (default 5000)")
 
     p = add("mcnemar", _cmd_mcnemar, "paired test between two classifiers",
@@ -742,15 +741,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR",
                    help="directory that receives the generated masks")
-    p.add_argument("--iters", type=int, default=5,
+    p.add_argument("--iters", type=_bounded(int, 0), default=5,
                    help="refinement iterations (default 5)")
-    p.add_argument("--k", type=int, default=5,
+    p.add_argument("--k", type=_bounded(int, 1), default=5,
                    help="mixture components per side (default 5)")
-    p.add_argument("--lambda", dest="smoothness", type=float, default=50.0,
+    p.add_argument("--lambda", dest="smoothness", type=_bounded(float, 0.0), default=50.0,
                    help="smoothness weight on neighbor disagreement (default 50)")
-    p.add_argument("--open", type=int, default=1,
+    p.add_argument("--open", type=_bounded(int, 0), default=1,
                    help="opening radius, 0 disables (default 1)")
-    p.add_argument("--close", type=int, default=1,
+    p.add_argument("--close", type=_bounded(int, 0), default=1,
                    help="closing radius, 0 disables (default 1)")
     p.add_argument("--close-first", action="store_true",
                    help="apply closing before opening")

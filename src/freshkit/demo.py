@@ -105,9 +105,9 @@ def run_demo(seed: int = 42) -> dict:
     def detector_scores(points: np.ndarray, is_id: bool, prefix: str):
         logits = forward(model, points)
         rows = {
-            "msp": [msp_score(row) for row in logits],
+            "msp": msp_score(logits),
             # detectors share the larger-is-ID orientation, so energy enters negated
-            "energy": [-energy_score(row) for row in logits],
+            "energy": -energy_score(logits),
             "odin": odin_score(model, points, odin_config),
         }
         return {

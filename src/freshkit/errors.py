@@ -117,3 +117,7 @@ class ImageTooSmall(ComputeError):
 
 class DegenerateGraph(ComputeError):
     """Every capacity in the cut graph is zero."""
+
+
+class BadParameter(ComputeError):
+    """A numeric parameter is outside its valid range."""

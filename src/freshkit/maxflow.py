@@ -1,15 +1,17 @@
 """Exact max-flow / min-cut over float64 capacities (Dinic's algorithm).
 
-Arcs are stored in pairs so arc e ^ 1 is always the reverse of arc e. The
-bottleneck arc of every augmenting path is zeroed by exact subtraction, so
-the algorithm terminates and the final residual graph yields the source-side
-cut directly. Small graphs run fine in pure Python; the kernels are numba
-compiled when numba is available, which is what makes desk-scale images
-cheap.
+add_edge appends arcs as arrays, one call per batch. Arc 2k is the k-th
+added arc and 2k+1 its reverse, so arc e ^ 1 is always the reverse of arc
+e. max_flow turns the arc arrays into a linked adjacency list with one
+stable sort over arc tails: head[u] is the last arc out of u and nxt[e] the
+previous arc out of the same tail, or -1. The bottleneck arc of every
+augmenting path is zeroed by exact subtraction, so the algorithm
+terminates, and its last BFS, which no longer reaches the sink, marks the
+source side of the min cut. Small graphs run fine in pure Python; the
+kernels are numba compiled when numba is available, which is what makes
+desk-scale images cheap.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -87,9 +89,8 @@ def _augment_once(head, nxt, to, cap, level, iters, path, s, t):
 
 
 @njit(cache=True)
-def _dinic(head, nxt, to, cap, s, t):
+def _dinic(head, nxt, to, cap, level, s, t):
     n = head.shape[0]
-    level = np.empty(n, np.int64)
     queue = np.empty(n, np.int64)
     iters = np.empty(n, np.int64)
     path = np.empty(n, np.int64)
@@ -105,70 +106,66 @@ def _dinic(head, nxt, to, cap, s, t):
     return total
 
 
-@njit(cache=True)
-def _reachable(head, nxt, to, cap, s):
-    n = head.shape[0]
-    seen = np.zeros(n, np.bool_)
-    queue = np.empty(n, np.int64)
-    seen[s] = True
-    queue[0] = s
-    q_read, q_write = 0, 1
-    while q_read < q_write:
-        u = queue[q_read]
-        q_read += 1
-        e = head[u]
-        while e != -1:
-            v = to[e]
-            if cap[e] > 0.0 and not seen[v]:
-                seen[v] = True
-                queue[q_write] = v
-                q_write += 1
-            e = nxt[e]
-    return seen
-
-
 class FlowGraph:
-    """Adjacency-list flow network; nodes are 0..n_nodes-1."""
+    """Flow network built from arc arrays; nodes are 0..n_nodes-1."""
 
     def __init__(self, n_nodes: int):
         if n_nodes < 2:
             raise DimensionMismatch("a flow network needs at least two nodes")
         self.n_nodes = n_nodes
-        self._head = [-1] * n_nodes
-        self._next: list[int] = []
-        self._to: list[int] = []
-        self._cap: list[float] = []
-        self._residual: np.ndarray | None = None
-        self._frozen: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # per add_edge call: tails and capacities of arcs 2k, 2k+1
+        self._tail = [np.empty(0, np.int64)]
+        self._cap = [np.empty(0, np.float64)]
+        self._level: np.ndarray | None = None
 
-    def add_edge(self, u: int, v: int, cap_uv: float, cap_vu: float = 0.0) -> None:
-        """Add the arc u->v (and its reverse) with nonnegative finite capacity."""
-        if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes) or u == v:
-            raise DimensionMismatch(f"bad arc ({u}, {v}) in a {self.n_nodes}-node graph")
-        if cap_uv < 0.0 or cap_vu < 0.0 or not (math.isfinite(cap_uv) and math.isfinite(cap_vu)):
-            raise DimensionMismatch(f"capacities must be finite and >= 0, got {cap_uv}, {cap_vu}")
-        for src, dst, c in ((u, v, cap_uv), (v, u, cap_vu)):
-            e = len(self._to)
-            self._to.append(dst)
-            self._cap.append(c)
-            self._next.append(self._head[src])
-            self._head[src] = e
+    def add_edge(self, u, v, cap_uv, cap_vu=0.0) -> None:
+        """Add the arcs u->v (and their reverses) with nonnegative finite capacity.
+
+        Each argument is a scalar or a 1-D array; arrays must share one
+        length, and scalars repeat along it. Arcs are appended in order.
+        """
+        try:
+            u, v, cap_uv, cap_vu = map(np.atleast_1d, np.broadcast_arrays(u, v, cap_uv, cap_vu))
+        except ValueError:
+            raise DimensionMismatch("arc arrays must share one length") from None
+        if u.ndim != 1 or u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
+            raise DimensionMismatch(f"node ids must be integers or 1-D integer arrays, "
+                                    f"got {u.dtype} and {v.dtype} of shape {u.shape}")
+        bad = (u < 0) | (u >= self.n_nodes) | (v < 0) | (v >= self.n_nodes) | (u == v)
+        if bad.any():
+            k = np.argmax(bad)
+            raise DimensionMismatch(f"bad arc ({u[k]}, {v[k]}) in a {self.n_nodes}-node graph")
+        caps = np.stack([cap_uv, cap_vu], axis=1).astype(np.float64)
+        bad = ~(np.isfinite(caps) & (caps >= 0.0)).all(axis=1)
+        if bad.any():
+            k = np.argmax(bad)
+            raise DimensionMismatch(f"capacities must be finite and >= 0, got {caps[k].tolist()}")
+        self._tail.append(np.stack([u, v], axis=1).astype(np.int64).ravel())
+        self._cap.append(caps.ravel())
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """head, nxt, to and cap of every arc added so far."""
+        tail = np.concatenate(self._tail)
+        order = np.argsort(tail, kind="stable")
+        by_tail = tail[order]
+        last = np.ones(tail.size, bool)  # last arc of its tail in arc order
+        last[:-1] = by_tail[1:] != by_tail[:-1]
+        nxt = np.full(tail.size, -1, np.int64)
+        nxt[order[1:]] = np.where(last[:-1], -1, order[:-1])
+        head = np.full(self.n_nodes, -1, np.int64)
+        head[by_tail[last]] = order[last]
+        to = tail.reshape(-1, 2)[:, ::-1].ravel()  # arc e ends where arc e ^ 1 starts
+        return head, nxt, to, np.concatenate(self._cap)
 
     def max_flow(self, s: int, t: int) -> float:
         """Run Dinic; afterwards source_side() reads the min cut."""
-        head = np.asarray(self._head, dtype=np.int64)
-        nxt = np.asarray(self._next, dtype=np.int64)
-        to = np.asarray(self._to, dtype=np.int64)
-        cap = np.asarray(self._cap, dtype=np.float64)
-        flow = float(_dinic(head, nxt, to, cap, s, t))
-        self._frozen = (head, nxt, to)
-        self._residual = cap
-        self._source = s
+        level = np.empty(self.n_nodes, np.int64)
+        flow = float(_dinic(*self._arrays(), level, s, t))
+        self._level = level
         return flow
 
     def source_side(self) -> np.ndarray:
         """Nodes still reachable from the source in the residual graph."""
-        if self._residual is None or self._frozen is None:
+        if self._level is None:
             raise DimensionMismatch("run max_flow before reading the cut")
-        head, nxt, to = self._frozen
-        return np.asarray(_reachable(head, nxt, to, self._residual, self._source))
+        return self._level >= 0

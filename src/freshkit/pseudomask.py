@@ -24,12 +24,14 @@ import numpy as np
 
 from .data_model import BinaryMask, RgbImage
 from .errors import (
+    BadParameter,
     DegenerateGraph,
     DimensionMismatch,
     ImageTooSmall,
     TooFewPixels,
 )
 from .maxflow import FlowGraph
+from .scoring import stable_logsumexp
 from .tiny_model import derive_seed
 
 __all__ = [
@@ -157,11 +159,6 @@ def _mixture_log_matrix(points, weights, means, covs) -> np.ndarray:
     return log_terms
 
 
-def _logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
-    top = matrix.max(axis=1, keepdims=True)
-    return (top + np.log(np.exp(matrix - top).sum(axis=1, keepdims=True)))[:, 0]
-
-
 def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = [points[rng.integers(points.shape[0])]]
     for _ in range(k - 1):
@@ -187,6 +184,8 @@ def fit_gmm(pixels, n_components: int = 5, n_iter: int = 10, seed: int = 42) -> 
     points = np.asarray(pixels, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise DimensionMismatch(f"expected (n, 3) pixels, got shape {points.shape}")
+    if n_components < 1:
+        raise BadParameter(f"n_components must be >= 1, got {n_components}")
     n = points.shape[0]
     if n < n_components:
         raise TooFewPixels(f"{n} pixels cannot support {n_components} components")
@@ -206,7 +205,7 @@ def fit_gmm(pixels, n_components: int = 5, n_iter: int = 10, seed: int = 42) -> 
     trace: list[float] = []
     for _ in range(n_iter):
         log_terms = _mixture_log_matrix(points, weights, means, covs)
-        log_norm = _logsumexp_rows(log_terms)
+        log_norm = stable_logsumexp(log_terms)
         trace.append(float(log_norm.sum()))
         resp = np.exp(log_terms - log_norm[:, None])
         bulk = resp.sum(axis=0)
@@ -225,7 +224,7 @@ def gmm_nll(model: GmmModel, pixels) -> np.ndarray:
     if points.ndim != 2 or points.shape[1] != 3:
         raise DimensionMismatch(f"expected (n, 3) pixels, got shape {points.shape}")
     log_terms = _mixture_log_matrix(points, model.weights, model.means, model.covariances)
-    return -_logsumexp_rows(log_terms)
+    return -stable_logsumexp(log_terms)
 
 
 # --- the cut ------------------------------------------------------------------
@@ -251,7 +250,13 @@ def _grid_pairs(height: int, width: int) -> np.ndarray:
 
 def build_cut_problem(image: RgbImage, fg_gmm: GmmModel, bg_gmm: GmmModel,
                       smoothness: float = 50.0, locked_bg=None) -> CutProblem:
-    """Assemble data and smoothness terms from an image and two mixtures."""
+    """Assemble data and smoothness terms from an image and two mixtures.
+
+    smoothness must be finite and >= 0: a negative weight makes the energy
+    non-submodular, which an exact min-cut cannot minimize.
+    """
+    if not (math.isfinite(smoothness) and smoothness >= 0.0):
+        raise BadParameter(f"smoothness must be finite and >= 0, got {smoothness}")
     lab = rgb_to_lab(image.pixels)
     height, width = lab.shape[:2]
     z = lab.reshape(-1, 3)
@@ -303,28 +308,20 @@ def solve_cut(problem: CutProblem) -> np.ndarray:
     source, sink = n, n + 1
     graph = FlowGraph(n + 2)
     shift = np.minimum(problem.d_fg, problem.d_bg)
-    cap_src = problem.d_bg - shift   # paid when the pixel ends up background
-    cap_snk = problem.d_fg - shift   # paid when the pixel ends up foreground
-    any_capacity = False
-    for i in range(n):
-        if problem.locked_bg[i]:
-            graph.add_edge(i, sink, _LOCK_CAP)
-            any_capacity = True
-            continue
-        if cap_src[i] > 0.0:
-            graph.add_edge(source, i, float(cap_src[i]))
-            any_capacity = True
-        if cap_snk[i] > 0.0:
-            graph.add_edge(i, sink, float(cap_snk[i]))
-            any_capacity = True
-    pair_w = problem.pair_w
-    pairs = problem.pairs
-    for k in range(pairs.shape[0]):
-        w = float(pair_w[k])
-        if w > 0.0:
-            graph.add_edge(int(pairs[k, 0]), int(pairs[k, 1]), w, w)
-            any_capacity = True
-    if not any_capacity:
+    locked = problem.locked_bg
+    # per pixel: the source link (paid when the pixel ends up background),
+    # then the sink link (paid when it ends up foreground)
+    t_cap = np.stack([np.where(locked, 0.0, problem.d_bg - shift),
+                      np.where(locked, _LOCK_CAP, problem.d_fg - shift)], axis=1).ravel()
+    pixel = np.repeat(np.arange(n), 2)
+    to_sink = np.tile([False, True], n)
+    t_keep = t_cap > 0.0
+    graph.add_edge(np.where(to_sink, pixel, source)[t_keep],
+                   np.where(to_sink, sink, pixel)[t_keep], t_cap[t_keep])
+    n_keep = problem.pair_w > 0.0
+    w = problem.pair_w[n_keep]
+    graph.add_edge(problem.pairs[n_keep, 0], problem.pairs[n_keep, 1], w, w)
+    if not (t_keep.any() or n_keep.any()):
         raise DegenerateGraph("every capacity is zero; the labeling is unconstrained")
     graph.max_flow(source, sink)
     return graph.source_side()[:n]

@@ -24,43 +24,45 @@ __all__ = [
 ]
 
 
-def _as_vector(values) -> np.ndarray:
+def _as_rows(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise EmptyVector(f"expected a nonempty 1-D vector, got shape {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise EmptyVector(f"expected a nonempty (C,) or (N, C) array, got shape {arr.shape}")
     return arr
 
 
-def stable_logsumexp(values) -> float:
-    """log(sum(exp(v))) with the max shifted out, exact for single elements."""
-    arr = _as_vector(values)
-    m = arr.max()
-    return float(m + np.log(np.exp(arr - m).sum()))
+def stable_logsumexp(values) -> float | np.ndarray:
+    """log(sum(exp(v))) over the last axis with the max shifted out, exact
+    for single elements. (C,) gives a float, (N, C) an (N,) array."""
+    arr = _as_rows(values)
+    m = arr.max(axis=-1, keepdims=True)
+    out = (m + np.log(np.exp(arr - m).sum(axis=-1, keepdims=True)))[..., 0]
+    return float(out) if arr.ndim == 1 else out
 
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """softmax(logits / T); strictly positive, sums to 1."""
+    """softmax(logits / T) over the last axis; strictly positive, rows sum to 1."""
     if temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature {temperature} must be > 0")
-    arr = _as_vector(logits) / temperature
-    shifted = np.exp(arr - arr.max())
-    return shifted / shifted.sum()
+    arr = _as_rows(logits) / temperature
+    shifted = np.exp(arr - arr.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def msp_score(logits) -> float:
-    """Maximum softmax probability at temperature 1; in (0, 1]."""
-    return float(softmax(logits).max())
+def msp_score(logits) -> float | np.ndarray:
+    """Maximum softmax probability at temperature 1; in (0, 1]. One per row."""
+    scores = softmax(logits).max(axis=-1)
+    return float(scores) if scores.ndim == 0 else scores
 
 
-def energy_score(logits, temperature: float = 1.0) -> float:
-    """-T * logsumexp(logits / T). Smaller means more in-distribution.
+def energy_score(logits, temperature: float = 1.0) -> float | np.ndarray:
+    """-T * logsumexp(logits / T), one per row. Smaller means more in-distribution.
 
     Detectors that want larger-is-more-ID should negate this value.
     """
     if temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature {temperature} must be > 0")
-    arr = _as_vector(logits)
-    return float(-temperature * stable_logsumexp(arr / temperature))
+    return -temperature * stable_logsumexp(_as_rows(logits) / temperature)
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,5 @@ def odin_score(model: TinyClassifier, x, config: OdinConfig) -> float | np.ndarr
     if config.epsilon != 0.0:
         grad = nll_input_gradient(model, xs, logits.argmax(axis=1), config.temperature)
         logits = forward_rows(model, xs - config.epsilon * np.sign(grad))
-    scaled = logits / config.temperature
-    shifted = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-    scores = (shifted / shifted.sum(axis=1, keepdims=True)).max(axis=1)
+    scores = softmax(logits, config.temperature).max(axis=-1)
     return float(scores[0]) if xs.ndim == 1 else scores

@@ -619,6 +619,40 @@ def test_bad_numeric_flags_fail_at_parse_time(tmp_path, capsys, argv, flag):
     assert not scores.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["pseudomask", "--lambda", "-1"], "--lambda"),
+    (["pseudomask", "--lambda", "nan"], "--lambda"),
+    (["pseudomask", "--lambda", "inf"], "--lambda"),
+    (["pseudomask", "--k", "0"], "--k"),
+    (["pseudomask", "--iters", "-1"], "--iters"),
+    (["pseudomask", "--open", "-1"], "--open"),
+    (["pseudomask", "--close", "-1"], "--close"),
+    (["seg-eval", "--boot", "0"], "--boot"),
+    (["seg-eval", "--boot", "-1"], "--boot"),
+])
+def test_bad_mask_flags_fail_at_parse_time(tmp_path, capsys, argv, flag):
+    # real inputs, so only the parser stands between a bad flag and the
+    # written masks (pseudomask) or report (seg-eval)
+    images = tmp_path / "images"
+    truth = tmp_path / "truth"
+    images.mkdir()
+    truth.mkdir()
+    write_ppm(images / "a.ppm", RgbImage(np.full((16, 16, 3), 90, dtype=np.uint8)))
+    write_pgm(truth / "a.pgm", BinaryMask(np.eye(16, dtype=bool)))
+    out = tmp_path / "out"
+    inputs = {"pseudomask": ["--in", str(images), "--out", str(out / "masks"),
+                             "--report", str(out / "report.json")],
+              "seg-eval": ["--pred", str(truth), "--gt", str(truth),
+                           "--out", str(out / "report.json")]}
+    with pytest.raises(SystemExit) as info:
+        main([*argv, *inputs[argv[0]]])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_help_exits_0():
     for argv in (["--help"], ["mcnemar", "--help"], ["pseudomask", "--help"]):
         with pytest.raises(SystemExit) as info:

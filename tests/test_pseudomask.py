@@ -6,6 +6,7 @@ import pytest
 
 from freshkit.data_model import BinaryMask, RgbImage
 from freshkit.errors import (
+    BadParameter,
     DegenerateGraph,
     DimensionMismatch,
     ImageTooSmall,
@@ -156,6 +157,11 @@ def test_gmm_requires_enough_pixels():
         fit_gmm(np.zeros((3, 3)), n_components=5)
 
 
+def test_gmm_needs_a_component():
+    with pytest.raises(BadParameter):
+        fit_gmm(np.zeros((10, 3)), n_components=0)
+
+
 def test_gmm_nll_orders_points_by_fit():
     points = _two_blobs(200, seed=7)
     model = fit_gmm(points, n_components=2, seed=8)
@@ -238,6 +244,18 @@ def test_fully_degenerate_graph_raises():
     )
     with pytest.raises(DegenerateGraph):
         solve_cut(problem)
+
+
+@pytest.mark.parametrize("smoothness", [-1.0, -1e-300, math.nan, math.inf])
+def test_build_cut_problem_rejects_bad_smoothness(smoothness):
+    # a negative weight makes the energy non-submodular; min-cut would drop it
+    rng = np.random.default_rng(15)
+    img = RgbImage(rng.integers(0, 256, size=(5, 6, 3), dtype=np.uint8))
+    points = rgb_to_lab(img.pixels).reshape(-1, 3)
+    fg = fit_gmm(points[:15], n_components=2, seed=1)
+    bg = fit_gmm(points[15:], n_components=2, seed=2)
+    with pytest.raises(BadParameter):
+        build_cut_problem(img, fg, bg, smoothness=smoothness)
 
 
 def test_build_cut_problem_fields():

@@ -84,6 +84,26 @@ def test_empty_logits_rejected():
         energy_score([])
 
 
+def test_rows_must_be_nonempty_and_at_most_2d():
+    for bad in (np.empty((0, 3)), np.empty((4, 0)), np.ones((2, 2, 2))):
+        for fn in (softmax, stable_logsumexp, msp_score, energy_score):
+            with pytest.raises(EmptyVector):
+                fn(bad)
+
+
+@pytest.mark.parametrize("n_classes", [1, 2, 4, 7, 8, 9, 16, 33])
+def test_row_batches_equal_per_row_calls(n_classes):
+    rows = np.random.default_rng(n_classes).normal(scale=4.0, size=(2000, n_classes))
+    for t in (1.0, 2.5, 1000.0):
+        assert np.array_equal(softmax(rows, t), np.stack([softmax(r, t) for r in rows]))
+        assert np.array_equal(energy_score(rows, t), [energy_score(r, t) for r in rows])
+    assert np.array_equal(stable_logsumexp(rows), [stable_logsumexp(r) for r in rows])
+    assert np.array_equal(msp_score(rows), [msp_score(r) for r in rows])
+    assert isinstance(msp_score(rows[0]), float)
+    assert isinstance(energy_score(rows[0]), float)
+    assert isinstance(stable_logsumexp(rows[0]), float)
+
+
 def test_msp_bounds():
     rng = np.random.default_rng(3)
     for _ in range(100):
