@@ -9,6 +9,11 @@ Exit codes: 0 success; 1 command line usage error; 2 malformed or empty
 input data (including files with zero data rows, reported as EmptyInput,
 and unreadable paths); 3 numeric or semantic failure on well-formed input.
 
+Nothing is written until the report has rendered: each subcommand returns
+its report and its pending file writes, and main renders the report, runs
+the writes, and writes the report last. An OSError partway through the
+writes exits 2 and can leave the earlier files behind.
+
 Report serialization: floats carry six decimal places, except values under
 a key named "p", which carry three significant figures and switch to
 scientific notation below 1e-3. Repeat runs with the same flags, seed, and
@@ -20,7 +25,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -77,27 +83,29 @@ ODIN_GRID_EPSILONS = (0.0, 0.001, 0.002, 0.004)
 
 # --- JSON rendering --------------------------------------------------------
 
-def _render_scalar(value, key):
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
+def render_json(obj, indent: int = 0, key=None) -> str:
+    """Deterministic pretty printer applying the float conventions above.
+
+    A dataclass instance renders as the dict of its fields, in declaration
+    order; tuples render as lists.
+    """
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        if not math.isfinite(obj):
             raise ComputeError(f"non-finite number under key {key!r}")
         if key == "p":
-            return f"{value:.2e}" if 0.0 < value < 1e-3 else f"{value:.3g}"
-        return f"{value:.6f}"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
+            return f"{obj:.2e}" if 0.0 < obj < 1e-3 else f"{obj:.3g}"
+        return f"{obj:.6f}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
         return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__} under key {key!r}")
-
-
-def render_json(obj, indent: int = 0, key=None) -> str:
-    """Deterministic pretty printer applying the float conventions above."""
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -113,7 +121,7 @@ def render_json(obj, indent: int = 0, key=None) -> str:
             return "[]"
         rows = [f"{inner}{render_json(v, indent + 1, key)}" for v in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    return _render_scalar(obj, key)
+    raise TypeError(f"cannot serialize {type(obj).__name__} under key {key!r}")
 
 
 # --- shared input handling ---------------------------------------------------
@@ -191,7 +199,7 @@ def _write_scores_csv(path: str, records, scores) -> None:
 
 # --- subcommands --------------------------------------------------------------
 
-def _cmd_score(args) -> dict:
+def _cmd_score(args):
     if args.method != "odin":
         if args.model is not None:
             raise UsageError("--model only applies to --method odin")
@@ -258,12 +266,13 @@ def _cmd_score(args) -> dict:
                       "n": len(records),
                       "scores": _score_records(records, scores)}
 
+    writes = []
     if args.scores_out:
-        _write_scores_csv(args.scores_out, records, [r["score"] for r in report["scores"]])
-    return report
+        writes.append(partial(_write_scores_csv, args.scores_out, records, scores))
+    return report, writes
 
 
-def _cmd_ood_eval(args) -> dict:
+def _cmd_ood_eval(args):
     records = _load_records(args.scores, args.prefix)
     raw = _single_column(records, args.scores)
     if args.flip:
@@ -272,21 +281,18 @@ def _cmd_ood_eval(args) -> dict:
         ScoredSample(rec.id, float(s), rec.split is not Split.OOD)
         for rec, s in zip(records, raw)
     ]
-    report = ood_metrics(samples).to_dict()
-    report["flipped"] = bool(args.flip)
-    return report
+    return {**asdict(ood_metrics(samples)), "flipped": bool(args.flip)}, []
 
 
-def _cmd_sweep(args) -> dict:
+def _cmd_sweep(args):
     records = _load_records(args.scores, args.prefix)
     conf = _single_column(records, args.scores)
     taus = DEFAULT_TAUS if args.taus is None else args.taus
     points = threshold_sweep(conf, taus)
-    return {"n": len(records), "taus": list(taus),
-            "points": [p.to_dict() for p in points]}
+    return {"n": len(records), "taus": list(taus), "points": points}, []
 
 
-def _cmd_cls_eval(args) -> dict:
+def _cmd_cls_eval(args):
     records = _load_records(args.logits, args.prefix)
     labels = _require_labels(records, args.logits)
     logits = np.asarray([rec.logits for rec in records])
@@ -302,8 +308,8 @@ def _cmd_cls_eval(args) -> dict:
         "cross_entropy": ce,
         "label_smoothing": args.label_smoothing,
         "confusion": cm.tolist(),
-        **rep.to_dict(),
-    }
+        **asdict(rep),
+    }, []
 
 
 def _read_class_map(path: str) -> dict[str, str]:
@@ -320,7 +326,7 @@ def _read_class_map(path: str) -> dict[str, str]:
     return mapping
 
 
-def _cmd_seg_eval(args) -> dict:
+def _cmd_seg_eval(args):
     pred_dir = Path(args.pred)
     gt_dir = Path(args.gt)
     pred_names = sorted(p.name for p in pred_dir.glob("*.pgm"))
@@ -346,23 +352,18 @@ def _cmd_seg_eval(args) -> dict:
                               n_boot=args.boot, seed=args.seed)
     report = {
         "n_images": len(per_image),
-        "global": summary.to_dict(),
-        "per_image": [
-            {"id": stem, **{k: v for k, v in zip(
-                ("iou", "dice", "precision", "recall", "pixel_acc"),
-                m.as_array().tolist())}}
-            for stem, m in per_image
-        ],
+        "global": summary,
+        "per_image": [{"id": stem, **asdict(m)} for stem, m in per_image],
     }
     if class_of is not None:
         by_class: dict[str, list] = {}
         for stem, m in per_image:
             by_class.setdefault(class_of[stem], []).append(m)
         report["per_class"] = {
-            cls: dataset_summary(rows, n_boot=args.boot, seed=args.seed).to_dict()
+            cls: dataset_summary(rows, n_boot=args.boot, seed=args.seed)
             for cls, rows in sorted(by_class.items())
         }
-    return report
+    return report, []
 
 
 def _correctness(records, path: str) -> dict[str, bool]:
@@ -375,7 +376,7 @@ def _correctness(records, path: str) -> dict[str, bool]:
     return out
 
 
-def _cmd_mcnemar(args) -> dict:
+def _cmd_mcnemar(args):
     counts = (args.n11, args.n10, args.n01, args.n00)
     have_counts = any(c is not None for c in counts)
     have_files = args.pred_a is not None or args.pred_b is not None
@@ -404,10 +405,10 @@ def _cmd_mcnemar(args) -> dict:
         "n": outcome.n,
         "chi2": result.chi2, "p": result.p, "degenerate": result.degenerate,
         "delta": ci.delta, "se": ci.se, "ci": [ci.lo, ci.hi],
-    }
+    }, []
 
 
-def _cmd_bootstrap(args) -> dict:
+def _cmd_bootstrap(args):
     path = Path(args.values)
     values = []
     for line_no, line in enumerate(path.read_text().splitlines(), start=1):
@@ -424,12 +425,11 @@ def _cmd_bootstrap(args) -> dict:
     if not values:
         raise EmptyInput(f"{path}: no values")
     statistic = {"mean": np.mean, "median": np.median}[args.stat]
-    result = percentile_bootstrap(values, lambda a: float(statistic(a)),
-                                  n_boot=args.b, seed=args.seed)
-    return {"statistic": args.stat, "n": len(values), **result.to_dict()}
+    result = percentile_bootstrap(values, statistic, n_boot=args.b, seed=args.seed)
+    return {"statistic": args.stat, "n": len(values), **asdict(result)}, []
 
 
-def _cmd_dedup(args) -> dict:
+def _cmd_dedup(args):
     root = Path(args.images)
     files = sorted(p for p in root.iterdir()
                    if p.suffix in (".ppm", ".pgm") and p.is_file())
@@ -439,13 +439,13 @@ def _cmd_dedup(args) -> dict:
     for p in files:
         image = read_ppm(p) if p.suffix == ".ppm" else grayscale_as_rgb(read_pgm_values(p))
         hashes[p.name] = phash64(image)
-    return cluster_near_duplicates(hashes, max_dist=args.max_dist).to_dict()
+    return cluster_near_duplicates(hashes, max_dist=args.max_dist), []
 
 
 SPLIT_TAGS = ("train", "val", "test")
 
 
-def _cmd_split(args) -> dict:
+def _cmd_split(args):
     if len(args.ratios) != len(SPLIT_TAGS):
         raise UsageError("--ratios takes exactly three comma-separated values")
     records = _load_features(args.labels, args.prefix)
@@ -467,10 +467,10 @@ def _cmd_split(args) -> dict:
             {"id": rec.id, "split": SPLIT_TAGS[part]}
             for rec, part in zip(records, assignment)
         ],
-    }
+    }, []
 
 
-def _cmd_folds(args) -> dict:
+def _cmd_folds(args):
     records = _load_features(args.labels, args.prefix)
     labels = _require_labels(records, args.labels)
     plan = nested_fold_plan(labels, args.outer, args.inner, seed=args.seed)
@@ -486,10 +486,10 @@ def _cmd_folds(args) -> dict:
         "inner_val": [
             [[ids[i] for i in val] for val in folds] for folds in plan.inner_val
         ],
-    }
+    }, []
 
 
-def _cmd_nested_cv(args) -> dict:
+def _cmd_nested_cv(args):
     records = _load_features(args.data, args.prefix)
     labels = _require_labels(records, args.data)
     xs = np.asarray([rec.logits for rec in records])
@@ -505,16 +505,16 @@ def _cmd_nested_cv(args) -> dict:
                            n_inner=args.inner, epochs=args.epochs,
                            batch_size=args.batch_size,
                            hidden_dim=args.hidden, seed=args.seed)
-    return result.to_dict()
+    return result.to_dict(), []
 
 
-def _cmd_pseudomask(args) -> dict:
+def _cmd_pseudomask(args):
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out)
     files = sorted(p for p in in_dir.glob("*.ppm") if p.is_file())
     if not files:
         raise EmptyInput(f"{in_dir}: no .ppm images")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    writes = [partial(out_dir.mkdir, parents=True, exist_ok=True)]
     rows = []
     for p in files:
         image = read_ppm(p)
@@ -527,7 +527,7 @@ def _cmd_pseudomask(args) -> dict:
         for _, op, radius in ops:
             if radius > 0:
                 mask = op(mask, radius)
-        write_pgm(out_dir / (p.stem + ".pgm"), mask)
+        writes.append(partial(write_pgm, out_dir / (p.stem + ".pgm"), mask))
         height, width = mask.pixels.shape
         rows.append({
             "id": p.stem,
@@ -535,7 +535,7 @@ def _cmd_pseudomask(args) -> dict:
             "degenerate": result.degenerate,
             "energies": list(result.energies),
             "foreground_fraction": float(mask.foreground_count() / (height * width)),
-            "box": result.box.to_dict(),
+            "box": result.box,
         })
     return {
         "n_images": len(rows),
@@ -546,11 +546,11 @@ def _cmd_pseudomask(args) -> dict:
         "close_radius": args.close,
         "close_first": bool(args.close_first),
         "images": rows,
-    }
+    }, writes
 
 
-def _cmd_demo(args) -> dict:
-    return run_demo(args.seed)
+def _cmd_demo(args):
+    return run_demo(args.seed), []
 
 
 # --- parser -------------------------------------------------------------------
@@ -575,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed_parent.add_argument("--seed", type=_bounded(int, 0, 2 ** 64), default=42,
                              help="RNG seed, unsigned 64-bit (default 42)")
     out_parent = _Parser(add_help=False)
-    out_parent.add_argument("--out", default=None, metavar="PATH",
+    out_parent.add_argument("--out", dest="report_path", default=None, metavar="PATH",
                             help="write the JSON report here (default stdout)")
 
     parser = _Parser(
@@ -633,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
             "reference operating point. " + LOGIT_CSV_HELP % ("score", "score"))
     p.add_argument("--scores", required=True, metavar="CSV")
     p.add_argument("--prefix", default="score")
-    p.add_argument("--taus", type=_float_list, default=None,
+    p.add_argument("--taus", type=_bounded(_float_list, -math.inf, open_lo=True), default=None,
                    help="comma-separated thresholds (default "
                         + ",".join(str(t) for t in DEFAULT_TAUS) + ")")
 
@@ -643,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
             + LOGIT_CSV_HELP % ("logit", "logit"))
     p.add_argument("--logits", required=True, metavar="CSV")
     p.add_argument("--prefix", default="logit")
-    p.add_argument("--label-smoothing", type=float, default=0.0,
+    p.add_argument("--label-smoothing", type=_bounded(float, 0.0, 1.0), default=0.0,
                    help="smoothing for the reported cross entropy (default 0)")
 
     p = add("seg-eval", _cmd_seg_eval, "mask overlap metrics over two directories",
@@ -664,10 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
             "counts directly, or two labeled logit CSVs whose rows are "
             "matched by id (correctness = argmax equals label). "
             + LOGIT_CSV_HELP % ("logit", "logit"))
-    p.add_argument("--n11", type=int, default=None, help="both correct")
-    p.add_argument("--n10", type=int, default=None, help="only A correct")
-    p.add_argument("--n01", type=int, default=None, help="only B correct")
-    p.add_argument("--n00", type=int, default=None, help="both wrong")
+    p.add_argument("--n11", type=_bounded(int, 0), default=None, help="both correct")
+    p.add_argument("--n10", type=_bounded(int, 0), default=None, help="only A correct")
+    p.add_argument("--n01", type=_bounded(int, 0), default=None, help="only B correct")
+    p.add_argument("--n00", type=_bounded(int, 0), default=None, help="both wrong")
     p.add_argument("--pred-a", metavar="CSV", default=None)
     p.add_argument("--pred-b", metavar="CSV", default=None)
     p.add_argument("--prefix", default="logit")
@@ -697,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
             + LOGIT_CSV_HELP % ("x", "x"))
     p.add_argument("--labels", required=True, metavar="CSV")
     p.add_argument("--prefix", default="x")
-    p.add_argument("--ratios", type=_float_list, default=(0.70, 0.15, 0.15),
+    p.add_argument("--ratios", type=_bounded(_float_list, 0.0), default=(0.70, 0.15, 0.15),
                    help="three comma-separated fractions summing to 1 "
                         "(default 0.70,0.15,0.15)")
 
@@ -709,8 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
             + LOGIT_CSV_HELP % ("x", "x"))
     p.add_argument("--labels", required=True, metavar="CSV")
     p.add_argument("--prefix", default="x")
-    p.add_argument("--outer", type=int, default=5)
-    p.add_argument("--inner", type=int, default=3)
+    p.add_argument("--outer", type=_bounded(int, 2), default=5)
+    p.add_argument("--inner", type=_bounded(int, 2), default=3)
 
     p = add("nested-cv", _cmd_nested_cv, "nested cross-validated model selection",
             "Two-stage hyperparameter search on the inner folds of each "
@@ -719,9 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
             "the label range. " + LOGIT_CSV_HELP % ("x", "x"))
     p.add_argument("--data", required=True, metavar="CSV")
     p.add_argument("--prefix", default="x")
-    p.add_argument("--outer", type=int, default=5)
-    p.add_argument("--inner", type=int, default=3)
-    p.add_argument("--hidden", type=int, default=8,
+    p.add_argument("--outer", type=_bounded(int, 2), default=5)
+    p.add_argument("--inner", type=_bounded(int, 2), default=3)
+    p.add_argument("--hidden", type=_bounded(int, 0), default=8,
                    help="hidden width of the small classifier (default 8)")
     p.add_argument("--epochs", type=_bounded(int, 0), default=20)
     p.add_argument("--batch-size", type=_bounded(int, 1), default=32)
@@ -730,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothings", type=_bounded(_float_list, 0.0, 1.0), default=(0.0, 0.1))
     p.add_argument("--backbone-lrs", type=_bounded(_float_list, 0.0), default=(1e-5, 3e-4))
     p.add_argument("--mixups", type=_bounded(_float_list, 0.0), default=(0.0, 0.2))
-    p.add_argument("--top-k", type=int, default=2,
+    p.add_argument("--top-k", type=_bounded(int, 1), default=2,
                    help="stage-1 survivors carried into stage 2 (default 2)")
 
     p = add("pseudomask", _cmd_pseudomask, "box-seeded min-cut masks for a directory",
@@ -753,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="closing radius, 0 disables (default 1)")
     p.add_argument("--close-first", action="store_true",
                    help="apply closing before opening")
-    p.add_argument("--report", metavar="PATH", default=None,
+    p.add_argument("--report", dest="report_path", metavar="PATH", default=None,
                    help="write the JSON report here (default stdout)")
 
     add("demo", _cmd_demo, "end-to-end pipeline walk on synthetic blobs",
@@ -770,7 +770,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        report, writes = args.func(args)
+        text = render_json({"schema_version": SCHEMA_VERSION, "command": args.command,
+                            "seed": args.seed, "report": report}) + "\n"
+        for write in writes:
+            write()
+        if args.report_path:
+            Path(args.report_path).write_text(text)
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         print(f"freshkit {args.command}: error: {exc}", file=sys.stderr)
         return 1
@@ -782,24 +790,6 @@ def main(argv=None) -> int:
         print(f"freshkit {args.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "seed": args.seed,
-        "report": report,
-    }
-    text = render_json(envelope) + "\n"
-    dest = args.report if args.command == "pseudomask" else args.out
-    try:
-        if dest:
-            Path(dest).write_text(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        print(f"freshkit {args.command}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 2
     return 0
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     BadLabelIndex,
+    BadParameter,
     EmptyBatch,
     EmptyMatrix,
     LengthMismatch,
@@ -36,8 +37,10 @@ def cross_entropy(probs, labels, label_smoothing: float = 0.0) -> float:
 
     Each row must be nonnegative and sum to 1 within 1e-9. Probabilities are
     clamped at 1e-300 before the log so a hard zero under a smoothed target
-    stays finite.
+    stays finite. label_smoothing must lie in [0, 1).
     """
+    if not 0.0 <= label_smoothing < 1.0:  # also rejects nan
+        raise BadParameter(f"label_smoothing must lie in [0, 1), got {label_smoothing!r}")
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
     if p.ndim != 2 or p.shape[0] < 1:
@@ -116,15 +119,6 @@ class ClassReport:
     support: int
     zero_division: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-            "zero_division": list(self.zero_division),
-        }
-
 
 @dataclass(frozen=True)
 class PrfReport:
@@ -133,15 +127,6 @@ class PrfReport:
     macro_recall: float
     macro_f1: float
     accuracy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "per_class": [c.to_dict() for c in self.per_class],
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "accuracy": self.accuracy,
-        }
 
 
 def prf_report(cm: np.ndarray) -> PrfReport:

@@ -8,13 +8,14 @@ selection, a final fit, confidence scoring with all three detectors,
 detector metrics, an abstention sweep, and a paired significance test
 between the selected configuration and a deliberately crippled one.
 
-Everything is deterministic in the single seed; the returned report contains
-only plain Python scalars and containers so it serializes as-is.
+Everything is deterministic in the single seed. The returned report holds
+plain containers and result dataclasses, which `cli.render_json` renders
+from their fields.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -121,7 +122,7 @@ def run_demo(seed: int = 42) -> dict:
     id_scores = detector_scores(test_x, True, "id")
     ood_scores = detector_scores(ood, False, "ood")
     ood_reports = {
-        method: ood_metrics(id_scores[method] + ood_scores[method]).to_dict()
+        method: ood_metrics(id_scores[method] + ood_scores[method])
         for method in ("msp", "energy", "odin")
     }
 
@@ -146,14 +147,14 @@ def run_demo(seed: int = 42) -> dict:
             "test": int(test_ids.size),
         },
         "nested_cv": cv.to_dict(),
-        "final_config": asdict(best),
+        "final_config": best,
         "test_accuracy": test_accuracy,
         "odin_config": {"temperature": ODIN_TEMPERATURE, "epsilon": ODIN_EPSILON},
         "ood": ood_reports,
-        "sweep": [p.to_dict() for p in sweep],
+        "sweep": sweep,
         "mcnemar": {
-            "config_a": asdict(best),
-            "config_b": asdict(weakest),
+            "config_a": best,
+            "config_b": weakest,
             "n11": outcome.n11,
             "n10": outcome.n10,
             "n01": outcome.n01,

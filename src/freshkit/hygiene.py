@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data_model import RgbImage
 from .errors import (
+    BadParameter,
     EmptyInput,
     InputFormatError,
     LengthMismatch,
@@ -130,16 +132,6 @@ class DedupReport:
     removed_fraction: float
     max_dist: int
 
-    def to_dict(self) -> dict:
-        return {
-            "clusters": [list(c) for c in self.clusters],
-            "representatives": list(self.representatives),
-            "total": self.total,
-            "removed": self.removed,
-            "removed_fraction": self.removed_fraction,
-            "max_dist": self.max_dist,
-        }
-
 
 _DEDUP_BLOCK = 256  # rows per XOR block: one block is 256 x n uint64 words at a time
 
@@ -225,8 +217,8 @@ def _largest_remainder(n: int, ratios: tuple[float, ...]) -> list[int]:
 
 def _check_ratios(ratios) -> tuple[float, ...]:
     ratios = tuple(float(r) for r in ratios)
-    if not ratios or any(r < 0 for r in ratios):
-        raise RowNotNormalized(f"ratios must be nonnegative, got {ratios}")
+    if not ratios or not all(0.0 <= r < math.inf for r in ratios):  # also rejects nan
+        raise RowNotNormalized(f"ratios must be finite and nonnegative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise RowNotNormalized(f"ratios sum to {sum(ratios)!r}, not 1")
     return ratios
@@ -281,13 +273,6 @@ class FoldPlan:
     def outer_train(self, k: int) -> tuple[int, ...]:
         held = set(self.outer_test[k])
         return tuple(i for i in range(self.n_samples) if i not in held)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "outer_test": [list(f) for f in self.outer_test],
-            "inner_val": [[list(v) for v in folds] for folds in self.inner_val],
-        }
 
 
 def _stratified_partition(ids: np.ndarray, labels: np.ndarray, k: int,
@@ -402,15 +387,15 @@ class HyperGrid:
     mixup_alphas: tuple[float, ...] = (0.0, 0.2)
     top_k: int = 2
 
+    def __post_init__(self) -> None:
+        if self.top_k < 1:
+            raise BadParameter(f"top_k must be >= 1, got {self.top_k}")
+
 
 @dataclass(frozen=True)
 class CandidateScore:
     config: TrainConfig
     mean_accuracy: float
-
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-        return {"config": asdict(self.config), "mean_accuracy": self.mean_accuracy}
 
 
 @dataclass(frozen=True)
@@ -488,7 +473,7 @@ def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
         range(len(stage1)),
         key=lambda i: (-stage1[i].mean_accuracy, stage1[i].config.weight_decay, i),
     )
-    survivors = [stage1[i] for i in ranked[:max(1, grid.top_k)]]
+    survivors = [stage1[i] for i in ranked[:grid.top_k]]
 
     stage2: list[CandidateScore] = []
     combos2 = list(itertools.product(range(len(survivors)), grid.backbone_lrs,

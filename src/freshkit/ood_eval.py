@@ -46,15 +46,6 @@ class OodReport:
     n_id: int
     n_ood: int
 
-    def to_dict(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "aupr_id": self.aupr_id,
-            "fpr_at_95_tpr": self.fpr_at_95_tpr,
-            "n_id": self.n_id,
-            "n_ood": self.n_ood,
-        }
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -64,14 +55,6 @@ class SweepPoint:
     coverage: float
     rejection: float
     reference: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "coverage": self.coverage,
-            "rejection": self.rejection,
-            "reference": self.reference,
-        }
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:

@@ -73,9 +73,6 @@ class Box:
         mask[self.y0:self.y0 + self.height, self.x0:self.x0 + self.width] = True
         return mask
 
-    def to_dict(self) -> dict:
-        return {"x0": self.x0, "y0": self.y0, "width": self.width, "height": self.height}
-
 
 def init_box(width: int, height: int, seed: int = 42) -> Box:
     """Centered box with side fractions drawn uniformly from [0.81, 0.99].

@@ -34,9 +34,6 @@ class MaskMetrics:
     recall: float
     pixel_acc: float
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in METRIC_NAMES])
 
@@ -86,9 +83,6 @@ class MetricSummary:
     ci_lo: float
     ci_hi: float
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "ci_lo": self.ci_lo, "ci_hi": self.ci_hi}
-
 
 @dataclass(frozen=True)
 class SegSummary:
@@ -96,14 +90,6 @@ class SegSummary:
     n_boot: int
     seed: int
     metrics: dict[str, MetricSummary]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_images": self.n_images,
-            "n_boot": self.n_boot,
-            "seed": self.seed,
-            "metrics": {name: ms.to_dict() for name, ms in self.metrics.items()},
-        }
 
 
 def dataset_summary(per_image, n_boot: int = 5000, seed: int = 42) -> SegSummary:

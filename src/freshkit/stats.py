@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, NegativeStatistic
+from .errors import BadParameter, EmptyInput, LengthMismatch, NegativeStatistic
 
 __all__ = [
     "PairedOutcome",
@@ -42,12 +42,13 @@ class PairedOutcome:
     n01: int
     n00: int
 
+    def __post_init__(self) -> None:
+        if min(self.n11, self.n10, self.n01, self.n00) < 0:
+            raise BadParameter(f"pair counts must be >= 0, got {self}")
+
     @property
     def n(self) -> int:
         return self.n11 + self.n10 + self.n01 + self.n00
-
-    def to_dict(self) -> dict:
-        return {"n11": self.n11, "n10": self.n10, "n01": self.n01, "n00": self.n00}
 
 
 def paired_outcomes(correct_a, correct_b) -> PairedOutcome:
@@ -79,9 +80,6 @@ class McNemarResult:
     p: float
     degenerate: bool
 
-    def to_dict(self) -> dict:
-        return {"chi2": self.chi2, "p": self.p, "degenerate": self.degenerate}
-
 
 def mcnemar(outcome: PairedOutcome) -> McNemarResult:
     """Continuity-corrected McNemar test on the discordant pair counts.
@@ -106,9 +104,6 @@ class DeltaAccuracyCi:
     lo: float
     hi: float
 
-    def to_dict(self) -> dict:
-        return {"delta": self.delta, "se": self.se, "lo": self.lo, "hi": self.hi}
-
 
 def paired_acc_diff_ci(outcome: PairedOutcome, z: float = 1.96) -> DeltaAccuracyCi:
     """Wald CI for the accuracy difference of paired predictions.
@@ -132,23 +127,16 @@ class BootstrapCi:
     n_boot: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "lo": self.lo,
-            "hi": self.hi,
-            "n_boot": self.n_boot,
-            "seed": self.seed,
-        }
 
-
-def percentile_bootstrap(values, statistic: Callable[[np.ndarray], float],
+def percentile_bootstrap(values, statistic: Callable[..., np.ndarray],
                          n_boot: int = 4000, seed: int = 42) -> BootstrapCi:
     """Percentile bootstrap CI of a statistic.
 
-    All n_boot index rows come from one seeded generator draw, so the result
-    is deterministic and independent of the order replicates are evaluated
-    in. The CI is the 2.5/97.5 percentile with linear interpolation.
+    The statistic must take an `axis` argument, as np.mean and np.median do:
+    replicates are evaluated as statistic(rows, axis=1) over blocks of
+    resampled rows. All n_boot index rows come from one seeded generator
+    draw, so the result is deterministic and independent of the block size.
+    The CI is the 2.5/97.5 percentile with linear interpolation.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -156,8 +144,8 @@ def percentile_bootstrap(values, statistic: Callable[[np.ndarray], float],
     n = arr.size
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(n_boot, n))
-    replicates = np.empty(n_boot)
-    for r in range(n_boot):
-        replicates[r] = statistic(arr[idx[r]])
+    block = max(1, 2 ** 15 // n)  # about 2**15 resampled values per block
+    replicates = np.concatenate([statistic(arr[idx[start:start + block]], axis=1)
+                                 for start in range(0, n_boot, block)])
     lo, hi = np.percentile(replicates, [2.5, 97.5])
     return BootstrapCi(float(statistic(arr)), float(lo), float(hi), n_boot, seed)

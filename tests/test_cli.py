@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from freshkit.cli import main
+from freshkit.cli import main, render_json
+from freshkit.cls_eval import confusion, prf_report
 from freshkit.data_model import (
     BinaryMask,
     LogitRecord,
@@ -18,6 +20,11 @@ from freshkit.data_model import (
     write_pgm,
     write_ppm,
 )
+from freshkit.hygiene import CandidateScore, cluster_near_duplicates, nested_fold_plan
+from freshkit.ood_eval import ScoredSample, ood_metrics, threshold_sweep
+from freshkit.pseudomask import init_box
+from freshkit.seg_eval import METRIC_NAMES, dataset_summary, mask_metrics
+from freshkit.stats import PairedOutcome, mcnemar, paired_acc_diff_ci, percentile_bootstrap
 from freshkit.tiny_model import TrainConfig, init_model, save_model, train
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
@@ -658,3 +665,214 @@ def test_help_exits_0():
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["cls-eval", "--label-smoothing", "-1"], "--label-smoothing"),
+    (["cls-eval", "--label-smoothing", "nan"], "--label-smoothing"),
+    (["cls-eval", "--label-smoothing", "1"], "--label-smoothing"),
+    (["mcnemar", "--n11", "-1", "--n10", "3", "--n01", "2", "--n00", "4"], "--n11"),
+    (["mcnemar", "--n11", "1", "--n10", "3", "--n01", "2", "--n00", "-4"], "--n00"),
+    (["split", "--ratios", "0.5,0.5,nan"], "--ratios"),
+    (["split", "--ratios", "0.5,1,-0.5"], "--ratios"),
+    (["sweep", "--taus", "0.5,inf"], "--taus"),
+    (["sweep", "--taus", "nan"], "--taus"),
+    (["folds", "--outer", "1"], "--outer"),
+    (["folds", "--inner", "1"], "--inner"),
+    (["nested-cv", "--outer", "1"], "--outer"),
+    (["nested-cv", "--inner", "0"], "--inner"),
+    (["nested-cv", "--hidden", "-1"], "--hidden"),
+    (["nested-cv", "--top-k", "0"], "--top-k"),
+])
+def test_bad_report_flags_fail_at_parse_time(tmp_path, capsys, argv, flag):
+    # real inputs, except for nested-cv, whose missing data file would exit 2
+    logits = tmp_path / "logits.csv"
+    records = write_labeled_logits(logits)
+    scores = tmp_path / "scores.csv"
+    write_logit_csv(scores, [LogitRecord(r.id, r.split, -1, (0.5,)) for r in records],
+                    column_prefix="score")
+    labels = tmp_path / "labels.csv"
+    write_logit_csv(labels, [r for r in records if r.label >= 0], column_prefix="x")
+    inputs = {"cls-eval": ["--logits", str(logits)], "mcnemar": [],
+              "split": ["--labels", str(labels)], "sweep": ["--scores", str(scores)],
+              "folds": ["--labels", str(labels)],
+              "nested-cv": ["--data", str(tmp_path / "missing.csv")]}
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, *inputs[argv[0]], "--out", str(report)])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
+# --- no partial outputs ------------------------------------------------------
+
+def _tray(side):
+    img = np.full((side, side, 3), 40, dtype=np.uint8)
+    img[side // 4:3 * side // 4, side // 4:3 * side // 4] = (200, 60, 50)
+    return RgbImage(img)
+
+
+@pytest.mark.parametrize("bad, code", [("small", 3), ("truncated", 2)])
+def test_pseudomask_failure_writes_nothing(tmp_path, capsys, bad, code):
+    # the good tray sorts first, so its mask is ready before the bad one fails
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_ppm(in_dir / "a_good.ppm", _tray(24))
+    if bad == "small":
+        write_ppm(in_dir / "b_bad.ppm", _tray(4))
+    else:
+        write_ppm(in_dir / "b_bad.ppm", _tray(24))
+        data = (in_dir / "b_bad.ppm").read_bytes()
+        (in_dir / "b_bad.ppm").write_bytes(data[:-100])
+    out_dir = tmp_path / "masks"
+    report = tmp_path / "report.json"
+    result, out, err = run_cli(
+        ["pseudomask", "--in", str(in_dir), "--out", str(out_dir), "--iters", "1",
+         "--k", "2", "--report", str(report)],
+        capsys,
+    )
+    assert result == code
+    assert out == ""
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+    assert not report.exists()
+
+
+def test_unrenderable_report_writes_no_scores(tmp_path, capsys):
+    # a tiny temperature overflows the energies: rendering fails after scoring
+    logits = tmp_path / "logits.csv"
+    write_labeled_logits(logits)
+    scores = tmp_path / "scores.csv"
+    code, out, err = run_cli(
+        ["score", "--method", "energy", "--temperature", "1e-320",
+         "--logits", str(logits), "--scores-out", str(scores)],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert "ComputeError" in err
+    assert "Traceback" not in err
+    assert not scores.exists()
+
+
+
+# --- rendering result dataclasses ------------------------------------------------
+# The serializers the result types carried before render_json rendered
+# dataclasses from their fields; each one is the reference for its type.
+
+def _old_class_report(c):
+    return {"precision": c.precision, "recall": c.recall, "f1": c.f1,
+            "support": c.support, "zero_division": list(c.zero_division)}
+
+
+def _old_prf_report(r):
+    return {"per_class": [_old_class_report(c) for c in r.per_class],
+            "macro_precision": r.macro_precision, "macro_recall": r.macro_recall,
+            "macro_f1": r.macro_f1, "accuracy": r.accuracy}
+
+
+def _old_dedup_report(r):
+    return {"clusters": [list(c) for c in r.clusters],
+            "representatives": list(r.representatives), "total": r.total,
+            "removed": r.removed, "removed_fraction": r.removed_fraction,
+            "max_dist": r.max_dist}
+
+
+def _old_fold_plan(p):
+    return {"n_samples": p.n_samples, "outer_test": [list(f) for f in p.outer_test],
+            "inner_val": [[list(v) for v in folds] for folds in p.inner_val]}
+
+
+def _old_candidate_score(c):
+    return {"config": asdict(c.config), "mean_accuracy": c.mean_accuracy}
+
+
+def _old_ood_report(r):
+    return {"auroc": r.auroc, "aupr_id": r.aupr_id, "fpr_at_95_tpr": r.fpr_at_95_tpr,
+            "n_id": r.n_id, "n_ood": r.n_ood}
+
+
+def _old_sweep_point(p):
+    return {"tau": p.tau, "coverage": p.coverage, "rejection": p.rejection,
+            "reference": p.reference}
+
+
+def _old_box(b):
+    return {"x0": b.x0, "y0": b.y0, "width": b.width, "height": b.height}
+
+
+def _old_mask_metrics(m):
+    return {name: getattr(m, name) for name in METRIC_NAMES}
+
+
+def _old_metric_summary(s):
+    return {"mean": s.mean, "ci_lo": s.ci_lo, "ci_hi": s.ci_hi}
+
+
+def _old_seg_summary(s):
+    return {"n_images": s.n_images, "n_boot": s.n_boot, "seed": s.seed,
+            "metrics": {name: _old_metric_summary(ms) for name, ms in s.metrics.items()}}
+
+
+def _old_paired_outcome(o):
+    return {"n11": o.n11, "n10": o.n10, "n01": o.n01, "n00": o.n00}
+
+
+def _old_mcnemar_result(r):
+    return {"chi2": r.chi2, "p": r.p, "degenerate": r.degenerate}
+
+
+def _old_delta_accuracy_ci(c):
+    return {"delta": c.delta, "se": c.se, "lo": c.lo, "hi": c.hi}
+
+
+def _old_bootstrap_ci(c):
+    return {"estimate": c.estimate, "lo": c.lo, "hi": c.hi, "n_boot": c.n_boot,
+            "seed": c.seed}
+
+
+def _result_objects():
+    rng = np.random.default_rng(3)
+    # class 2 is never predicted and class 3 never occurs: zero-division flags
+    cm = confusion([0, 0, 1, 1, 2, 0], [0, 1, 1, 1, 0, 0], 4)
+    prf = prf_report(cm)
+    hashes = {"a": 0, "b": 1, "c": 3, "d": 2 ** 63 + 5, "e": 2 ** 40}
+    labels = np.repeat(np.arange(3), 12)
+    outcome = PairedOutcome(788, 35, 8, 12)
+    pred = rng.random((20, 20)) > 0.5
+    metrics = [mask_metrics(pred, rng.random((20, 20)) > 0.4) for _ in range(4)]
+    samples = [ScoredSample(f"s{i}", float(s), i % 3 != 0)
+               for i, s in enumerate(rng.random(30))]
+    return [
+        (prf.per_class[2], _old_class_report),
+        (prf, _old_prf_report),
+        (cluster_near_duplicates(hashes, max_dist=2), _old_dedup_report),
+        (nested_fold_plan(labels, 3, 2, seed=5), _old_fold_plan),
+        (CandidateScore(TrainConfig(head_lr=0.05, mixup_alpha=0.2), 0.875),
+         _old_candidate_score),
+        (ood_metrics(samples), _old_ood_report),
+        (threshold_sweep([0.1, 0.5, 0.9], (0.2, 0.5))[1], _old_sweep_point),
+        (init_box(40, 30, seed=7), _old_box),
+        (metrics[0], _old_mask_metrics),
+        (dataset_summary(metrics, n_boot=50, seed=1).metrics["dice"], _old_metric_summary),
+        (dataset_summary(metrics, n_boot=50, seed=1), _old_seg_summary),
+        (outcome, _old_paired_outcome),
+        (mcnemar(outcome), _old_mcnemar_result),
+        (mcnemar(PairedOutcome(5, 0, 0, 1)), _old_mcnemar_result),
+        (paired_acc_diff_ci(outcome), _old_delta_accuracy_ci),
+        (percentile_bootstrap(rng.normal(size=30), np.median, n_boot=200, seed=4),
+         _old_bootstrap_ci),
+    ]
+
+
+def test_dataclasses_render_as_their_old_dicts():
+    objects = _result_objects()
+    assert len({type(obj) for obj, _ in objects}) == 15
+    for obj, old_to_dict in objects:
+        assert render_json(obj) == render_json(old_to_dict(obj)), type(obj).__name__
+        nested = {"p": obj, "rows": [obj, obj]}
+        assert render_json(nested) == render_json(
+            {"p": old_to_dict(obj), "rows": [old_to_dict(obj)] * 2})

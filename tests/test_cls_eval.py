@@ -1,9 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from freshkit.cls_eval import accuracy, confusion, cross_entropy, prf_report
 from freshkit.errors import (
     BadLabelIndex,
+    BadParameter,
     EmptyBatch,
     LengthMismatch,
     RowNotNormalized,
@@ -46,6 +49,12 @@ def test_cross_entropy_is_linear_in_smoothing():
     for alpha in (0.1, 0.3, 0.9):
         mixed = cross_entropy(probs, labels, label_smoothing=alpha)
         assert mixed == pytest.approx((1 - alpha) * l_onehot + alpha * l_uniform, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5, float("nan"), float("inf")])
+def test_cross_entropy_rejects_smoothing_outside_unit_interval(alpha):
+    with pytest.raises(BadParameter):
+        cross_entropy([[0.8, 0.2]], [0], label_smoothing=alpha)
 
 
 def test_cross_entropy_rejects_unnormalized_rows():
@@ -130,7 +139,7 @@ def test_prf_zero_division_flagged_not_nan():
 
 def test_prf_report_to_dict():
     cm = confusion([0, 1], [0, 1], 2)
-    d = prf_report(cm).to_dict()
+    d = asdict(prf_report(cm))
     assert d["accuracy"] == 1.0
     assert len(d["per_class"]) == 2
     assert d["per_class"][0]["f1"] == 1.0

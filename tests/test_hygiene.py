@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from freshkit.data_model import RgbImage, grayscale_as_rgb
-from freshkit.errors import InputFormatError, RowNotNormalized, MissingClass, TooFewSamplesPerClass
+from freshkit.errors import (
+    BadParameter,
+    InputFormatError,
+    MissingClass,
+    RowNotNormalized,
+    TooFewSamplesPerClass,
+)
 from freshkit.hygiene import (
     _DEDUP_BLOCK,
     HyperGrid,
@@ -266,6 +272,12 @@ def test_split_rejects_bad_ratios():
         stratified_split(np.zeros(10, dtype=int), ratios=(1.2, -0.2))
 
 
+@pytest.mark.parametrize("ratios", [(0.5, 0.5, float("nan")), (float("nan"), 1.0)])
+def test_split_rejects_non_finite_ratios(ratios):
+    with pytest.raises(RowNotNormalized):
+        stratified_split(np.zeros(10, dtype=int), ratios=ratios)
+
+
 def test_split_total_is_preserved_per_class():
     rng = np.random.default_rng(10)
     sizes = (231, 78, 155)
@@ -329,7 +341,7 @@ def test_fold_plan_deterministic():
     labels = np.repeat(np.arange(3), 40)
     a = nested_fold_plan(labels, seed=3)
     b = nested_fold_plan(labels, seed=3)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
 
 
 def test_fold_plan_rejects_tiny_classes():
@@ -352,6 +364,12 @@ def _blobs(n_per_class, seed):
     labels = np.repeat(np.arange(3), n_per_class)
     perm = rng.permutation(len(labels))
     return xs[perm], labels[perm]
+
+
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_hyper_grid_rejects_top_k_below_one(top_k):
+    with pytest.raises(BadParameter):
+        HyperGrid(top_k=top_k)
 
 
 def test_inner_select_prefers_the_lr_that_learns():

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ def test_requires_both_groups():
 
 
 def test_report_to_dict():
-    d = ood_metrics(_samples([0.9], [0.1])).to_dict()
+    d = asdict(ood_metrics(_samples([0.9], [0.1])))
     assert set(d) == {"auroc", "aupr_id", "fpr_at_95_tpr", "n_id", "n_ood"}
 
 

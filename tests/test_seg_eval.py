@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -103,7 +105,7 @@ def test_metrics_as_array_order():
     m = MaskMetrics(iou=0.1, dice=0.2, precision=0.3, recall=0.4, pixel_acc=0.5)
     assert m.as_array().tolist() == [0.1, 0.2, 0.3, 0.4, 0.5]
     assert METRIC_NAMES == ("iou", "dice", "precision", "recall", "pixel_acc")
-    assert set(m.to_dict()) == set(METRIC_NAMES)
+    assert set(asdict(m)) == set(METRIC_NAMES)
 
 
 def _fake_metrics(rng, n):
@@ -119,9 +121,9 @@ def test_summary_deterministic():
     per_image = _fake_metrics(rng, 30)
     a = dataset_summary(per_image, n_boot=500, seed=9)
     b = dataset_summary(per_image, n_boot=500, seed=9)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
     c = dataset_summary(per_image, n_boot=500, seed=10)
-    assert a.to_dict() != c.to_dict()
+    assert a != c
 
 
 def test_summary_brackets_mean():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from freshkit.errors import EmptyInput, LengthMismatch, NegativeStatistic
+from freshkit.errors import BadParameter, EmptyInput, LengthMismatch, NegativeStatistic
 from freshkit.stats import (
+    BootstrapCi,
     PairedOutcome,
     chi2_sf_df1,
     mcnemar,
@@ -110,6 +111,13 @@ def test_paired_outcomes_from_indicators():
         paired_outcomes([], [])
 
 
+@pytest.mark.parametrize("counts", [(-1, 0, 0, 5), (3, -2, 1, 1), (3, 1, -1, 1),
+                                    (3, 1, 1, -4)])
+def test_paired_outcome_rejects_negative_counts(counts):
+    with pytest.raises(BadParameter):
+        PairedOutcome(*counts)
+
+
 def test_delta_ci_formula():
     out = PairedOutcome(50, 10, 5, 35)
     ci = paired_acc_diff_ci(out)
@@ -203,6 +211,25 @@ def test_bootstrap_supports_other_statistics():
     ci = percentile_bootstrap(values, np.median, n_boot=500, seed=7)
     assert ci.estimate == 3.0
     assert ci.lo <= ci.estimate <= ci.hi
+
+
+def _bootstrap_per_replicate(values, statistic, n_boot, seed):
+    # reference: the same single index draw, one statistic call per replicate
+    arr = np.asarray(values, dtype=np.float64)
+    idx = np.random.default_rng(seed).integers(0, arr.size, size=(n_boot, arr.size))
+    replicates = np.array([statistic(arr[row]) for row in idx])
+    lo, hi = np.percentile(replicates, [2.5, 97.5])
+    return BootstrapCi(float(statistic(arr)), float(lo), float(hi), n_boot, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 101, 2000])
+@pytest.mark.parametrize("statistic", [np.mean, np.median])
+def test_bootstrap_blocks_equal_per_replicate_loop(n, statistic):
+    # n_boot spans several blocks of max(1, 2**15 // n) rows for n >= 100,
+    # the last one partial
+    values = np.random.default_rng(n).lognormal(size=n)
+    got = percentile_bootstrap(values, statistic, n_boot=1000, seed=n + 1)
+    assert got == _bootstrap_per_replicate(values, statistic, 1000, n + 1)
 
 
 def test_bootstrap_rejects_empty():
