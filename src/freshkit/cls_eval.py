@@ -52,7 +52,7 @@ def cross_entropy(probs, labels, label_smoothing: float = 0.0) -> float:
     bad = np.abs(sums - 1.0) > _NORM_TOL
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
-        raise RowNotNormalized(f"row {row} sums to {sums[row]!r}")
+        raise RowNotNormalized(f"row {row} sums to {float(sums[row])!r}")
     if (p < 0.0).any():
         row = int(np.flatnonzero((p < 0.0).any(axis=1))[0])
         raise RowNotNormalized(f"row {row} has a negative probability")

@@ -308,7 +308,7 @@ def nested_fold_plan(labels, n_outer: int = 5, n_inner: int = 3,
     classes, counts = np.unique(labels, return_counts=True)
     for cls, count in zip(classes, counts):
         if count < n_outer:
-            raise TooFewSamplesPerClass(f"class {cls!r} has {count} samples, needs >= {n_outer}")
+            raise TooFewSamplesPerClass(f"class {cls.item()!r} has {count} samples, needs >= {n_outer}")
     rng = np.random.default_rng(seed)
     all_ids = np.arange(labels.size)
     outer = _stratified_partition(all_ids, labels, n_outer, rng)

@@ -2,14 +2,16 @@
 
 add_edge appends arcs as arrays, one call per batch. Arc 2k is the k-th
 added arc and 2k+1 its reverse, so arc e ^ 1 is always the reverse of arc
-e. max_flow turns the arc arrays into a linked adjacency list with one
-stable sort over arc tails: head[u] is the last arc out of u and nxt[e] the
-previous arc out of the same tail, or -1. The bottleneck arc of every
-augmenting path is zeroed by exact subtraction, so the algorithm
-terminates, and its last BFS, which no longer reaches the sink, marks the
-source side of the min cut. Small graphs run fine in pure Python; the
-kernels are numba compiled when numba is available, which is what makes
-desk-scale images cheap.
+e. max_flow views the arcs in compressed sparse rows: one stable sort over
+arc tails gives order, and the arcs out of node u are
+order[start[u]:start[u + 1]], in the order they were added. The augmenting
+search walks each range from its end.
+
+Each phase's BFS expands the whole frontier at once and stops at the level
+of the sink, because no augmenting path runs through a node past it. The
+bottleneck arc of every augmenting path is zeroed by exact subtraction, so
+the algorithm terminates. Its last BFS, which never reaches the sink, is
+therefore complete and marks the source side of the min cut.
 """
 from __future__ import annotations
 
@@ -17,58 +19,47 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-try:
-    from numba import njit
-except ImportError:  # numba is the optional `fast` extra
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-        return wrap
-
 __all__ = ["FlowGraph"]
 
 
-@njit(cache=True)
-def _bfs_levels(head, nxt, to, cap, level, queue, s, t):
+def _bfs_levels(start, order, to, cap, level, s, t):
+    """Label residual distances from s, up to the sink's level; True if t is reached."""
     level[:] = -1
     level[s] = 0
-    queue[0] = s
-    q_read, q_write = 0, 1
-    while q_read < q_write:
-        u = queue[q_read]
-        q_read += 1
-        e = head[u]
-        while e != -1:
-            v = to[e]
-            if cap[e] > 0.0 and level[v] < 0:
-                level[v] = level[u] + 1
-                queue[q_write] = v
-                q_write += 1
-            e = nxt[e]
+    frontier = np.array([s])
+    depth = 0
+    while frontier.size and level[t] < 0:
+        lo = start[frontier]
+        counts = start[frontier + 1] - lo
+        # positions of every frontier node's CSR range, concatenated
+        pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        arcs = order[pos]
+        heads = to[arcs[cap[arcs] > 0.0]]
+        frontier = np.unique(heads[level[heads] < 0])
+        depth += 1
+        level[frontier] = depth
     return level[t] >= 0
 
 
-@njit(cache=True)
-def _augment_once(head, nxt, to, cap, level, iters, path, s, t):
+def _augment_once(start, order, to, cap, level, iters, path, s, t):
+    """Push flow along one shortest augmenting path; 0.0 when none is left.
+
+    iters[u] is the position in order of the next arc out of u to try; it
+    counts down to start[u].
+    """
     depth = 0
     u = s
     while True:
         if u == t:
-            bottleneck = cap[path[0]]
-            for i in range(1, depth):
-                if cap[path[i]] < bottleneck:
-                    bottleneck = cap[path[i]]
-            for i in range(depth):
-                e = path[i]
-                cap[e] -= bottleneck
-                cap[e ^ 1] += bottleneck
+            arcs = path[:depth]
+            bottleneck = cap[arcs].min()
+            cap[arcs] -= bottleneck
+            cap[arcs ^ 1] += bottleneck
             return bottleneck
         advanced = False
-        e = iters[u]
-        while e != -1:
+        i = iters[u]
+        while i >= start[u]:
+            e = order[i]
             v = to[e]
             if cap[e] > 0.0 and level[v] == level[u] + 1:
                 path[depth] = e
@@ -76,30 +67,26 @@ def _augment_once(head, nxt, to, cap, level, iters, path, s, t):
                 u = v
                 advanced = True
                 break
-            e = nxt[e]
-            iters[u] = e
+            i -= 1
+            iters[u] = i
         if not advanced:
             level[u] = -1
             if u == s:
                 return 0.0
             depth -= 1
-            back = path[depth]
-            u = to[back ^ 1]
-            iters[u] = nxt[back]
+            u = to[path[depth] ^ 1]
+            iters[u] -= 1
 
 
-@njit(cache=True)
-def _dinic(head, nxt, to, cap, level, s, t):
-    n = head.shape[0]
-    queue = np.empty(n, np.int64)
+def _dinic(start, order, to, cap, level, s, t):
+    n = start.size - 1
     iters = np.empty(n, np.int64)
     path = np.empty(n, np.int64)
     total = 0.0
-    while _bfs_levels(head, nxt, to, cap, level, queue, s, t):
-        for i in range(n):
-            iters[i] = head[i]
+    while _bfs_levels(start, order, to, cap, level, s, t):
+        iters[:] = start[1:] - 1
         while True:
-            pushed = _augment_once(head, nxt, to, cap, level, iters, path, s, t)
+            pushed = _augment_once(start, order, to, cap, level, iters, path, s, t)
             if pushed == 0.0:
                 break
             total += pushed
@@ -144,21 +131,17 @@ class FlowGraph:
         self._cap.append(caps.ravel())
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """head, nxt, to and cap of every arc added so far."""
+        """start, order, to and cap of every arc added so far."""
         tail = np.concatenate(self._tail)
         order = np.argsort(tail, kind="stable")
-        by_tail = tail[order]
-        last = np.ones(tail.size, bool)  # last arc of its tail in arc order
-        last[:-1] = by_tail[1:] != by_tail[:-1]
-        nxt = np.full(tail.size, -1, np.int64)
-        nxt[order[1:]] = np.where(last[:-1], -1, order[:-1])
-        head = np.full(self.n_nodes, -1, np.int64)
-        head[by_tail[last]] = order[last]
+        start = np.searchsorted(tail[order], np.arange(self.n_nodes + 1))
         to = tail.reshape(-1, 2)[:, ::-1].ravel()  # arc e ends where arc e ^ 1 starts
-        return head, nxt, to, np.concatenate(self._cap)
+        return start, order, to, np.concatenate(self._cap)
 
     def max_flow(self, s: int, t: int) -> float:
         """Run Dinic; afterwards source_side() reads the min cut."""
+        if not (0 <= s < self.n_nodes and 0 <= t < self.n_nodes and s != t):
+            raise DimensionMismatch(f"bad terminals ({s}, {t}) in a {self.n_nodes}-node graph")
         level = np.empty(self.n_nodes, np.int64)
         flow = float(_dinic(*self._arrays(), level, s, t))
         self._level = level

@@ -3,7 +3,9 @@
 Three scores over raw logits: maximum softmax probability, the energy
 score, and the ODIN score (temperature scaling plus a one-step input
 perturbation, which needs a differentiable model rather than bare logits).
-All arithmetic is float64.
+All arithmetic is float64. A temperature small enough to overflow the
+scaled logits gives non-finite scores without a numpy warning; callers
+that need finite scores check them.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ def stable_logsumexp(values) -> float | np.ndarray:
     return float(out) if arr.ndim == 1 else out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """softmax(logits / T) over the last axis; strictly positive, rows sum to 1."""
     if temperature <= 0.0:
@@ -55,6 +58,7 @@ def msp_score(logits) -> float | np.ndarray:
     return float(scores) if scores.ndim == 0 else scores
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def energy_score(logits, temperature: float = 1.0) -> float | np.ndarray:
     """-T * logsumexp(logits / T), one per row. Smaller means more in-distribution.
 
@@ -77,6 +81,7 @@ class OdinConfig:
             raise NonPositiveTemperature(f"temperature {self.temperature} must be > 0")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def odin_score(model: TinyClassifier, x, config: OdinConfig) -> float | np.ndarray:
     """Max temperature-scaled softmax after nudging x toward higher confidence.
 

@@ -141,6 +141,8 @@ def percentile_bootstrap(values, statistic: Callable[..., np.ndarray],
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyInput("need at least one observation")
+    if n_boot < 1:
+        raise BadParameter(f"n_boot must be >= 1, got {n_boot}")
     n = arr.size
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(n_boot, n))

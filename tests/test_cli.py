@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import freshkit
 from freshkit.cli import main, render_json
 from freshkit.cls_eval import confusion, prf_report
 from freshkit.data_model import (
@@ -34,6 +36,15 @@ def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_script(argv):
+    """Run `python -m freshkit.cli` in a child process that imports this freshkit."""
+    src = str(Path(freshkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "freshkit.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def validate(document) -> None:
@@ -122,11 +133,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_module_is_runnable_as_script():
-    proc = subprocess.run(
-        [sys.executable, "-m", "freshkit.cli", "mcnemar", "--n11", "5",
-         "--n10", "1", "--n01", "1", "--n00", "1"],
-        capture_output=True, text=True,
-    )
+    proc = run_script(["mcnemar", "--n11", "5", "--n10", "1", "--n01", "1", "--n00", "1"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "mcnemar"
 
@@ -757,6 +764,37 @@ def test_unrenderable_report_writes_no_scores(tmp_path, capsys):
     assert "Traceback" not in err
     assert not scores.exists()
 
+
+@pytest.mark.parametrize("method", ["energy", "odin"])
+def test_overflowing_temperature_prints_one_stderr_line(tmp_path, method):
+    # numpy's overflow warnings would print before the typed error
+    logits = tmp_path / "logits.csv"
+    write_labeled_logits(logits)
+    flags = []
+    if method == "odin":
+        model = tmp_path / "model.json"
+        save_model(model, init_model(3, 4, 3, seed=0))
+        flags = ["--prefix", "logit", "--model", str(model), "--epsilon", "0.01"]
+    scores = tmp_path / "scores.csv"
+    proc = run_script(["score", "--method", method, "--temperature", "1e-320",
+                       "--logits", str(logits), "--scores-out", str(scores), *flags])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "freshkit score: ComputeError: non-finite number under key 'score'\n"
+    assert not scores.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("folds", "--labels"), ("nested-cv", "--data")])
+def test_too_few_samples_names_the_plain_class(tmp_path, capsys, command, flag):
+    records = [LogitRecord(f"s{i:03d}", Split.TRAIN, 1 + i % 2, (float(i),)) for i in range(20)]
+    records.append(LogitRecord("s999", Split.TRAIN, 0, (0.0,)))
+    src = tmp_path / "few.csv"
+    write_logit_csv(src, records, column_prefix="x")
+    code, out, err = run_cli([command, flag, str(src)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (f"freshkit {command}: TooFewSamplesPerClass: "
+                   "class 0 has 1 samples, needs >= 5\n")
 
 
 # --- rendering result dataclasses ------------------------------------------------

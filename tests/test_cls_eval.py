@@ -58,7 +58,7 @@ def test_cross_entropy_rejects_smoothing_outside_unit_interval(alpha):
 
 
 def test_cross_entropy_rejects_unnormalized_rows():
-    with pytest.raises(RowNotNormalized):
+    with pytest.raises(RowNotNormalized, match=r"^row 0 sums to 1\.1$"):
         cross_entropy([[0.5, 0.6]], [0])
     with pytest.raises(RowNotNormalized):
         cross_entropy([[1.2, -0.2]], [0])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -7,15 +8,91 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshkit import pseudomask
+from freshkit import maxflow, pseudomask
 from freshkit.errors import DegenerateGraph, DimensionMismatch
-from freshkit.maxflow import FlowGraph, _dinic
+from freshkit.maxflow import FlowGraph
 from freshkit.pseudomask import _LOCK_CAP, CutProblem, _grid_pairs, cut_energy, solve_cut
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
 
-# --- the per-arc reference ------------------------------------------------------
+# --- the linked-list reference ----------------------------------------------------
+# Dinic over a linked adjacency list: head[u] is the last arc out of u and
+# nxt[e] the previous arc out of the same tail, or -1. Every BFS labels the
+# whole residual graph. These are the kernels the CSR ones replaced.
+
+def _ref_bfs_levels(head, nxt, to, cap, level, queue, s, t):
+    level[:] = -1
+    level[s] = 0
+    queue[0] = s
+    q_read, q_write = 0, 1
+    while q_read < q_write:
+        u = queue[q_read]
+        q_read += 1
+        e = head[u]
+        while e != -1:
+            v = to[e]
+            if cap[e] > 0.0 and level[v] < 0:
+                level[v] = level[u] + 1
+                queue[q_write] = v
+                q_write += 1
+            e = nxt[e]
+    return level[t] >= 0
+
+
+def _ref_augment_once(head, nxt, to, cap, level, iters, path, s, t):
+    depth = 0
+    u = s
+    while True:
+        if u == t:
+            bottleneck = cap[path[0]]
+            for i in range(1, depth):
+                if cap[path[i]] < bottleneck:
+                    bottleneck = cap[path[i]]
+            for i in range(depth):
+                e = path[i]
+                cap[e] -= bottleneck
+                cap[e ^ 1] += bottleneck
+            return bottleneck
+        advanced = False
+        e = iters[u]
+        while e != -1:
+            v = to[e]
+            if cap[e] > 0.0 and level[v] == level[u] + 1:
+                path[depth] = e
+                depth += 1
+                u = v
+                advanced = True
+                break
+            e = nxt[e]
+            iters[u] = e
+        if not advanced:
+            level[u] = -1
+            if u == s:
+                return 0.0
+            depth -= 1
+            back = path[depth]
+            u = to[back ^ 1]
+            iters[u] = nxt[back]
+
+
+def _ref_dinic(head, nxt, to, cap, level, s, t):
+    n = head.shape[0]
+    queue = np.empty(n, np.int64)
+    iters = np.empty(n, np.int64)
+    path = np.empty(n, np.int64)
+    total = 0.0
+    while _ref_bfs_levels(head, nxt, to, cap, level, queue, s, t):
+        for i in range(n):
+            iters[i] = head[i]
+        while True:
+            pushed = _ref_augment_once(head, nxt, to, cap, level, iters, path, s, t)
+            if pushed == 0.0:
+                break
+            total += pushed
+    return total
+
+
 # One add_edge call per arc into Python linked lists, and a separate BFS over
 # the final residual graph for the cut: the builder that FlowGraph replaced.
 
@@ -43,7 +120,7 @@ class PerArcFlowGraph:
         self._residual = self._arrays()
         self._source = s
         level = np.empty(self.n_nodes, np.int64)
-        return float(_dinic(*self._residual, level, s, t))
+        return float(_ref_dinic(*self._residual, level, s, t))
 
     def source_side(self) -> np.ndarray:
         return _reachable(*self._residual, self._source)
@@ -65,8 +142,8 @@ def _reachable(head, nxt, to, cap, s):
     return seen
 
 
-def reference_solve_cut(problem: CutProblem) -> tuple[np.ndarray, tuple]:
-    """Labels and the graph arrays that Dinic starts from."""
+def reference_solve_cut(problem: CutProblem) -> tuple[np.ndarray, tuple, float]:
+    """Labels, the graph arrays that Dinic starts from, and the flow."""
     n = problem.d_fg.size
     source, sink = n, n + 1
     graph = PerArcFlowGraph(n + 2)
@@ -93,8 +170,8 @@ def reference_solve_cut(problem: CutProblem) -> tuple[np.ndarray, tuple]:
     if not any_capacity:
         raise DegenerateGraph("every capacity is zero")
     arrays = graph._arrays()
-    graph.max_flow(source, sink)
-    return graph.source_side()[:n], arrays
+    flow = graph.max_flow(source, sink)
+    return graph.source_side()[:n], arrays, flow
 
 
 def _enumeration_minimum(problem: CutProblem) -> float:
@@ -148,44 +225,74 @@ def flow_networks(draw):
 
 # --- properties ---------------------------------------------------------------------
 
-def _solve_recording_arrays(problem: CutProblem) -> tuple[np.ndarray, tuple]:
+def _solve_recording(problem: CutProblem) -> tuple[np.ndarray, tuple, float]:
     built = []
 
     class Recording(FlowGraph):
         def max_flow(self, s, t):
-            built.append(self._arrays())
-            return super().max_flow(s, t)
+            arrays = self._arrays()
+            flow = super().max_flow(s, t)
+            built.append((arrays, flow))
+            return flow
 
     with mock.patch.object(pseudomask, "FlowGraph", Recording):
         labels = solve_cut(problem)
-    return labels, built[0]
+    return (labels, *built[0])
 
 
-def _assert_same_arrays(got, expected):
-    for name, a, b in zip(("head", "nxt", "to", "cap"), got, expected):
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+def _phase_levels(module, bfs_name, run):
+    """Run run(); return its result and the level array each BFS left, in phase order."""
+    levels = []
+    bfs = getattr(module, bfs_name)
+
+    def recording(*args):
+        reached = bfs(*args)
+        levels.append(args[4].copy())  # level is the fifth argument of both kernels
+        return reached
+
+    with mock.patch.object(module, bfs_name, recording):
+        result = run()
+    return result, levels
 
 
-@PROPERTY
-@given(cut_problems())
-def test_solve_cut_matches_per_arc_reference_and_enumeration(problem):
-    try:
-        expected, expected_arrays = reference_solve_cut(problem)
-    except DegenerateGraph:
-        with pytest.raises(DegenerateGraph):
-            solve_cut(problem)
-        return
-    labels, arrays = _solve_recording_arrays(problem)
-    _assert_same_arrays(arrays, expected_arrays)
-    assert labels.dtype == np.bool_
-    assert np.array_equal(labels, expected)
-    assert cut_energy(problem, labels) == _enumeration_minimum(problem)
+def _reference_levels(run):
+    return _phase_levels(sys.modules[__name__], "_ref_bfs_levels", run)
 
 
-@PROPERTY
-@given(flow_networks())
-def test_array_batches_match_per_arc_graph(network):
-    n, cols, ends, s, t = network
+def _levels(run):
+    return _phase_levels(maxflow, "_bfs_levels", run)
+
+
+def _assert_same_phases(got, expected, t):
+    """Early-stopped levels agree with full ones up to the sink's level."""
+    assert len(got) == len(expected)
+    for new, ref in zip(got[:-1], expected[:-1]):
+        assert ref[t] >= 0
+        near = ref <= ref[t]
+        assert np.array_equal(new[near], ref[near])
+        assert (new[~near] == -1).all()
+    assert expected[-1][t] == -1
+    assert np.array_equal(got[-1], expected[-1])
+
+
+def _assert_same_arcs(csr, linked):
+    """Each CSR range, walked from its end, is the node's linked list."""
+    start, order, to, cap = csr
+    head, nxt, ref_to, ref_cap = linked
+    assert to.dtype == ref_to.dtype and np.array_equal(to, ref_to)
+    assert cap.dtype == ref_cap.dtype and np.array_equal(cap, ref_cap)
+    assert start.shape == (head.size + 1,) and start[0] == 0 and start[-1] == order.size
+    for u in range(head.size):
+        walked = []
+        e = head[u]
+        while e != -1:
+            walked.append(e)
+            e = nxt[e]
+        assert order[start[u]:start[u + 1]][::-1].tolist() == walked
+
+
+def _build_both(network) -> tuple[FlowGraph, PerArcFlowGraph]:
+    n, cols, ends, _, _ = network
     reference = PerArcFlowGraph(n)
     for arc in zip(*cols):
         reference.add_edge(int(arc[0]), int(arc[1]), float(arc[2]), float(arc[3]))
@@ -195,9 +302,52 @@ def test_array_batches_match_per_arc_graph(network):
             graph.add_edge(*(col[start].item() for col in cols))  # scalars
         else:
             graph.add_edge(*(col[start:end] for col in cols))
-    _assert_same_arrays(graph._arrays(), reference._arrays())
+    return graph, reference
+
+
+@PROPERTY
+@given(cut_problems())
+def test_solve_cut_matches_per_arc_reference_and_enumeration(problem):
+    try:
+        (expected, expected_arrays, expected_flow), expected_levels = _reference_levels(
+            lambda: reference_solve_cut(problem))
+    except DegenerateGraph:
+        with pytest.raises(DegenerateGraph):
+            solve_cut(problem)
+        return
+    (labels, arrays, flow), levels = _levels(lambda: _solve_recording(problem))
+    _assert_same_arcs(arrays, expected_arrays)
+    _assert_same_phases(levels, expected_levels, problem.d_fg.size + 1)
+    assert flow == expected_flow
+    assert labels.dtype == np.bool_
+    assert np.array_equal(labels, expected)
+    assert cut_energy(problem, labels) == _enumeration_minimum(problem)
+
+
+@PROPERTY
+@given(flow_networks())
+def test_csr_ranges_walk_like_linked_lists(network):
+    graph, reference = _build_both(network)
+    _assert_same_arcs(graph._arrays(), reference._arrays())
+
+
+@PROPERTY
+@given(flow_networks())
+def test_array_batches_match_per_arc_graph(network):
+    *_, s, t = network
+    graph, reference = _build_both(network)
     assert graph.max_flow(s, t) == reference.max_flow(s, t)
     assert np.array_equal(graph.source_side(), reference.source_side())
+
+
+@PROPERTY
+@given(flow_networks())
+def test_levels_match_reference_phase_by_phase(network):
+    *_, s, t = network
+    graph, reference = _build_both(network)
+    _, levels = _levels(lambda: graph.max_flow(s, t))
+    _, expected_levels = _reference_levels(lambda: reference.max_flow(s, t))
+    _assert_same_phases(levels, expected_levels, t)
 
 
 # --- add_edge checks ------------------------------------------------------------------
@@ -240,6 +390,15 @@ def test_add_edge_rejects_bad_arrays(u, v, cap_uv, cap_vu):
     # nothing of the rejected batch is kept
     graph.add_edge(0, 2, 1.0)
     assert graph.max_flow(0, 2) == 1.0
+
+
+@pytest.mark.parametrize("s, t", [(0, 0), (0, 3), (-1, 2), (3, 0)])
+def test_max_flow_rejects_bad_terminals(s, t):
+    graph = FlowGraph(3)
+    graph.add_edge(0, 1, 1.0)
+    graph.add_edge(1, 2, 1.0)
+    with pytest.raises(DimensionMismatch):
+        graph.max_flow(s, t)
 
 
 def test_cut_needs_a_solve_first():

@@ -237,6 +237,12 @@ def test_bootstrap_rejects_empty():
         percentile_bootstrap([], np.mean)
 
 
+@pytest.mark.parametrize("n_boot", [0, -1])
+def test_bootstrap_rejects_fewer_than_one_replicate(n_boot):
+    with pytest.raises(BadParameter, match=f"n_boot must be >= 1, got {n_boot}"):
+        percentile_bootstrap([1.0, 2.0, 3.0], np.mean, n_boot=n_boot)
+
+
 def test_mini_coverage_run():
     # tiny version of the coverage experiment; the full one lives in the
     # acceptance suite with 200 trials
