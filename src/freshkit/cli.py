@@ -33,7 +33,7 @@ import numpy as np
 
 from .cls_eval import confusion, cross_entropy, prf_report
 from .data_model import (
-    LogitRecord,
+    RecordTable,
     Split,
     grayscale_as_rgb,
     read_feature_csv,
@@ -126,35 +126,28 @@ def render_json(obj, indent: int = 0, key=None) -> str:
 
 # --- shared input handling ---------------------------------------------------
 
-def _load_records(path: str, prefix: str) -> list[LogitRecord]:
-    records = read_logit_csv(path, column_prefix=prefix)
-    if not records:
+def _load(read, path: str, prefix: str) -> RecordTable:
+    table = read(path, column_prefix=prefix)
+    if not table.ids:
         raise EmptyInput(f"{path}: no data rows")
-    return records
+    return table
 
 
-def _load_features(path: str, prefix: str) -> list[LogitRecord]:
-    records = read_feature_csv(path, column_prefix=prefix)
-    if not records:
-        raise EmptyInput(f"{path}: no data rows")
-    return records
+def _require_labels(table: RecordTable, path: str) -> np.ndarray:
+    unlabeled = np.flatnonzero(table.labels < 0)
+    if unlabeled.size:
+        raise BadLabelIndex(f"{path}: record {table.ids[unlabeled[0]]!r} has no label")
+    return table.labels
 
 
-def _require_labels(records: list[LogitRecord], path: str) -> np.ndarray:
-    for rec in records:
-        if rec.label < 0:
-            raise BadLabelIndex(f"{path}: record {rec.id!r} has no label")
-    return np.asarray([rec.label for rec in records])
-
-
-def _single_column(records: list[LogitRecord], path: str) -> np.ndarray:
-    for rec in records:
-        if len(rec.logits) != 1:
-            raise InconsistentWidth(
-                f"{path}: score files carry exactly one value column, "
-                f"record {rec.id!r} has {len(rec.logits)}"
-            )
-    return np.asarray([rec.logits[0] for rec in records])
+def _single_column(table: RecordTable, path: str) -> np.ndarray:
+    width = table.values.shape[1]
+    if width != 1:
+        raise InconsistentWidth(
+            f"{path}: score files carry exactly one value column, "
+            f"record {table.ids[0]!r} has {width}"
+        )
+    return table.values[:, 0]
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -179,22 +172,20 @@ def _bounded(parse, lo: float, hi: float = math.inf, *, open_lo: bool = False):
     return check
 
 
-def _score_records(records, scores) -> list[dict]:
+def _score_records(table: RecordTable, scores) -> list[dict]:
     return [
-        {"id": rec.id, "split": rec.split.value, "label": rec.label,
-         "score": float(score)}
-        for rec, score in zip(records, scores)
+        {"id": rec_id, "split": split.value, "label": label, "score": float(score)}
+        for rec_id, split, label, score in zip(table.ids, table.splits,
+                                               table.labels.tolist(), scores)
     ]
 
 
-def _write_scores_csv(path: str, records, scores) -> None:
+def _write_scores_csv(path: str, table: RecordTable, scores) -> None:
     # labels are dropped: a score file has one value column, and the reader
     # bounds labels by the column count; split tags carry the ID/OOD side
-    rows = [
-        replace(rec, label=-1, logits=(float(score),))
-        for rec, score in zip(records, scores)
-    ]
-    write_logit_csv(path, rows, column_prefix="score")
+    write_logit_csv(path, replace(table, labels=np.full(len(table.ids), -1),
+                                  values=np.reshape(scores, (-1, 1))),
+                    column_prefix="score")
 
 
 # --- subcommands --------------------------------------------------------------
@@ -208,20 +199,20 @@ def _cmd_score(args):
     if args.method == "msp" and args.temperature is not None:
         raise UsageError("--temperature does not apply to --method msp")
 
-    loader = _load_features if args.method == "odin" else _load_records
-    records = loader(args.logits, args.prefix)
-    xs = np.array([rec.logits for rec in records])
+    read = read_feature_csv if args.method == "odin" else read_logit_csv
+    table = _load(read, args.logits, args.prefix)
+    xs = table.values
 
     if args.method == "msp":
         scores = msp_score(xs)
-        report = {"method": "msp", "n": len(records),
-                  "scores": _score_records(records, scores)}
+        report = {"method": "msp", "n": len(table.ids),
+                  "scores": _score_records(table, scores)}
     elif args.method == "energy":
         temperature = 1.0 if args.temperature is None else args.temperature
         scores = energy_score(xs, temperature)
         report = {"method": "energy", "temperature": temperature,
-                  "n": len(records),
-                  "scores": _score_records(records, scores)}
+                  "n": len(table.ids),
+                  "scores": _score_records(table, scores)}
     else:
         if args.model is None:
             raise UsageError("--method odin requires --model")
@@ -234,68 +225,68 @@ def _cmd_score(args):
             scores = odin_score(model, xs, config).tolist()
             report = {"method": "odin", "mode": "fixed",
                       "temperature": config.temperature,
-                      "epsilon": config.epsilon, "n": len(records),
-                      "scores": _score_records(records, scores)}
+                      "epsilon": config.epsilon, "n": len(table.ids),
+                      "scores": _score_records(table, scores)}
         else:
             # no explicit setting: tune over the built-in grid against the
             # rows tagged split=ood, maximizing AUROC
-            is_id = [rec.split is not Split.OOD for rec in records]
+            is_id = [split is not Split.OOD for split in table.splits]
             if all(is_id) or not any(is_id):
                 raise MissingClass(
                     "grid tuning needs both ood-tagged and in-distribution rows"
                 )
-            table = []
+            grid = []
             best = None
             for temperature in ODIN_GRID_TEMPERATURES:
                 for epsilon in ODIN_GRID_EPSILONS:
                     config = OdinConfig(temperature, epsilon)
                     scores = odin_score(model, xs, config).tolist()
                     samples = [
-                        ScoredSample(rec.id, s, keep)
-                        for rec, s, keep in zip(records, scores, is_id)
+                        ScoredSample(rec_id, s, keep)
+                        for rec_id, s, keep in zip(table.ids, scores, is_id)
                     ]
                     auroc = ood_metrics(samples).auroc
-                    table.append({"temperature": temperature,
-                                  "epsilon": epsilon, "auroc": auroc})
+                    grid.append({"temperature": temperature,
+                                 "epsilon": epsilon, "auroc": auroc})
                     if best is None or auroc > best[0]:
                         best = (auroc, config, scores)
             _, config, scores = best
             report = {"method": "odin", "mode": "grid",
                       "temperature": config.temperature,
-                      "epsilon": config.epsilon, "grid": table,
-                      "n": len(records),
-                      "scores": _score_records(records, scores)}
+                      "epsilon": config.epsilon, "grid": grid,
+                      "n": len(table.ids),
+                      "scores": _score_records(table, scores)}
 
     writes = []
     if args.scores_out:
-        writes.append(partial(_write_scores_csv, args.scores_out, records, scores))
+        writes.append(partial(_write_scores_csv, args.scores_out, table, scores))
     return report, writes
 
 
 def _cmd_ood_eval(args):
-    records = _load_records(args.scores, args.prefix)
-    raw = _single_column(records, args.scores)
+    table = _load(read_logit_csv, args.scores, args.prefix)
+    raw = _single_column(table, args.scores)
     if args.flip:
         raw = -raw
     samples = [
-        ScoredSample(rec.id, float(s), rec.split is not Split.OOD)
-        for rec, s in zip(records, raw)
+        ScoredSample(rec_id, s, split is not Split.OOD)
+        for rec_id, s, split in zip(table.ids, raw.tolist(), table.splits)
     ]
     return {**asdict(ood_metrics(samples)), "flipped": bool(args.flip)}, []
 
 
 def _cmd_sweep(args):
-    records = _load_records(args.scores, args.prefix)
-    conf = _single_column(records, args.scores)
+    table = _load(read_logit_csv, args.scores, args.prefix)
+    conf = _single_column(table, args.scores)
     taus = DEFAULT_TAUS if args.taus is None else args.taus
     points = threshold_sweep(conf, taus)
-    return {"n": len(records), "taus": list(taus), "points": points}, []
+    return {"n": len(table.ids), "taus": list(taus), "points": points}, []
 
 
 def _cmd_cls_eval(args):
-    records = _load_records(args.logits, args.prefix)
-    labels = _require_labels(records, args.logits)
-    logits = np.asarray([rec.logits for rec in records])
+    table = _load(read_logit_csv, args.logits, args.prefix)
+    labels = _require_labels(table, args.logits)
+    logits = table.values
     preds = logits.argmax(axis=1)
     n_classes = logits.shape[1]
     cm = confusion(labels, preds, n_classes)
@@ -303,7 +294,7 @@ def _cmd_cls_eval(args):
     probs = softmax(logits)
     ce = cross_entropy(probs, labels, args.label_smoothing)
     return {
-        "n": len(records),
+        "n": len(table.ids),
         "n_classes": n_classes,
         "cross_entropy": ce,
         "label_smoothing": args.label_smoothing,
@@ -366,13 +357,14 @@ def _cmd_seg_eval(args):
     return report, []
 
 
-def _correctness(records, path: str) -> dict[str, bool]:
-    labels = _require_labels(records, path)
+def _correctness(table: RecordTable, path: str) -> dict[str, bool]:
+    labels = _require_labels(table, path)
+    correct = (table.values.argmax(axis=1) == labels).tolist()
     out: dict[str, bool] = {}
-    for rec, label in zip(records, labels):
-        if rec.id in out:
-            raise InputFormatError(f"{path}: duplicate id {rec.id!r}")
-        out[rec.id] = int(np.argmax(rec.logits)) == int(label)
+    for rec_id, ok in zip(table.ids, correct):
+        if rec_id in out:
+            raise InputFormatError(f"{path}: duplicate id {rec_id!r}")
+        out[rec_id] = ok
     return out
 
 
@@ -389,13 +381,12 @@ def _cmd_mcnemar(args):
     else:
         if args.pred_a is None or args.pred_b is None:
             raise UsageError("both --pred-a and --pred-b are required")
-        correct_a = _correctness(_load_records(args.pred_a, args.prefix), args.pred_a)
-        correct_b = _correctness(_load_records(args.pred_b, args.prefix), args.pred_b)
+        correct_a = _correctness(_load(read_logit_csv, args.pred_a, args.prefix), args.pred_a)
+        correct_b = _correctness(_load(read_logit_csv, args.pred_b, args.prefix), args.pred_b)
         if set(correct_a) != set(correct_b):
             raise InputFormatError("prediction files disagree on record ids")
-        ordered = list(correct_a)  # file A's row order
-        outcome = paired_outcomes(
-            [correct_a[i] for i in ordered], [correct_b[i] for i in ordered]
+        outcome = paired_outcomes(  # in file A's row order
+            list(correct_a.values()), [correct_b[i] for i in correct_a]
         )
     result = mcnemar(outcome)
     ci = paired_acc_diff_ci(outcome)
@@ -448,8 +439,8 @@ SPLIT_TAGS = ("train", "val", "test")
 def _cmd_split(args):
     if len(args.ratios) != len(SPLIT_TAGS):
         raise UsageError("--ratios takes exactly three comma-separated values")
-    records = _load_features(args.labels, args.prefix)
-    labels = _require_labels(records, args.labels)
+    table = _load(read_feature_csv, args.labels, args.prefix)
+    labels = _require_labels(table, args.labels)
     assignment = stratified_split(labels, args.ratios, seed=args.seed)
     counts = {tag: int((assignment == i).sum()) for i, tag in enumerate(SPLIT_TAGS)}
     per_class = []
@@ -460,22 +451,22 @@ def _cmd_split(args):
         per_class.append(row)
     return {
         "ratios": list(args.ratios),
-        "n": len(records),
+        "n": len(table.ids),
         "counts": counts,
         "per_class": per_class,
         "assignment": [
-            {"id": rec.id, "split": SPLIT_TAGS[part]}
-            for rec, part in zip(records, assignment)
+            {"id": rec_id, "split": SPLIT_TAGS[part]}
+            for rec_id, part in zip(table.ids, assignment)
         ],
     }, []
 
 
 def _cmd_folds(args):
-    records = _load_features(args.labels, args.prefix)
-    labels = _require_labels(records, args.labels)
+    table = _load(read_feature_csv, args.labels, args.prefix)
+    labels = _require_labels(table, args.labels)
     plan = nested_fold_plan(labels, args.outer, args.inner, seed=args.seed)
     audit = audit_fold_plan(plan, labels)
-    ids = [rec.id for rec in records]
+    ids = table.ids
     return {
         "n_samples": plan.n_samples,
         "n_outer": plan.n_outer,
@@ -490,9 +481,9 @@ def _cmd_folds(args):
 
 
 def _cmd_nested_cv(args):
-    records = _load_features(args.data, args.prefix)
-    labels = _require_labels(records, args.data)
-    xs = np.asarray([rec.logits for rec in records])
+    table = _load(read_feature_csv, args.data, args.prefix)
+    labels = _require_labels(table, args.data)
+    xs = table.values
     grid = HyperGrid(
         head_lrs=args.head_lrs,
         weight_decays=args.weight_decays,

@@ -1,8 +1,12 @@
 """Core value types and the on-disk formats the toolkit understands.
 
-Three formats exist: a logit CSV with header ``id,split,label,logit_0,...``,
+Three formats exist: a record CSV with header ``id,split,label,logit_0,...``,
 binary PGM (P5) for masks, and binary PPM (P6) for images, both with
 maxval 255. Everything else the toolkit emits is JSON produced by the CLI.
+
+A record CSV reads into one RecordTable: the id and split columns as
+tuples, the labels as an int64 array (-1 for unlabeled rows), and the
+numeric columns as an (n, C) float64 matrix.
 
 Value types are immutable: dataclasses are frozen and array-backed types
 expose read-only numpy arrays, so instances can be shared across workers
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +38,7 @@ __all__ = [
     "DEFAULT_CLASS_NAMES",
     "Split",
     "ClassSpace",
-    "LogitRecord",
+    "RecordTable",
     "BinaryMask",
     "RgbImage",
     "read_logit_csv",
@@ -79,20 +82,31 @@ class ClassSpace:
         return self.names.index(name)
 
 
-@dataclass(frozen=True)
-class LogitRecord:
-    """One scored sample. label is -1 for unlabeled or OOD records."""
-
-    id: str
-    split: Split
-    label: int
-    logits: tuple[float, ...]
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out.flags.writeable = False
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Samples as columns; labels is -1 for unlabeled or OOD rows."""
+
+    ids: tuple[str, ...]
+    splits: tuple[Split, ...]
+    labels: np.ndarray  # (n,) int64
+    values: np.ndarray  # (n, C) float64
+
+    def __post_init__(self) -> None:
+        labels = np.asarray(self.labels, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        n = len(self.ids)
+        if (len(self.splits) != n or labels.shape != (n,) or values.ndim != 2
+                or values.shape[0] != n or values.shape[1] < 1):
+            raise DimensionMismatch(f"columns do not line up: {n} ids, {len(self.splits)} "
+                                    f"splits, labels {labels.shape}, values {values.shape}")
+        object.__setattr__(self, "labels", _freeze(labels))
+        object.__setattr__(self, "values", _freeze(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,29 +169,29 @@ class RgbImage:
 _SPLIT_TAGS = {s.value: s for s in Split}
 
 
-def read_logit_csv(path: str | Path, column_prefix: str = "logit") -> list[LogitRecord]:
+def read_logit_csv(path: str | Path, column_prefix: str = "logit") -> RecordTable:
     """Parse a logit table.
 
     The header must be exactly ``id,split,label,<prefix>_0,...,<prefix>_{C-1}``
     with C >= 1 inferred from the header and constant across rows. Labels must
     be integers in [-1, C); an empty label field means "no label" and is read
     as -1. Logits must be finite floats. Errors carry the 1-based row number
-    of the offending line.
+    of the offending line. A file with no data rows gives a (0, C) table.
     """
     return _read_table(path, column_prefix, bounded=True)
 
 
-def read_feature_csv(path: str | Path, column_prefix: str = "x") -> list[LogitRecord]:
+def read_feature_csv(path: str | Path, column_prefix: str = "x") -> RecordTable:
     """Parse the same layout with numeric columns read as input features.
 
     Identical to read_logit_csv except that the column count does not bound
     the label: features and classes are independent axes, so any label >= -1
-    is accepted.
+    is accepted, up to the int64 limit.
     """
     return _read_table(path, column_prefix, bounded=False)
 
 
-def _read_table(path: str | Path, column_prefix: str, bounded: bool) -> list[LogitRecord]:
+def _read_table(path: str | Path, column_prefix: str, bounded: bool) -> RecordTable:
     path = Path(path)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
@@ -194,7 +208,7 @@ def _read_table(path: str | Path, column_prefix: str, bounded: bool) -> list[Log
     width = len(header)
     n_classes = width - 3
 
-    records: list[LogitRecord] = []
+    ids, splits, labels, values = [], [], [], []
     for row_no, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise InconsistentWidth(f"{path}:{row_no}: expected {width} fields, got {len(row)}")
@@ -211,7 +225,8 @@ def _read_table(path: str | Path, column_prefix: str, bounded: bool) -> list[Log
         if label < -1 or (bounded and label >= n_classes):
             bound = n_classes if bounded else "inf"
             raise BadLabelIndex(f"{path}:{row_no}: label {label} outside [-1, {bound})")
-        logits = []
+        if label >= 2 ** 63:
+            raise BadLabelIndex(f"{path}:{row_no}: label {label} does not fit in int64")
         for cell in row[3:]:
             try:
                 value = float(cell)
@@ -219,37 +234,34 @@ def _read_table(path: str | Path, column_prefix: str, bounded: bool) -> list[Log
                 raise NonFiniteLogit(f"{path}:{row_no}: logit {cell!r} is not a float") from None
             if not math.isfinite(value):
                 raise NonFiniteLogit(f"{path}:{row_no}: non-finite logit {cell!r}")
-            logits.append(value)
-        records.append(LogitRecord(rec_id, _SPLIT_TAGS[split_tag], label, tuple(logits)))
-    return records
+            values.append(value)
+        ids.append(rec_id)
+        splits.append(_SPLIT_TAGS[split_tag])
+        labels.append(label)
+    return RecordTable(tuple(ids), tuple(splits), np.array(labels, dtype=np.int64),
+                       np.array(values, dtype=np.float64).reshape(len(ids), n_classes))
 
 
-def write_logit_csv(path: str | Path, records: Iterable[LogitRecord],
+def write_logit_csv(path: str | Path, table: RecordTable,
                     column_prefix: str = "logit") -> None:
-    """Write records in the layout read_logit_csv accepts.
+    """Write a table in the layout read_logit_csv accepts.
 
     Floats are written with repr so a read/write/read round trip reproduces
-    the records bit for bit.
+    the table bit for bit.
     """
-    records = list(records)
-    if not records:
+    if not table.ids:
         raise DimensionMismatch("cannot write a logit CSV with zero records")
-    n_classes = len(records[0].logits)
-    for rec in records:
-        if len(rec.logits) != n_classes:
-            raise DimensionMismatch(
-                f"record {rec.id!r} has {len(rec.logits)} logits, expected {n_classes}"
-            )
+    n_classes = table.values.shape[1]
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "split", "label"] + [f"{column_prefix}_{i}" for i in range(n_classes)])
-        for rec in records:
-            label_text = "" if rec.label == -1 else str(rec.label)
-            # float() first: numpy scalars repr as np.float64(...), which
-            # would not parse back
-            writer.writerow([rec.id, rec.split.value, label_text]
-                            + [repr(float(v)) for v in rec.logits])
+        # tolist() first: numpy scalars repr as np.float64(...), which would
+        # not parse back
+        for rec_id, split, label, row in zip(table.ids, table.splits, table.labels.tolist(),
+                                             table.values.tolist()):
+            label_text = "" if label == -1 else str(label)
+            writer.writerow([rec_id, split.value, label_text] + [repr(v) for v in row])
 
 
 # --- PGM / PPM ------------------------------------------------------------

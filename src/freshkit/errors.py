@@ -53,6 +53,10 @@ class UnsupportedMaxval(InputFormatError):
     """A PGM/PPM maxval other than 255 was encountered."""
 
 
+class MalformedModel(InputFormatError):
+    """A model JSON file does not hold the layout save_model writes."""
+
+
 # --- numeric / semantic family ------------------------------------------
 
 class EmptyVector(ComputeError):

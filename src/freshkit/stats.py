@@ -134,9 +134,11 @@ def percentile_bootstrap(values, statistic: Callable[..., np.ndarray],
 
     The statistic must take an `axis` argument, as np.mean and np.median do:
     replicates are evaluated as statistic(rows, axis=1) over blocks of
-    resampled rows. All n_boot index rows come from one seeded generator
-    draw, so the result is deterministic and independent of the block size.
-    The CI is the 2.5/97.5 percentile with linear interpolation.
+    resampled rows. Each block draws its index rows from one seeded
+    generator in turn, which gives the same indices as a single
+    (n_boot, n) draw, so the result is deterministic and independent of
+    the block size. The CI is the 2.5/97.5 percentile with linear
+    interpolation.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -145,9 +147,10 @@ def percentile_bootstrap(values, statistic: Callable[..., np.ndarray],
         raise BadParameter(f"n_boot must be >= 1, got {n_boot}")
     n = arr.size
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(n_boot, n))
     block = max(1, 2 ** 15 // n)  # about 2**15 resampled values per block
-    replicates = np.concatenate([statistic(arr[idx[start:start + block]], axis=1)
-                                 for start in range(0, n_boot, block)])
+    replicates = np.concatenate([
+        statistic(arr[rng.integers(0, n, size=(min(block, n_boot - start), n))], axis=1)
+        for start in range(0, n_boot, block)
+    ])
     lo, hi = np.percentile(replicates, [2.5, 97.5])
     return BootstrapCi(float(statistic(arr)), float(lo), float(hi), n_boot, seed)

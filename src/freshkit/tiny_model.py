@@ -20,7 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadLabelIndex, BadTrainConfig, DimensionMismatch, EmptyDataset
+from .errors import (
+    BadLabelIndex,
+    BadTrainConfig,
+    DimensionMismatch,
+    EmptyDataset,
+    MalformedModel,
+)
 
 __all__ = [
     "TinyClassifier",
@@ -363,14 +369,22 @@ def model_to_json(model: TinyClassifier) -> str:
 
 
 def model_from_json(text: str) -> TinyClassifier:
-    payload = json.loads(text)
-    d = int(payload["input_dim"])
-    h = int(payload["hidden_dim"])
-    c = int(payload["n_classes"])
-    flat = np.asarray(payload["params"], dtype=np.float64)
+    """Inverse of model_to_json; any other content raises MalformedModel."""
+    try:
+        payload = json.loads(text)
+        d = int(payload["input_dim"])
+        h = int(payload["hidden_dim"])
+        c = int(payload["n_classes"])
+        flat = np.asarray(payload["params"], dtype=np.float64)
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise MalformedModel(f"not a model JSON object ({type(exc).__name__}: {exc})") from None
+    if d < 1 or h < 0 or c < 1:
+        raise MalformedModel(f"bad architecture ({d}, {h}, {c})")
     expected = h * d + h + c * (h if h else d) + c
     if flat.shape != (expected,):
-        raise DimensionMismatch(f"got {flat.size} params, expected {expected}")
+        raise MalformedModel(f"got {flat.size} params, expected {expected}")
+    if not np.isfinite(flat).all():
+        raise MalformedModel("params are not all finite")
     pos = 0
     w_in = flat[pos:pos + h * d].reshape(h, d); pos += h * d
     b_in = flat[pos:pos + h]; pos += h
@@ -381,7 +395,11 @@ def model_from_json(text: str) -> TinyClassifier:
 
 
 def load_model(path: str | Path) -> TinyClassifier:
-    return model_from_json(Path(path).read_text())
+    """Read a file written by save_model; errors name the path."""
+    try:
+        return model_from_json(Path(path).read_text())
+    except (MalformedModel, UnicodeDecodeError) as exc:
+        raise MalformedModel(f"{path}: {exc}") from None
 
 
 def save_model(path: str | Path, model: TinyClassifier) -> None:

@@ -1,19 +1,26 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freshkit
+from freshkit import errors
 from freshkit.cli import main, render_json
 from freshkit.cls_eval import confusion, prf_report
 from freshkit.data_model import (
     BinaryMask,
-    LogitRecord,
+    RecordTable,
     RgbImage,
     Split,
     read_logit_csv,
@@ -55,6 +62,12 @@ def validate(document) -> None:
     Draft202012Validator(schema).validate(document)
 
 
+def table(rows):
+    """A RecordTable from (id, split, label, values) rows."""
+    ids, splits, labels, values = zip(*rows)
+    return RecordTable(ids, splits, labels, values)
+
+
 def write_labeled_logits(path, n_per_class=20, n_ood=10, seed=0):
     rng = np.random.default_rng(seed)
     records = []
@@ -62,11 +75,11 @@ def write_labeled_logits(path, n_per_class=20, n_ood=10, seed=0):
         label = i % 3
         logits = rng.normal(0.0, 1.0, 3)
         logits[label] += 3.0
-        records.append(LogitRecord(f"s{i:03d}", Split.TEST, label, tuple(logits)))
+        records.append((f"s{i:03d}", Split.TEST, label, tuple(logits)))
     for i in range(n_ood):
         logits = rng.normal(0.0, 0.3, 3)
-        records.append(LogitRecord(f"o{i:03d}", Split.OOD, -1, tuple(logits)))
-    write_logit_csv(path, records)
+        records.append((f"o{i:03d}", Split.OOD, -1, tuple(logits)))
+    write_logit_csv(path, table(records))
     return records
 
 
@@ -156,10 +169,9 @@ def test_score_msp_pipeline(tmp_path, capsys):
     for row in doc["report"]["scores"]:
         assert 1 / 3 - 1e-9 <= row["score"] <= 1.0
 
-    rows = read_logit_csv(scores_csv, column_prefix="score")
-    assert len(rows) == 70
-    assert all(len(r.logits) == 1 for r in rows)
-    assert all(r.label == -1 for r in rows)  # labels dropped on purpose
+    scores = read_logit_csv(scores_csv, column_prefix="score")
+    assert scores.values.shape == (70, 1)
+    assert (scores.labels == -1).all()  # labels dropped on purpose
 
     code, out, _ = run_cli(["ood-eval", "--scores", str(scores_csv)], capsys)
     assert code == 0
@@ -226,15 +238,15 @@ def test_odin_grid_and_fixed_modes(tmp_path, capsys):
     save_model(model_path, fitted)
 
     records = [
-        LogitRecord(f"f{i:03d}", Split.TEST, int(ys[i]), tuple(xs[i]))
+        (f"f{i:03d}", Split.TEST, int(ys[i]), tuple(xs[i]))
         for i in range(len(ys))
     ]
     ood = rng.normal(0.0, 0.2, (30, 2))
     records += [
-        LogitRecord(f"q{i:03d}", Split.OOD, -1, tuple(row)) for i, row in enumerate(ood)
+        (f"q{i:03d}", Split.OOD, -1, tuple(row)) for i, row in enumerate(ood)
     ]
     src = tmp_path / "features.csv"
-    write_logit_csv(src, records, column_prefix="x")
+    write_logit_csv(src, table(records), column_prefix="x")
 
     code, out, _ = run_cli(
         ["score", "--method", "odin", "--logits", str(src), "--prefix", "x",
@@ -266,12 +278,12 @@ def test_odin_grid_and_fixed_modes(tmp_path, capsys):
 
 def test_cls_eval_counts(tmp_path, capsys):
     records = [
-        LogitRecord("a", Split.TEST, 0, (2.0, 0.0)),
-        LogitRecord("b", Split.TEST, 0, (0.0, 2.0)),  # predicted 1, wrong
-        LogitRecord("c", Split.TEST, 1, (0.0, 2.0)),
+        ("a", Split.TEST, 0, (2.0, 0.0)),
+        ("b", Split.TEST, 0, (0.0, 2.0)),  # predicted 1, wrong
+        ("c", Split.TEST, 1, (0.0, 2.0)),
     ]
     src = tmp_path / "p.csv"
-    write_logit_csv(src, records)
+    write_logit_csv(src, table(records))
     code, out, _ = run_cli(["cls-eval", "--logits", str(src)], capsys)
     assert code == 0
     doc = json.loads(out)
@@ -290,12 +302,10 @@ def test_mcnemar_from_prediction_files(tmp_path, capsys):
         label = i % 2
         good = (2.0, 0.0) if label == 0 else (0.0, 2.0)
         bad = (0.0, 2.0) if label == 0 else (2.0, 0.0)
-        a_rows.append(LogitRecord(f"r{i}", Split.TEST, label,
-                                  bad if i == 9 else good))
-        b_rows.append(LogitRecord(f"r{i}", Split.TEST, label,
-                                  bad if i in (6, 7, 8) else good))
-    write_logit_csv(tmp_path / "a.csv", a_rows)
-    write_logit_csv(tmp_path / "b.csv", b_rows)
+        a_rows.append((f"r{i}", Split.TEST, label, bad if i == 9 else good))
+        b_rows.append((f"r{i}", Split.TEST, label, bad if i in (6, 7, 8) else good))
+    write_logit_csv(tmp_path / "a.csv", table(a_rows))
+    write_logit_csv(tmp_path / "b.csv", table(b_rows))
     code, out, _ = run_cli(
         ["mcnemar", "--pred-a", str(tmp_path / "a.csv"),
          "--pred-b", str(tmp_path / "b.csv")],
@@ -392,10 +402,10 @@ def test_dedup_clusters_brightness_twin(tmp_path, capsys):
 
 def test_split_counts_and_assignment(tmp_path, capsys):
     records = [
-        LogitRecord(f"s{i:03d}", Split.TRAIN, i % 3, (0.0,)) for i in range(60)
+        (f"s{i:03d}", Split.TRAIN, i % 3, (0.0,)) for i in range(60)
     ]
     src = tmp_path / "labels.csv"
-    write_logit_csv(src, records, column_prefix="x")
+    write_logit_csv(src, table(records), column_prefix="x")
     code, out, _ = run_cli(["split", "--labels", str(src)], capsys)
     assert code == 0
     doc = json.loads(out)
@@ -409,10 +419,10 @@ def test_split_counts_and_assignment(tmp_path, capsys):
 
 def test_folds_audit_passes(tmp_path, capsys):
     records = [
-        LogitRecord(f"s{i:03d}", Split.TRAIN, i % 3, (0.0,)) for i in range(45)
+        (f"s{i:03d}", Split.TRAIN, i % 3, (0.0,)) for i in range(45)
     ]
     src = tmp_path / "labels.csv"
-    write_logit_csv(src, records, column_prefix="x")
+    write_logit_csv(src, table(records), column_prefix="x")
     code, out, _ = run_cli(["folds", "--labels", str(src)], capsys)
     assert code == 0
     doc = json.loads(out)
@@ -420,7 +430,7 @@ def test_folds_audit_passes(tmp_path, capsys):
     rep = doc["report"]
     assert rep["audit_passed"] is True
     seen = [i for fold in rep["outer_test"] for i in fold]
-    assert sorted(seen) == [r.id for r in records]
+    assert sorted(seen) == [rec_id for rec_id, *_ in records]
 
 
 def test_nested_cv_on_separable_features(tmp_path, capsys):
@@ -429,11 +439,11 @@ def test_nested_cv_on_separable_features(tmp_path, capsys):
     xs = np.concatenate([rng.normal(c, 0.3, (30, 2)) for c in centers])
     ys = np.repeat(np.arange(2), 30)
     records = [
-        LogitRecord(f"s{i:03d}", Split.TRAIN, int(ys[i]), tuple(xs[i]))
+        (f"s{i:03d}", Split.TRAIN, int(ys[i]), tuple(xs[i]))
         for i in range(60)
     ]
     src = tmp_path / "data.csv"
-    write_logit_csv(src, records, column_prefix="x")
+    write_logit_csv(src, table(records), column_prefix="x")
     code, out, _ = run_cli(
         ["nested-cv", "--data", str(src), "--outer", "3", "--inner", "2",
          "--epochs", "8", "--head-lrs", "0.1", "--weight-decays", "0.0",
@@ -506,6 +516,33 @@ def test_demo_end_to_end(capsys):
 
 
 # --- exit codes ----------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, prefix, rows, message", [
+    (["cls-eval", "--logits"], "logit",
+     [("r0", 0, (1.0, 0.0)), ("r1", -1, (1.0, 0.0)), ("r2", -1, (0.0, 1.0))],
+     "BadLabelIndex: {path}: record 'r1' has no label"),
+    (["split", "--labels"], "x",
+     [("r0", 0, (1.0, 0.0)), ("r1", 1, (1.0, 0.0)), ("r2", -1, (0.0, 1.0))],
+     "BadLabelIndex: {path}: record 'r2' has no label"),
+    (["ood-eval", "--scores"], "score",
+     [("r0", -1, (1.0, 0.0)), ("r1", -1, (0.5, 0.0))],
+     "InconsistentWidth: {path}: score files carry exactly one value column, "
+     "record 'r0' has 2"),
+    (["mcnemar", "--pred-b", "{path}", "--pred-a"], "logit",
+     [("r0", 0, (1.0, 0.0)), ("r1", 1, (1.0, 0.0)), ("r1", 1, (0.0, 1.0)),
+      ("r0", 0, (0.0, 1.0))],
+     "InputFormatError: {path}: duplicate id 'r1'"),
+], ids=["unlabeled-logits", "unlabeled-features", "two-column-scores", "duplicate-id"])
+def test_column_checks_name_the_first_offending_record(tmp_path, capsys, argv, prefix,
+                                                       rows, message):
+    path = tmp_path / "records.csv"
+    write_logit_csv(path, table([(rec_id, Split.TEST, label, values)
+                                 for rec_id, label, values in rows]), column_prefix=prefix)
+    argv = [arg.format(path=path) for arg in argv] + [str(path), "--prefix", prefix]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"freshkit {argv[0]}: {message.format(path=path)}\n"
+
 
 def test_empty_input_file_is_exit_2(tmp_path, capsys):
     src = tmp_path / "empty.csv"
@@ -696,10 +733,11 @@ def test_bad_report_flags_fail_at_parse_time(tmp_path, capsys, argv, flag):
     logits = tmp_path / "logits.csv"
     records = write_labeled_logits(logits)
     scores = tmp_path / "scores.csv"
-    write_logit_csv(scores, [LogitRecord(r.id, r.split, -1, (0.5,)) for r in records],
+    write_logit_csv(scores, table([(rec_id, split, -1, (0.5,))
+                                   for rec_id, split, _, _ in records]),
                     column_prefix="score")
     labels = tmp_path / "labels.csv"
-    write_logit_csv(labels, [r for r in records if r.label >= 0], column_prefix="x")
+    write_logit_csv(labels, table([r for r in records if r[2] >= 0]), column_prefix="x")
     inputs = {"cls-eval": ["--logits", str(logits)], "mcnemar": [],
               "split": ["--labels", str(labels)], "sweep": ["--scores", str(scores)],
               "folds": ["--labels", str(labels)],
@@ -784,17 +822,132 @@ def test_overflowing_temperature_prints_one_stderr_line(tmp_path, method):
     assert not scores.exists()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: "not json",
+    lambda doc: '{"input_dim": 16}',
+    lambda doc: "[1]",
+    lambda doc: json.dumps({**doc, "input_dim": -doc["input_dim"]}),
+    lambda doc: json.dumps({**doc, "params": [float("nan")] * len(doc["params"])}),
+], ids=["not-json", "missing-key", "list", "negative-dim", "nan-params"])
+def test_malformed_model_exits_2_with_one_line(tmp_path, capsys, edit):
+    features = tmp_path / "features.csv"
+    write_logit_csv(features, table([("a", Split.TEST, 0, (0.5, 1.0)),
+                                     ("b", Split.OOD, -1, (0.0, 0.0))]), column_prefix="x")
+    model = tmp_path / "model.json"
+    save_model(model, init_model(2, 0, 2, seed=0))
+    model.write_text(edit(json.loads(model.read_text())))
+    scores = tmp_path / "scores.csv"
+    code, out, err = run_cli(
+        ["score", "--method", "odin", "--logits", str(features), "--prefix", "x",
+         "--model", str(model), "--temperature", "2", "--epsilon", "0.01",
+         "--scores-out", str(scores)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"freshkit score: MalformedModel: {model}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not scores.exists()
+
+
 @pytest.mark.parametrize("command, flag", [("folds", "--labels"), ("nested-cv", "--data")])
 def test_too_few_samples_names_the_plain_class(tmp_path, capsys, command, flag):
-    records = [LogitRecord(f"s{i:03d}", Split.TRAIN, 1 + i % 2, (float(i),)) for i in range(20)]
-    records.append(LogitRecord("s999", Split.TRAIN, 0, (0.0,)))
+    records = [(f"s{i:03d}", Split.TRAIN, 1 + i % 2, (float(i),)) for i in range(20)]
+    records.append(("s999", Split.TRAIN, 0, (0.0,)))
     src = tmp_path / "few.csv"
-    write_logit_csv(src, records, column_prefix="x")
+    write_logit_csv(src, table(records), column_prefix="x")
     code, out, err = run_cli([command, flag, str(src)], capsys)
     assert code == 3
     assert out == ""
     assert err == (f"freshkit {command}: TooFewSamplesPerClass: "
                    "class 0 has 1 samples, needs >= 5\n")
+
+
+# --- contract on malformed record CSVs -------------------------------------------
+
+# every subcommand that reads a record CSV, with the file under test as {f}
+# and, for mcnemar, an intact partner file as {good}
+RECORD_CSV_COMMANDS = {
+    "score": (["score", "--method", "msp", "--logits", "{f}", "--scores-out", "{scores}"],
+              "logit"),
+    "cls-eval": (["cls-eval", "--logits", "{f}"], "logit"),
+    "mcnemar-a": (["mcnemar", "--pred-a", "{f}", "--pred-b", "{good}"], "logit"),
+    "mcnemar-b": (["mcnemar", "--pred-a", "{good}", "--pred-b", "{f}"], "logit"),
+    "ood-eval": (["ood-eval", "--scores", "{f}"], "score"),
+    "sweep": (["sweep", "--scores", "{f}"], "score"),
+    "split": (["split", "--labels", "{f}"], "x"),
+    "folds": (["folds", "--labels", "{f}"], "x"),
+}
+
+
+def contract_rows(prefix):
+    """A valid record CSV, as lists of fields: header first, then 40 rows."""
+    width = {"logit": 3, "score": 1, "x": 2}[prefix]
+    rows = [["id", "split", "label"] + [f"{prefix}_{j}" for j in range(width)]]
+    for i in range(40):
+        label = "" if prefix == "score" else str(i % (3 if prefix == "logit" else 2))
+        split = "ood" if prefix == "score" and i % 4 == 3 else "test"
+        rows.append([f"r{i:02d}", split, label]
+                    + [repr((i * 7 + j * 3) % 11 / 10) for j in range(width)])
+    return rows
+
+
+def run_contract(command, rows, tmp):
+    """Run one RECORD_CSV_COMMANDS entry in-process with rows as {f}."""
+    argv, prefix = RECORD_CSV_COMMANDS[command]
+    files = {"f": tmp / "f.csv", "good": tmp / "good.csv", "scores": tmp / "scores.csv"}
+    files["f"].write_text("".join(",".join(row) + "\n" for row in rows))
+    files["good"].write_text("".join(",".join(row) + "\n" for row in contract_rows(prefix)))
+    out = tmp / "report.json"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([arg.format(**files) for arg in argv] + ["--out", str(out)])
+    return code, stdout.getvalue(), stderr.getvalue(), [out, files["scores"]]
+
+
+@pytest.mark.parametrize("command", sorted(RECORD_CSV_COMMANDS))
+def test_contract_base_files_are_valid(tmp_path, command):
+    code, _, err, written = run_contract(command, contract_rows(RECORD_CSV_COMMANDS[command][1]),
+                                         tmp_path)
+    assert (code, err) == (0, "")
+    assert written[0].exists()
+
+
+@pytest.mark.parametrize("kind", ["empty", "header", "ragged", "split", "label", "cell"])
+@pytest.mark.parametrize("command", sorted(RECORD_CSV_COMMANDS))
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(data=st.data())
+def test_malformed_record_csv_exits_2_with_one_line(command, kind, data):
+    prefix = RECORD_CSV_COMMANDS[command][1]
+    rows = contract_rows(prefix)
+    header = rows[0]
+    row = rows[data.draw(st.integers(1, len(rows) - 1), label="row")]
+    if kind == "empty":
+        rows = []
+    elif kind == "header":
+        j = data.draw(st.integers(0, len(header) - 1), label="column")
+        header[j] = data.draw(st.sampled_from(
+            [header[j][:-1], header[j] + "x", header[j].upper(), " " + header[j]]))
+    elif kind == "ragged":
+        row[:] = row[:-1] if data.draw(st.booleans(), label="short") else row + ["0.5"]
+    elif kind == "split":
+        row[1] = data.draw(st.sampled_from(["holdout", "TEST", "", "tst"]))
+    elif kind == "label":
+        n_columns = len(header) - 3
+        out_of_range = [str(2 ** 63)] if prefix == "x" else [str(n_columns), str(n_columns + 4)]
+        row[2] = data.draw(st.sampled_from(["1.5", "x", " ", "-2", "-10", *out_of_range]))
+    else:
+        j = data.draw(st.integers(3, len(header) - 1), label="column")
+        row[j] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "", "0x1"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err, written = run_contract(command, rows, Path(tmp))
+        assert code == 2
+        assert out == ""
+        name = RECORD_CSV_COMMANDS[command][0][0]
+        match = re.fullmatch(rf"freshkit {name}: (\w+): [^\n]+\n", err)
+        assert match, err
+        assert issubclass(getattr(errors, match.group(1)), errors.InputFormatError)
+        assert not any(path.exists() for path in written)
 
 
 # --- rendering result dataclasses ------------------------------------------------

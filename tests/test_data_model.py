@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from freshkit.data_model import (
     DEFAULT_CLASS_NAMES,
     BinaryMask,
     ClassSpace,
-    LogitRecord,
+    RecordTable,
     RgbImage,
     Split,
     grayscale_as_rgb,
@@ -44,29 +46,78 @@ def test_split_values():
     assert {s.value for s in Split} == {"train", "val", "test", "ood"}
 
 
+def assert_same_table(a, b):
+    assert a.ids == b.ids
+    assert a.splits == b.splits
+    assert a.labels.dtype == b.labels.dtype == np.int64
+    assert np.array_equal(a.labels, b.labels)
+    assert a.values.dtype == b.values.dtype == np.float64
+    assert a.values.shape == b.values.shape
+    # bit for bit, so -0.0 and 0.0 differ
+    assert a.values.tobytes() == b.values.tobytes()
+
+
 def test_logit_csv_round_trip(tmp_path):
-    records = [
-        LogitRecord("a", Split.TRAIN, 0, (0.1, -2.5, 3.25)),
-        LogitRecord("b", Split.TEST, 2, (1e-17, 0.30000000000000004, -0.0)),
-        LogitRecord("c", Split.OOD, -1, (5.0, 5.0, 5.0)),
-    ]
+    table = RecordTable(
+        ("a", "b", "c"), (Split.TRAIN, Split.TEST, Split.OOD), [0, 2, -1],
+        [(0.1, -2.5, 3.25), (1e-17, 0.30000000000000004, -0.0), (5.0, 5.0, 5.0)],
+    )
     path = tmp_path / "logits.csv"
-    write_logit_csv(path, records)
+    write_logit_csv(path, table)
     back = read_logit_csv(path)
-    assert back == records
+    assert_same_table(back, table)
     # logit values survive the text round trip bit for bit
-    assert back[1].logits[0] == 1e-17
-    assert back[1].logits[1] == 0.30000000000000004
+    assert back.values[1, 0] == 1e-17
+    assert back.values[1, 1] == 0.30000000000000004
+
+
+def test_record_table_columns_are_read_only():
+    table = RecordTable(("a",), (Split.TEST,), [1], [[0.5, 1.5]])
+    assert not table.labels.flags.writeable
+    assert not table.values.flags.writeable
+    with pytest.raises(ValueError):
+        table.values[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("ids, splits, labels, values", [
+    (("a", "b"), (Split.TEST,), [0, 0], [[1.0], [2.0]]),
+    (("a", "b"), (Split.TEST, Split.TEST), [0], [[1.0], [2.0]]),
+    (("a", "b"), (Split.TEST, Split.TEST), [0, 0], [[1.0]]),
+    (("a", "b"), (Split.TEST, Split.TEST), [0, 0], [1.0, 2.0]),
+    (("a", "b"), (Split.TEST, Split.TEST), [0, 0], np.zeros((2, 0))),
+])
+def test_record_table_rejects_misaligned_columns(ids, splits, labels, values):
+    with pytest.raises(DimensionMismatch, match="columns do not line up"):
+        RecordTable(ids, splits, labels, values)
+
+
+def test_reader_gives_empty_table_for_header_only_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("id,split,label,x_0,x_1,x_2\n")
+    table = read_feature_csv(path)
+    assert table.ids == () and table.splits == ()
+    assert table.labels.shape == (0,) and table.labels.dtype == np.int64
+    assert table.values.shape == (0, 3) and table.values.dtype == np.float64
+    with pytest.raises(DimensionMismatch, match="zero records"):
+        write_logit_csv(tmp_path / "out.csv", table)
+
+
+def test_feature_reader_rejects_labels_beyond_int64(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(f"id,split,label,x_0\na,train,{2 ** 63 - 1},0.5\nb,train,{2 ** 63},0.5\n")
+    with pytest.raises(BadLabelIndex) as err:
+        read_feature_csv(path)
+    assert str(err.value) == f"{path}:3: label {2 ** 63} does not fit in int64"
 
 
 def test_logit_csv_empty_label_means_unlabeled(tmp_path):
     path = tmp_path / "unlabeled.csv"
     path.write_text("id,split,label,logit_0,logit_1\nb,ood,,1.0,1.0\n")
-    recs = read_logit_csv(path)
-    assert recs[0].label == -1
+    table = read_logit_csv(path)
+    assert table.labels.tolist() == [-1]
     # and the writer puts the empty field back
     out = tmp_path / "back.csv"
-    write_logit_csv(out, recs)
+    write_logit_csv(out, table)
     assert ",ood,,1.0,1.0" in out.read_text()
 
 
@@ -76,8 +127,8 @@ def test_logit_csv_header_is_strict(tmp_path):
     with pytest.raises(MalformedHeader):
         read_logit_csv(path)
     # but a caller may rename the prefix explicitly
-    recs = read_logit_csv(path, column_prefix="score")
-    assert recs[0].logits == (1.0, 2.0)
+    table = read_logit_csv(path, column_prefix="score")
+    assert table.values.tolist() == [[1.0, 2.0]]
 
 
 def test_logit_csv_rejects_ragged_rows(tmp_path):
@@ -119,9 +170,8 @@ def test_feature_csv_labels_are_not_bounded_by_width(tmp_path):
     # two feature columns, four classes: fine for features, not for logits
     path = tmp_path / "features.csv"
     path.write_text("id,split,label,x_0,x_1\na,train,3,0.5,-1.0\nb,ood,,0.0,0.0\n")
-    recs = read_feature_csv(path)
-    assert recs[0].label == 3
-    assert recs[1].label == -1
+    table = read_feature_csv(path)
+    assert table.labels.tolist() == [3, -1]
     with pytest.raises(BadLabelIndex):
         read_logit_csv(path, column_prefix="x")
 
@@ -133,12 +183,74 @@ def test_feature_csv_still_rejects_negative_labels(tmp_path):
         read_feature_csv(path)
 
 
+LOGITS_2 = "id,split,label,logit_0,logit_1\n"
+
+
+@pytest.mark.parametrize("read, text, error, message", [
+    (read_logit_csv, "", MalformedHeader, ": empty file"),
+    (read_logit_csv, "id,split,label\n", MalformedHeader,
+     ": header must start with id,split,label"),
+    (read_logit_csv, "id,split,lable,logit_0\n", MalformedHeader,
+     ": header must start with id,split,label"),
+    (read_logit_csv, "id,split,label,logit_0,logit_2\n", MalformedHeader,
+     ": logit columns must be logit_0..logit_1"),
+    (read_logit_csv, LOGITS_2 + "a,train,0,1.0,2.0\nb,val,1,3.0\n", InconsistentWidth,
+     ":3: expected 5 fields, got 4"),
+    (read_logit_csv, LOGITS_2 + "a,holdout,0,1.0,2.0\n", BadSplitTag,
+     ":2: unknown split 'holdout'"),
+    (read_logit_csv, LOGITS_2 + "a,train,0,1.0,2.0\nb,test,1.0,1.0,2.0\n", BadLabelIndex,
+     ":3: label '1.0' is not an integer"),
+    (read_logit_csv, LOGITS_2 + "a,train,2,1.0,2.0\n", BadLabelIndex,
+     ":2: label 2 outside [-1, 2)"),
+    (read_logit_csv, LOGITS_2 + "a,train,-2,1.0,2.0\n", BadLabelIndex,
+     ":2: label -2 outside [-1, 2)"),
+    (read_feature_csv, "id,split,label,x_0\na,train,-2,0.5\n", BadLabelIndex,
+     ":2: label -2 outside [-1, inf)"),
+    (read_logit_csv, LOGITS_2 + "a,train,0,1.0,2.0\nb,ood,,abc,2.0\n", NonFiniteLogit,
+     ":3: logit 'abc' is not a float"),
+    (read_logit_csv, LOGITS_2 + "a,train,0,1.0,-inf\n", NonFiniteLogit,
+     ":2: non-finite logit '-inf'"),
+])
+def test_reader_errors_name_path_and_row(tmp_path, read, text, error, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        read(path)
+    assert str(err.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("cell, value", [("1_0", 10.0), (" 1", 1.0), ("-0.0", -0.0),
+                                         ("1e-320", 1e-320)])
+def test_reader_accepts_what_float_accepts(tmp_path, cell, value):
+    path = tmp_path / "t.csv"
+    path.write_text(f"id,split,label,logit_0\na,test,0,{cell}\n")
+    got = read_logit_csv(path).values[0, 0]
+    assert got == value
+    assert math.copysign(1.0, got) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("nan", "non-finite logit 'nan'"),
+    ("inf", "non-finite logit 'inf'"),
+    ("1e400", "non-finite logit '1e400'"),
+    ("0x1", "logit '0x1' is not a float"),
+    ("", "logit '' is not a float"),
+])
+def test_reader_rejects_what_float_rejects_or_overflows(tmp_path, cell, message):
+    path = tmp_path / "t.csv"
+    path.write_text(f"id,split,label,logit_0\na,test,0,{cell}\n")
+    with pytest.raises(NonFiniteLogit) as err:
+        read_logit_csv(path)
+    assert str(err.value) == f"{path}:2: {message}"
+
+
 def test_writer_accepts_numpy_scalars(tmp_path):
     value = np.float64(0.1) + np.float64(0.2)
-    rec = LogitRecord("a", Split.TRAIN, 0, (value,))
+    table = RecordTable(("a",), (Split.TRAIN,), [np.int64(0)], [(value,)])
     path = tmp_path / "np.csv"
-    write_logit_csv(path, [rec])
-    assert read_logit_csv(path)[0].logits[0] == float(value)
+    write_logit_csv(path, table)
+    assert path.read_text().splitlines()[1] == "a,train,0,0.30000000000000004"
+    assert read_logit_csv(path).values[0, 0] == float(value)
 
 
 def test_binary_mask_validation():

@@ -222,14 +222,19 @@ def _bootstrap_per_replicate(values, statistic, n_boot, seed):
     return BootstrapCi(float(statistic(arr)), float(lo), float(hi), n_boot, seed)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 100, 101, 2000])
+@pytest.mark.parametrize("n, n_boot", [
+    *(pytest.param(n, 1000, id=str(n)) for n in (1, 2, 3, 100, 101, 2000)),
+    pytest.param(101, 999, id="101-999"),
+    pytest.param(2000, 999, id="2000-999"),
+    pytest.param(2 ** 15 + 1, 5, id="32769-5"),
+])
 @pytest.mark.parametrize("statistic", [np.mean, np.median])
-def test_bootstrap_blocks_equal_per_replicate_loop(n, statistic):
+def test_bootstrap_blocks_equal_per_replicate_loop(n, n_boot, statistic):
     # n_boot spans several blocks of max(1, 2**15 // n) rows for n >= 100,
-    # the last one partial
+    # the last one partial, and one-row blocks of an odd length past 2**15
     values = np.random.default_rng(n).lognormal(size=n)
-    got = percentile_bootstrap(values, statistic, n_boot=1000, seed=n + 1)
-    assert got == _bootstrap_per_replicate(values, statistic, 1000, n + 1)
+    got = percentile_bootstrap(values, statistic, n_boot=n_boot, seed=n + 1)
+    assert got == _bootstrap_per_replicate(values, statistic, n_boot, n + 1)
 
 
 def test_bootstrap_rejects_empty():

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from freshkit.errors import BadLabelIndex, BadTrainConfig, ComputeError, DimensionMismatch
+from freshkit.errors import (
+    BadLabelIndex,
+    BadTrainConfig,
+    ComputeError,
+    DimensionMismatch,
+    MalformedModel,
+)
 from freshkit.tiny_model import (
     TinyClassifier,
     TrainConfig,
@@ -336,6 +342,40 @@ def test_serialization_round_trip(tmp_path):
     assert doc["input_dim"] == 5
     assert doc["hidden_dim"] == 7
     assert doc["n_classes"] == 4
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "not a model JSON object (JSONDecodeError: Expecting value"),
+    ('{"input_dim": 16}', "not a model JSON object (KeyError: 'hidden_dim')"),
+    ("[1]", "not a model JSON object (TypeError: list indices"),
+    ('{"input_dim": 1e400, "hidden_dim": 0, "n_classes": 1, "params": []}',
+     "not a model JSON object (OverflowError: "),
+    ('{"input_dim": 1, "hidden_dim": 0, "n_classes": 1, "params": ["a", 0]}',
+     "not a model JSON object (ValueError: "),
+    ('{"input_dim": -16, "hidden_dim": 8, "n_classes": 4, "params": [0, 0]}',
+     "bad architecture (-16, 8, 4)"),
+    ('{"input_dim": 2, "hidden_dim": 0, "n_classes": 0, "params": []}',
+     "bad architecture (2, 0, 0)"),
+    ('{"input_dim": 2, "hidden_dim": 0, "n_classes": 2, "params": [0, 0]}',
+     "got 2 params, expected 6"),
+    ('{"input_dim": 1, "hidden_dim": 0, "n_classes": 1, "params": [[0, 0]]}',
+     "got 2 params, expected 2"),
+    ('{"input_dim": 1, "hidden_dim": 0, "n_classes": 1, "params": [NaN, 0]}',
+     "params are not all finite"),
+])
+def test_malformed_model_json_is_rejected(text, message):
+    with pytest.raises(MalformedModel) as err:
+        model_from_json(text)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("payload", [b'{"input_dim": 16}', b"\xff\xfe"])
+def test_load_model_names_the_path(tmp_path, payload):
+    path = tmp_path / "model.json"
+    path.write_bytes(payload)
+    with pytest.raises(MalformedModel) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_forward_shapes():
