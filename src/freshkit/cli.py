@@ -41,6 +41,7 @@ from .data_model import (
     read_pgm,
     read_pgm_values,
     read_ppm,
+    read_utf8,
     write_logit_csv,
     write_pgm,
 )
@@ -304,8 +305,7 @@ def _cmd_cls_eval(args):
 
 
 def _read_class_map(path: str) -> dict[str, str]:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in read_utf8(path).splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "id,class":
         raise InputFormatError(f"{path}: expected header 'id,class'")
     mapping = {}
@@ -402,7 +402,7 @@ def _cmd_mcnemar(args):
 def _cmd_bootstrap(args):
     path = Path(args.values)
     values = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(read_utf8(path).splitlines(), start=1):
         token = line.strip()
         if not token:
             continue

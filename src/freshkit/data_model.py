@@ -15,6 +15,7 @@ without copying.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,6 +29,7 @@ from .errors import (
     BadSplitTag,
     DimensionMismatch,
     InconsistentWidth,
+    InputFormatError,
     MalformedHeader,
     NonFiniteLogit,
     TruncatedPayload,
@@ -41,6 +43,7 @@ __all__ = [
     "RecordTable",
     "BinaryMask",
     "RgbImage",
+    "read_utf8",
     "read_logit_csv",
     "write_logit_csv",
     "read_pgm",
@@ -164,6 +167,17 @@ class RgbImage:
         return bool(np.array_equal(self.pixels, other.pixels))
 
 
+# --- text files -----------------------------------------------------------
+
+def read_utf8(path: str | Path, error: type[InputFormatError] = InputFormatError) -> str:
+    """A file's text, newlines untranslated; bytes that are not UTF-8 raise
+    error, naming the path and the byte offset."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: byte {exc.start} ({exc.reason})") from None
+
+
 # --- logit CSV ------------------------------------------------------------
 
 _SPLIT_TAGS = {s.value: s for s in Split}
@@ -193,8 +207,7 @@ def read_feature_csv(path: str | Path, column_prefix: str = "x") -> RecordTable:
 
 def _read_table(path: str | Path, column_prefix: str, bounded: bool) -> RecordTable:
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_utf8(path), newline="")))
     if not rows:
         raise MalformedHeader(f"{path}: empty file")
     header = rows[0]

@@ -5,7 +5,8 @@ added arc and 2k+1 its reverse, so arc e ^ 1 is always the reverse of arc
 e. max_flow views the arcs in compressed sparse rows: one stable sort over
 arc tails gives order, and the arcs out of node u are
 order[start[u]:start[u + 1]], in the order they were added. The augmenting
-search walks each range from its end.
+search walks each range from its end, reading and writing the arc arrays
+through memoryviews so that every element is a plain Python int or float.
 
 Each phase's BFS expands the whole frontier at once and stops at the level
 of the sink, because no augmenting path runs through a node past it. The
@@ -44,32 +45,33 @@ def _bfs_levels(start, order, to, cap, level, s, t):
 def _augment_once(start, order, to, cap, level, iters, path, s, t):
     """Push flow along one shortest augmenting path; 0.0 when none is left.
 
-    iters[u] is the position in order of the next arc out of u to try; it
-    counts down to start[u].
+    Every argument array is a memoryview. iters[u] is the position in order
+    of the next arc out of u to try; it counts down to start[u].
     """
     depth = 0
     u = s
     while True:
         if u == t:
             arcs = path[:depth]
-            bottleneck = cap[arcs].min()
-            cap[arcs] -= bottleneck
-            cap[arcs ^ 1] += bottleneck
+            bottleneck = min([cap[e] for e in arcs])
+            for e in arcs:
+                cap[e] -= bottleneck
+                cap[e ^ 1] += bottleneck
             return bottleneck
-        advanced = False
         i = iters[u]
-        while i >= start[u]:
+        lo = start[u]
+        next_level = level[u] + 1
+        while i >= lo:
             e = order[i]
-            v = to[e]
-            if cap[e] > 0.0 and level[v] == level[u] + 1:
-                path[depth] = e
-                depth += 1
-                u = v
-                advanced = True
+            if cap[e] > 0.0 and level[to[e]] == next_level:
                 break
             i -= 1
-            iters[u] = i
-        if not advanced:
+        iters[u] = i
+        if i >= lo:
+            path[depth] = e
+            depth += 1
+            u = to[e]
+        else:
             level[u] = -1
             if u == s:
                 return 0.0
@@ -82,11 +84,12 @@ def _dinic(start, order, to, cap, level, s, t):
     n = start.size - 1
     iters = np.empty(n, np.int64)
     path = np.empty(n, np.int64)
+    views = [memoryview(a) for a in (start, order, to, cap, level, iters, path)]
     total = 0.0
     while _bfs_levels(start, order, to, cap, level, s, t):
         iters[:] = start[1:] - 1
         while True:
-            pushed = _augment_once(start, order, to, cap, level, iters, path, s, t)
+            pushed = _augment_once(*views, s, t)
             if pushed == 0.0:
                 break
             total += pushed

@@ -138,22 +138,22 @@ def _floor_covariance(cov: np.ndarray) -> np.ndarray:
     return (vectors * values) @ vectors.T
 
 
-def _log_gauss(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = points - mean
-    _, logdet = np.linalg.slogdet(cov)
-    precision = np.linalg.inv(cov)
-    quad = np.einsum("ni,ij,nj->n", d, precision, d)
-    dim = points.shape[1]
-    return -0.5 * (dim * math.log(2.0 * math.pi) + logdet + quad)
-
-
 def _mixture_log_matrix(points, weights, means, covs) -> np.ndarray:
-    """log(w_k) + log N(x | mu_k, S_k) as an (n, K) matrix."""
-    n, k = points.shape[0], weights.shape[0]
-    log_terms = np.empty((n, k))
-    for comp in range(k):
-        log_terms[:, comp] = math.log(weights[comp]) + _log_gauss(points, means[comp], covs[comp])
-    return log_terms
+    """log(w_k) + log N(x | mu_k, S_k) as an (n, K) matrix.
+
+    With S_k = L_k L_k^T, the Mahalanobis term is ||L_k^-1 (x - mu_k)||^2
+    and log det S_k = 2 * sum(log diag L_k), for all K components at once.
+    """
+    chol = np.linalg.cholesky(covs)
+    # contiguous, so that the stacked matmul runs on BLAS
+    whiten = np.ascontiguousarray(np.linalg.inv(chol).transpose(0, 2, 1))
+    y = (points - means[:, None, :]) @ whiten
+    y *= y
+    # rounds as y.sum(axis=2) does, without its slow reduction over 3 items
+    quad = y[..., 0] + y[..., 1] + y[..., 2]
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    log_gauss = -0.5 * (3 * math.log(2.0 * math.pi) + logdet[:, None] + quad)
+    return (np.log(weights)[:, None] + log_gauss).T
 
 
 def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -245,23 +245,30 @@ def _grid_pairs(height: int, width: int) -> np.ndarray:
     return np.concatenate([horizontal, vertical])
 
 
-def build_cut_problem(image: RgbImage, fg_gmm: GmmModel, bg_gmm: GmmModel,
-                      smoothness: float = 50.0, locked_bg=None) -> CutProblem:
-    """Assemble data and smoothness terms from an image and two mixtures.
-
-    smoothness must be finite and >= 0: a negative weight makes the energy
-    non-submodular, which an exact min-cut cannot minimize.
-    """
+def _image_terms(image: RgbImage, smoothness: float):
+    """What a cut problem takes from the image alone: the Lab pixels as
+    (n, 3), the 4-neighbor pairs and their cut penalties."""
     if not (math.isfinite(smoothness) and smoothness >= 0.0):
         raise BadParameter(f"smoothness must be finite and >= 0, got {smoothness}")
-    lab = rgb_to_lab(image.pixels)
-    height, width = lab.shape[:2]
-    z = lab.reshape(-1, 3)
-    pairs = _grid_pairs(height, width)
+    z = rgb_to_lab(image.pixels).reshape(-1, 3)
+    pairs = _grid_pairs(image.height, image.width)
     diff2 = ((z[pairs[:, 0]] - z[pairs[:, 1]]) ** 2).sum(axis=1)
     mean_diff2 = float(diff2.mean()) if diff2.size else 0.0
     beta = 0.0 if mean_diff2 <= 0.0 else 1.0 / (2.0 * mean_diff2)
-    pair_w = smoothness * np.exp(-beta * diff2)
+    return z, pairs, smoothness * np.exp(-beta * diff2)
+
+
+def build_cut_problem(image: RgbImage, fg_gmm: GmmModel, bg_gmm: GmmModel,
+                      smoothness: float = 50.0, locked_bg=None, *,
+                      terms=None) -> CutProblem:
+    """Assemble data and smoothness terms from an image and two mixtures.
+
+    smoothness must be finite and >= 0: a negative weight makes the energy
+    non-submodular, which an exact min-cut cannot minimize. terms, when
+    given, is _image_terms(image, smoothness) computed once by the caller.
+    """
+    z, pairs, pair_w = _image_terms(image, smoothness) if terms is None else terms
+    height, width = image.height, image.width
     if locked_bg is None:
         locked = np.zeros(height * width, dtype=bool)
     else:
@@ -271,14 +278,8 @@ def build_cut_problem(image: RgbImage, fg_gmm: GmmModel, bg_gmm: GmmModel,
                 f"locked_bg shape {locked.shape} does not match image {(height, width)}"
             )
         locked = locked.ravel()
-    return CutProblem(
-        shape=(height, width),
-        d_fg=gmm_nll(fg_gmm, z),
-        d_bg=gmm_nll(bg_gmm, z),
-        pairs=pairs,
-        pair_w=pair_w,
-        locked_bg=locked,
-    )
+    return CutProblem((height, width), gmm_nll(fg_gmm, z), gmm_nll(bg_gmm, z),
+                      pairs, pair_w, locked)
 
 
 def cut_energy(problem: CutProblem, labels) -> float:
@@ -350,10 +351,15 @@ def grabcut(image: RgbImage, seed: int = 42, n_iter: int = 5,
     first cut) the box interior is returned with the degenerate flag set.
     A refit is only accepted when it does not worsen the data term of the
     current assignment, so the energy trace never increases.
+
+    The Lab pixels and the n-links are computed once per image. A cut
+    repeated after two rejected refits is reused, not re-solved: its
+    problem is the last one.
     """
     box = init_box(image.width, image.height, seed)
     locked = ~box.interior_mask(image.height, image.width)
-    lab = rgb_to_lab(image.pixels).reshape(-1, 3)
+    terms = _image_terms(image, smoothness)
+    lab = terms[0]
     fg_mask = ~locked
     fg_gmm = bg_gmm = None
     energies: list[float] = []
@@ -364,11 +370,15 @@ def grabcut(image: RgbImage, seed: int = 42, n_iter: int = 5,
             return GrabCutResult(BinaryMask(~locked), box, True, tuple(energies))
         new_fg = fit_gmm(fg_px, n_components, seed=derive_seed(seed, iteration, 0))
         new_bg = fit_gmm(bg_px, n_components, seed=derive_seed(seed, iteration, 1))
+        refit = False
         if fg_gmm is None or gmm_nll(new_fg, fg_px).sum() <= gmm_nll(fg_gmm, fg_px).sum():
-            fg_gmm = new_fg
+            fg_gmm, refit = new_fg, True
         if bg_gmm is None or gmm_nll(new_bg, bg_px).sum() <= gmm_nll(bg_gmm, bg_px).sum():
-            bg_gmm = new_bg
-        problem = build_cut_problem(image, fg_gmm, bg_gmm, smoothness, locked)
+            bg_gmm, refit = new_bg, True
+        if not refit:
+            energies.append(energies[-1])
+            continue
+        problem = build_cut_problem(image, fg_gmm, bg_gmm, smoothness, locked, terms=terms)
         labels = solve_cut(problem)
         energies.append(cut_energy(problem, labels))
         if not labels.any():

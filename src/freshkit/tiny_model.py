@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data_model import read_utf8
 from .errors import (
     BadLabelIndex,
     BadTrainConfig,
@@ -396,9 +397,10 @@ def model_from_json(text: str) -> TinyClassifier:
 
 def load_model(path: str | Path) -> TinyClassifier:
     """Read a file written by save_model; errors name the path."""
+    text = read_utf8(path, MalformedModel)
     try:
-        return model_from_json(Path(path).read_text())
-    except (MalformedModel, UnicodeDecodeError) as exc:
+        return model_from_json(text)
+    except MalformedModel as exc:
         raise MalformedModel(f"{path}: {exc}") from None
 
 

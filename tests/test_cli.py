@@ -896,7 +896,9 @@ def run_contract(command, rows, tmp):
     """Run one RECORD_CSV_COMMANDS entry in-process with rows as {f}."""
     argv, prefix = RECORD_CSV_COMMANDS[command]
     files = {"f": tmp / "f.csv", "good": tmp / "good.csv", "scores": tmp / "scores.csv"}
-    files["f"].write_text("".join(",".join(row) + "\n" for row in rows))
+    # lone surrogates stand for raw bytes, so a row can hold bytes that are not UTF-8
+    files["f"].write_bytes("".join(",".join(row) + "\n" for row in rows)
+                          .encode("utf-8", "surrogateescape"))
     files["good"].write_text("".join(",".join(row) + "\n" for row in contract_rows(prefix)))
     out = tmp / "report.json"
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -913,7 +915,8 @@ def test_contract_base_files_are_valid(tmp_path, command):
     assert written[0].exists()
 
 
-@pytest.mark.parametrize("kind", ["empty", "header", "ragged", "split", "label", "cell"])
+@pytest.mark.parametrize("kind", ["empty", "header", "ragged", "split", "label", "cell",
+                                  "encoding"])
 @pytest.mark.parametrize("command", sorted(RECORD_CSV_COMMANDS))
 @settings(derandomize=True, max_examples=5, deadline=None)
 @given(data=st.data())
@@ -936,9 +939,15 @@ def test_malformed_record_csv_exits_2_with_one_line(command, kind, data):
         n_columns = len(header) - 3
         out_of_range = [str(2 ** 63)] if prefix == "x" else [str(n_columns), str(n_columns + 4)]
         row[2] = data.draw(st.sampled_from(["1.5", "x", " ", "-2", "-10", *out_of_range]))
-    else:
+    elif kind == "cell":
         j = data.draw(st.integers(3, len(header) - 1), label="column")
         row[j] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "", "0x1"]))
+    else:
+        # bytes 0xff 0xfe, latin-1 e-acute, a lead byte with a bad continuation
+        bad = data.draw(st.sampled_from(["\udcff\udcfe", "\udce9", "\udcc3("]))
+        cells = header if data.draw(st.booleans(), label="in header") else row
+        j = data.draw(st.integers(0, len(cells) - 1), label="column")
+        cells[j] += bad
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err, written = run_contract(command, rows, Path(tmp))
         assert code == 2
@@ -948,6 +957,34 @@ def test_malformed_record_csv_exits_2_with_one_line(command, kind, data):
         assert match, err
         assert issubclass(getattr(errors, match.group(1)), errors.InputFormatError)
         assert not any(path.exists() for path in written)
+
+
+def test_class_map_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+        write_pgm(tmp_path / d / "m0.pgm", BinaryMask(np.ones((4, 4), dtype=bool)))
+    class_map = tmp_path / "classes.csv"
+    class_map.write_bytes(b"id,class\nm0,fr\xe9sh\n")
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(["seg-eval", "--pred", str(tmp_path / "pred"),
+                                 "--gt", str(tmp_path / "gt"), "--classes", str(class_map),
+                                 "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (f"freshkit seg-eval: InputFormatError: {class_map}: "
+                   "not UTF-8: byte 14 (invalid continuation byte)\n")
+    assert not out.exists()
+
+
+def test_values_file_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
+    values = tmp_path / "v.txt"
+    values.write_bytes(b"0.5\n0.25\n\xff\n")
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(["bootstrap", "--values", str(values), "--out", str(out)],
+                                capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (f"freshkit bootstrap: InputFormatError: {values}: "
+                   "not UTF-8: byte 9 (invalid start byte)\n")
+    assert not out.exists()
 
 
 # --- rendering result dataclasses ------------------------------------------------

@@ -350,6 +350,20 @@ def test_levels_match_reference_phase_by_phase(network):
     _assert_same_phases(levels, expected_levels, t)
 
 
+@PROPERTY
+@given(flow_networks())
+def test_residual_capacities_match_reference_arc_by_arc(network):
+    # pins the float64 order of every bottleneck update, not just the flow
+    *_, s, t = network
+    graph, reference = _build_both(network)
+    start, order, to, cap = graph._arrays()
+    head, nxt, ref_to, ref_cap = reference._arrays()
+    flow = maxflow._dinic(start, order, to, cap, np.empty(graph.n_nodes, np.int64), s, t)
+    expected = _ref_dinic(head, nxt, ref_to, ref_cap, np.empty(graph.n_nodes, np.int64), s, t)
+    assert flow == expected
+    assert cap.tolist() == ref_cap.tolist()
+
+
 # --- add_edge checks ------------------------------------------------------------------
 
 def test_scalar_arcs_still_solve():

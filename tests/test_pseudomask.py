@@ -1,9 +1,11 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from freshkit import pseudomask
 from freshkit.data_model import BinaryMask, RgbImage
 from freshkit.errors import (
     BadParameter,
@@ -15,6 +17,8 @@ from freshkit.errors import (
 from freshkit.pseudomask import (
     Box,
     CutProblem,
+    GmmModel,
+    GrabCutResult,
     apply_mask,
     build_cut_problem,
     cut_energy,
@@ -28,8 +32,10 @@ from freshkit.pseudomask import (
     rgb_to_lab,
     solve_cut,
 )
-from freshkit.pseudomask import _grid_pairs
+from freshkit.pseudomask import _floor_covariance, _grid_pairs, _mixture_log_matrix
+from freshkit.scoring import stable_logsumexp
 from freshkit.seg_eval import mask_metrics
+from freshkit.tiny_model import derive_seed
 
 
 # --- init box ---------------------------------------------------------------
@@ -168,6 +174,60 @@ def test_gmm_nll_orders_points_by_fit():
     near = gmm_nll(model, np.array([[-6.0, -6.0, -6.0]]))[0]
     far = gmm_nll(model, np.array([[30.0, -30.0, 12.0]]))[0]
     assert near < far
+
+
+def _reference_mixture_log_matrix(points, weights, means, covs):
+    """The per-component slogdet + inv + einsum kernel the batched Cholesky one replaced."""
+    log_terms = np.empty((points.shape[0], weights.shape[0]))
+    for comp in range(weights.shape[0]):
+        d = points - means[comp]
+        _, logdet = np.linalg.slogdet(covs[comp])
+        quad = np.einsum("ni,ij,nj->n", d, np.linalg.inv(covs[comp]), d)
+        log_gauss = -0.5 * (3 * math.log(2.0 * math.pi) + logdet + quad)
+        log_terms[:, comp] = math.log(weights[comp]) + log_gauss
+    return log_terms
+
+
+def _mixture_case(name):
+    """(points, weights, means, covs) for one kernel test case."""
+    rng = np.random.default_rng(31)
+    k = 1 if name == "k1" else 5
+    means = rng.normal(50.0, 20.0, size=(k, 3))
+    if name == "floored":
+        # rank-deficient and zero scatter, floored to small eigenvalues only.
+        # A floored covariance with a condition number near 1e8 puts both
+        # kernels about 1e-7 (relative) from the exact value, so 1e-12 only
+        # holds where the floor leaves the covariance well-conditioned.
+        shapes = [np.zeros((3, 3)), np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]) * 3e-7,
+                  np.diag([0.0, 4e-6, 0.0]), np.diag([2e-6, 0.0, 5e-6]), np.zeros((3, 3))]
+        points = means[rng.integers(k, size=200)] + rng.normal(0.0, 2e-3, size=(200, 3))
+    else:
+        shapes = [a @ a.T + np.eye(3) for a in rng.normal(0.0, 8.0, size=(k, 3, 3))]
+        points = rng.normal(50.0, 30.0, size=(300, 3))
+    covs = np.stack([_floor_covariance(c) for c in shapes])
+    if name == "one pixel":
+        points = points[:1]
+    return points, rng.dirichlet(np.ones(k)), means, covs
+
+
+@pytest.mark.parametrize("name", ["k1", "k5", "floored", "one pixel"])
+def test_mixture_kernel_matches_per_component_reference(name):
+    points, weights, means, covs = _mixture_case(name)
+    expected = _reference_mixture_log_matrix(points, weights, means, covs)
+    got = _mixture_log_matrix(points, weights, means, covs)
+    assert got.shape == expected.shape == (points.shape[0], weights.shape[0])
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    model = GmmModel(weights, means, covs, ())
+    np.testing.assert_allclose(gmm_nll(model, points), -stable_logsumexp(expected),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("points", [np.zeros((50, 3)), _two_blobs(100, seed=9)])
+def test_fitted_mixture_nll_matches_per_component_reference(points):
+    model = fit_gmm(points, n_components=5, seed=10)
+    expected = -stable_logsumexp(_reference_mixture_log_matrix(
+        points, model.weights, model.means, model.covariances))
+    np.testing.assert_allclose(gmm_nll(model, points), expected, rtol=1e-12, atol=0.0)
 
 
 # --- exact min-cut ----------------------------------------------------------------
@@ -336,6 +396,81 @@ def test_grabcut_uniform_image_degenerates_to_box():
     assert result.degenerate
     assert np.array_equal(result.mask.pixels,
                           result.box.interior_mask(32, 32))
+
+
+def _reference_grabcut(image, seed=42, n_iter=5, n_components=5, smoothness=50.0):
+    """grabcut before it reused its Lab pixels, n-links and repeated cuts."""
+    box = init_box(image.width, image.height, seed)
+    locked = ~box.interior_mask(image.height, image.width)
+    lab = rgb_to_lab(image.pixels).reshape(-1, 3)
+    fg_mask = ~locked
+    fg_gmm = bg_gmm = None
+    energies = []
+    for iteration in range(n_iter):
+        fg_px = lab[fg_mask.ravel()]
+        bg_px = lab[~fg_mask.ravel()]
+        if fg_px.shape[0] < n_components or bg_px.shape[0] < n_components:
+            return GrabCutResult(BinaryMask(~locked), box, True, tuple(energies))
+        new_fg = fit_gmm(fg_px, n_components, seed=derive_seed(seed, iteration, 0))
+        new_bg = fit_gmm(bg_px, n_components, seed=derive_seed(seed, iteration, 1))
+        if fg_gmm is None or gmm_nll(new_fg, fg_px).sum() <= gmm_nll(fg_gmm, fg_px).sum():
+            fg_gmm = new_fg
+        if bg_gmm is None or gmm_nll(new_bg, bg_px).sum() <= gmm_nll(bg_gmm, bg_px).sum():
+            bg_gmm = new_bg
+        problem = build_cut_problem(image, fg_gmm, bg_gmm, smoothness, locked)
+        labels = solve_cut(problem)
+        energies.append(cut_energy(problem, labels))
+        if not labels.any():
+            return GrabCutResult(BinaryMask(~locked), box, True, tuple(energies))
+        fg_mask = labels.reshape(image.height, image.width)
+    return GrabCutResult(BinaryMask(fg_mask), box, False, tuple(energies))
+
+
+def _textured_image(size, seed):
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:size, 0:size]
+    disc = (yy - size * 0.45) ** 2 + (xx - size * 0.5) ** 2 <= (size * 0.3) ** 2
+    stripes = (np.sin(xx * 0.9) + np.cos(yy * 0.7))[..., None] * 30
+    img = np.where(disc[..., None], (170, 70, 60), (60, 90, 120)) + stripes
+    img += rng.normal(0.0, 12.0, size=img.shape)
+    return RgbImage(np.clip(img, 0, 255).astype(np.uint8))
+
+
+def _noisy_ellipse(size, seed):
+    image, _ = _ellipse_image(size, size, seed)
+    noise = np.random.default_rng(seed + 1).integers(-40, 41, size=image.pixels.shape)
+    return RgbImage(np.clip(image.pixels + noise, 0, 255).astype(np.uint8))
+
+
+@pytest.mark.parametrize("image, seed, skips", [
+    pytest.param(_ellipse_image(128, 128, seed=5)[0], 42, 1, id="criterion07-ellipse"),
+    pytest.param(_noisy_ellipse(64, seed=23), 7, 2, id="noisy-ellipse"),
+    pytest.param(_textured_image(64, seed=24), 42, 1, id="textured"),
+])
+def test_grabcut_matches_reference_without_repeated_work(image, seed, skips):
+    expected = _reference_grabcut(image, seed=seed)
+    calls = {"solve_cut": 0, "rgb_to_lab": 0}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with mock.patch.object(pseudomask, "solve_cut", counting(solve_cut)), \
+            mock.patch.object(pseudomask, "rgb_to_lab", counting(rgb_to_lab)):
+        result = grabcut(image, seed=seed)
+    assert result.mask == expected.mask
+    assert result.energies == expected.energies
+    assert not result.degenerate and not expected.degenerate
+    assert calls["rgb_to_lab"] == 1
+    # each cut left out repeats the one before it, after both refits were rejected
+    assert len(result.energies) - calls["solve_cut"] == skips
+    # and the per-component kernel the batched one replaced gives the same masks
+    with mock.patch.object(pseudomask, "_mixture_log_matrix", _reference_mixture_log_matrix):
+        old_kernel = _reference_grabcut(image, seed=seed)
+    assert result.mask == old_kernel.mask
+    np.testing.assert_allclose(result.energies, old_kernel.energies, rtol=1e-12, atol=0.0)
 
 
 # --- cleanup -------------------------------------------------------------------

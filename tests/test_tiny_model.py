@@ -378,6 +378,14 @@ def test_load_model_names_the_path(tmp_path, payload):
     assert str(err.value).startswith(f"{path}: ")
 
 
+def test_load_model_reports_bad_bytes_as_other_text_readers_do(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"input_dim": \xe9}')
+    with pytest.raises(MalformedModel) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: not UTF-8: byte 14 (invalid continuation byte)"
+
+
 def test_forward_shapes():
     model = init_model(3, 4, 2, seed=1)
     single = forward(model, np.zeros(3))
