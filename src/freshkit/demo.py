@@ -24,7 +24,7 @@ from .hygiene import HyperGrid, nested_cv_run, stratified_split
 from .ood_eval import DEFAULT_TAUS, ScoredSample, ood_metrics, threshold_sweep
 from .scoring import OdinConfig, energy_score, msp_score, odin_score
 from .stats import mcnemar, paired_acc_diff_ci, paired_outcomes
-from .tiny_model import TrainConfig, derive_seed, forward, init_model, train
+from .tiny_model import TrainConfig, derive_seed, forward, init_model, train_group
 
 N_CLASSES = 4
 N_PER_CLASS = 150
@@ -89,8 +89,8 @@ def run_demo(seed: int = 42) -> dict:
 
     def fit(config: TrainConfig, tag: int):
         model = init_model(2, HIDDEN_DIM, N_CLASSES, seed=derive_seed(seed, tag, 0))
-        fitted, _ = train(model, xs[fit_ids], labels[fit_ids],
-                          replace(config, seed=derive_seed(seed, tag, 1)))
+        (fitted,) = train_group(model, xs[fit_ids], labels[fit_ids],
+                                [replace(config, seed=derive_seed(seed, tag, 1))])
         return fitted
 
     model = fit(best, 1)

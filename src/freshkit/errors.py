@@ -107,6 +107,10 @@ class BadTrainConfig(ComputeError):
     """A training setting is outside its valid range."""
 
 
+class TrainingDiverged(ComputeError):
+    """Training left some parameter infinite or NaN."""
+
+
 class TooFewSamplesPerClass(ComputeError):
     """Some class has fewer samples than the fold layout needs."""
 

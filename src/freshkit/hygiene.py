@@ -34,7 +34,7 @@ from .tiny_model import (
     derive_seed,
     forward,
     init_model,
-    train,
+    train_group,
 )
 
 __all__ = [
@@ -405,29 +405,37 @@ class SelectionResult:
     stage2: tuple[CandidateScore, ...]
 
 
-def _eval_candidate(config: TrainConfig, xs: np.ndarray, labels: np.ndarray,
-                    plan: FoldPlan, outer_index: int, hidden_dim: int,
-                    n_classes: int, stage: int, seed: int) -> float:
-    """Mean inner-validation accuracy of one config on one outer fold.
+def _eval_configs(configs: list[TrainConfig], xs: np.ndarray, labels: np.ndarray,
+                  plan: FoldPlan, outer_index: int, hidden_dim: int,
+                  n_classes: int, stage: int, seed: int) -> list[float]:
+    """Mean inner-validation accuracy of each config on one outer fold.
 
-    Seeds depend on (outer fold, stage, inner fold) but never on the
+    Seeds depend on (outer fold, stage, inner fold) but never on a
     candidate's position in the grid, so every candidate trains from the same
     initialization on the same batches. Configs with identical effect then
-    score identically and the tie rules actually decide.
+    score identically and the tie rules actually decide. That is also what
+    lets each inner fold train the candidates as groups in lockstep: one
+    group per mixup alpha, since the batch draws depend on it. Scores come
+    back in the order of configs.
     """
     train_ids = set(plan.outer_train(outer_index))
-    accs = []
+    accs: list[list[float]] = [[] for _ in configs]
     for fold, val in enumerate(plan.inner_val[outer_index]):
         val_ids = np.asarray(val)
         fit_ids = np.asarray(sorted(train_ids - set(val)))
+        fit_xs, fit_labels = xs[fit_ids], labels[fit_ids]
         run_seed = derive_seed(seed, outer_index, stage, fold)
         model = init_model(xs.shape[1], hidden_dim, n_classes,
                            seed=derive_seed(run_seed, 0))
-        fitted, _ = train(model, xs[fit_ids], labels[fit_ids],
-                          replace(config, seed=derive_seed(run_seed, 1)))
-        pred = forward(fitted, xs[val_ids]).argmax(axis=1)
-        accs.append(float((pred == labels[val_ids]).mean()))
-    return float(np.mean(accs))
+        batch_seed = derive_seed(run_seed, 1)
+        for alpha in dict.fromkeys(c.mixup_alpha for c in configs):
+            members = [i for i, c in enumerate(configs) if c.mixup_alpha == alpha]
+            fitted = train_group(model, fit_xs, fit_labels,
+                                 [replace(configs[i], seed=batch_seed) for i in members])
+            for i, model_i in zip(members, fitted):
+                pred = forward(model_i, xs[val_ids]).argmax(axis=1)
+                accs[i].append(float((pred == labels[val_ids]).mean()))
+    return [float(np.mean(a)) for a in accs]
 
 
 def _pick_best(cands: list[CandidateScore]) -> CandidateScore:
@@ -451,23 +459,26 @@ def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
     label smoothing and keeps the top_k configs by mean inner accuracy.
     Stage 2 crosses the survivors with backbone lr x mixup. Ties break
     toward lower weight decay, then earlier enumeration order.
+
+    Every candidate of a stage shares its initialization and batch seed on
+    each inner fold, so the stage trains per inner fold as stacked groups:
+    one for stage 1, one per distinct mixup alpha for stage 2. A candidate's
+    score equals training it alone.
     """
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels)
     n_classes = int(labels.max()) + 1
 
-    stage1: list[CandidateScore] = []
-    combos1 = list(itertools.product(grid.head_lrs, grid.weight_decays,
-                                     grid.label_smoothings))
-    for head_lr, decay, smoothing in combos1:
-        config = TrainConfig(
-            epochs=epochs, batch_size=batch_size, head_lr=head_lr,
-            backbone_lr=0.0, weight_decay=decay, label_smoothing=smoothing,
-            mixup_alpha=0.0, seed=0,
-        )
-        score = _eval_candidate(config, xs, labels, plan, outer_index,
-                                hidden_dim, n_classes, 1, seed)
-        stage1.append(CandidateScore(config, score))
+    configs1 = [
+        TrainConfig(epochs=epochs, batch_size=batch_size, head_lr=head_lr,
+                    backbone_lr=0.0, weight_decay=decay, label_smoothing=smoothing,
+                    mixup_alpha=0.0, seed=0)
+        for head_lr, decay, smoothing in itertools.product(
+            grid.head_lrs, grid.weight_decays, grid.label_smoothings)
+    ]
+    scores1 = _eval_configs(configs1, xs, labels, plan, outer_index,
+                            hidden_dim, n_classes, 1, seed)
+    stage1 = [CandidateScore(c, s) for c, s in zip(configs1, scores1)]
 
     ranked = sorted(
         range(len(stage1)),
@@ -475,15 +486,14 @@ def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
     )
     survivors = [stage1[i] for i in ranked[:grid.top_k]]
 
-    stage2: list[CandidateScore] = []
-    combos2 = list(itertools.product(range(len(survivors)), grid.backbone_lrs,
-                                     grid.mixup_alphas))
-    for si, backbone_lr, mixup_alpha in combos2:
-        config = replace(survivors[si].config, backbone_lr=backbone_lr,
-                         mixup_alpha=mixup_alpha)
-        score = _eval_candidate(config, xs, labels, plan, outer_index,
-                                hidden_dim, n_classes, 2, seed)
-        stage2.append(CandidateScore(config, score))
+    configs2 = [
+        replace(survivors[si].config, backbone_lr=backbone_lr, mixup_alpha=mixup_alpha)
+        for si, backbone_lr, mixup_alpha in itertools.product(
+            range(len(survivors)), grid.backbone_lrs, grid.mixup_alphas)
+    ]
+    scores2 = _eval_configs(configs2, xs, labels, plan, outer_index,
+                            hidden_dim, n_classes, 2, seed)
+    stage2 = [CandidateScore(c, s) for c, s in zip(configs2, scores2)]
 
     return SelectionResult(_pick_best(stage2).config, tuple(stage1), tuple(stage2))
 
@@ -541,8 +551,8 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
         run_seed = derive_seed(seed, k, 3)
         model = init_model(xs.shape[1], hidden_dim, n_classes,
                            seed=derive_seed(run_seed, 0))
-        fitted, _ = train(model, xs[train_ids], labels[train_ids],
-                          replace(choice.best, seed=derive_seed(run_seed, 1)))
+        (fitted,) = train_group(model, xs[train_ids], labels[train_ids],
+                                [replace(choice.best, seed=derive_seed(run_seed, 1))])
         pred = forward(fitted, xs[test_ids]).argmax(axis=1)
         accuracies.append(float((pred == labels[test_ids]).mean()))
         selections.append(choice)

@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     EmptyDataset,
     MalformedModel,
+    TrainingDiverged,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "grads_from_targets",
     "nll_input_gradient",
     "train",
+    "train_group",
     "model_to_json",
     "model_from_json",
     "load_model",
@@ -171,13 +173,14 @@ def _forward(params: tuple, xs: np.ndarray) -> tuple[np.ndarray | None, np.ndarr
     hidden is None for the linear model.
 
     xs is (N, D), or (N, 1, D) to evaluate every row as its own one-row
-    product, which rounds exactly as a one-sample call does.
+    product, which rounds exactly as a one-sample call does. Parameters
+    stacked as (G, ., .) with (G, 1, .) biases give (G, N, .) outputs.
     """
     w_in, b_in, w_out, b_out = params
-    if w_in.shape[0]:
-        hidden = np.tanh(xs @ w_in.T + b_in)
-        return hidden, hidden @ w_out.T + b_out
-    return None, xs @ w_out.T + b_out
+    if w_in.shape[-2]:
+        hidden = np.tanh(xs @ w_in.mT + b_in)
+        return hidden, hidden @ w_out.mT + b_out
+    return None, xs @ w_out.mT + b_out
 
 
 def _backward(params: tuple, hidden: np.ndarray | None, dlogits: np.ndarray,
@@ -308,14 +311,19 @@ def nll_input_gradient(model: TinyClassifier, x: np.ndarray, label: int | np.nda
     return dx[0] if single else dx
 
 
-def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
-          config: TrainConfig) -> tuple[TinyClassifier, list[EpochStats]]:
-    """Plain SGD over shuffled mini-batches; returns the model and a per-epoch trace.
+def _sgd(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray, configs):
+    """Plain SGD of one initialization under every config at once.
 
-    The trace entry for an epoch is the full-dataset smoothed loss and
-    accuracy after that epoch's updates. Both learning rates at zero leave
-    the parameters bit-identical. Identical seed, config, and data give a
-    bit-identical model.
+    Parameters are stacked along a leading axis G, one slice per config,
+    with biases shaped (G, 1, .). The first yield is the stacked list
+    [w_in, b_in, w_out, b_out]; it is updated in place and yielded again
+    after each epoch. Learning rates, weight decay and smoothed targets vary
+    along G; the configs must share epochs, batch size, seed and mixup, so
+    every slice sees the same batches. numpy runs a stacked matmul as one
+    2-D product per slice, so each slice is bit-identical to a G = 1 run.
+
+    Exhausting the generator raises TrainingDiverged, naming the first
+    config, if some slice's parameters are not all finite.
     """
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -323,34 +331,118 @@ def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
         raise EmptyDataset("training needs at least one sample")
     if labels.shape != (xs.shape[0],):
         raise DimensionMismatch("labels must be one per sample")
+    configs = tuple(configs)
+    if not configs:
+        raise BadTrainConfig("need at least one config to train")
+    first = configs[0]
+    for config in configs[1:]:
+        for field in ("epochs", "batch_size", "seed", "mixup_alpha"):
+            if getattr(config, field) != getattr(first, field):
+                raise BadTrainConfig(f"configs trained together must share {field}; "
+                                     f"got {getattr(first, field)!r} and "
+                                     f"{getattr(config, field)!r}")
     n = xs.shape[0]
-    targets = _smoothed(labels, model.n_classes, config.label_smoothing)
-    rng = np.random.default_rng(config.seed)
-    params = tuple(p.copy() for p in (model.w_in, model.b_in, model.w_out, model.b_out))
+    targets = np.stack([_smoothed(labels, model.n_classes, c.label_smoothing)
+                        for c in configs])
+    head_lr, head = _group_rates(configs, "head_lr")
+    backbone_lr, backbone = _group_rates(configs, "backbone_lr")
+    if not model.hidden_dim:
+        backbone = None
+    decay = np.array([c.weight_decay for c in configs])[:, None, None]
+    params = [np.repeat(p[None], len(configs), axis=0)
+              for p in (model.w_in, model.b_in[None], model.w_out, model.b_out[None])]
     w_in, b_in, w_out, b_out = params
-    trace: list[EpochStats] = []
-    for _ in range(config.epochs):
+    rng = np.random.default_rng(first.seed)
+    yield params
+    for _ in range(first.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb = xs[idx]
-            tb = targets[idx]
-            if config.mixup_alpha > 0.0:
-                lam = float(rng.beta(config.mixup_alpha, config.mixup_alpha))
-                pair = rng.permutation(len(idx))
-                xb, tb = mixup(xb, tb, xb[pair], tb[pair], lam)
-            g = _grads(params, xb, tb).params
-            # group lr scales the decay too, so lr 0 freezes the group exactly
-            if config.backbone_lr != 0.0 and model.hidden_dim:
-                w_in -= config.backbone_lr * (g.w_in + config.weight_decay * w_in)
-                b_in -= config.backbone_lr * g.b_in
-            if config.head_lr != 0.0:
-                w_out -= config.head_lr * (g.w_out + config.weight_decay * w_out)
-                b_out -= config.head_lr * g.b_out
-        logits = _forward(params, xs)[1]
-        trace.append(EpochStats(_mean_nll(_log_softmax(logits), targets),
-                                float((logits.argmax(axis=1) == labels).mean())))
-    return TinyClassifier(*params), trace
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, first.batch_size):
+                idx = order[start:start + first.batch_size]
+                xb = xs[idx]
+                tb = targets[:, idx]
+                if first.mixup_alpha > 0.0:
+                    lam = float(rng.beta(first.mixup_alpha, first.mixup_alpha))
+                    pair = rng.permutation(len(idx))
+                    xb, tb = mixup(xb, tb, xb[pair], tb[:, pair], lam)
+                hidden, logits = _forward(params, xb)
+                dlogits = (np.exp(_log_softmax(logits)) - tb) / len(idx)
+                # grads from the pre-step parameters: the backbone's uses w_out
+                if backbone is not None:
+                    dpre = (dlogits @ w_out) * (1.0 - hidden * hidden)
+                    _step(w_in, b_in, dpre.mT @ xb, dpre.sum(axis=1, keepdims=True),
+                          backbone_lr, decay, backbone)
+                if head is not None:
+                    _step(w_out, b_out, dlogits.mT @ (xb if hidden is None else hidden),
+                          dlogits.sum(axis=1, keepdims=True), head_lr, decay, head)
+        yield params
+    finite = np.logical_and.reduce([np.isfinite(p).all(axis=(1, 2)) for p in params])
+    if not finite.all():
+        raise TrainingDiverged(f"parameters are not all finite after training with "
+                               f"{configs[int(np.argmin(finite))]}")
+
+
+def _group_rates(configs: tuple[TrainConfig, ...], name: str):
+    """(G, 1, 1) learning rates of one parameter group, and the slices they
+    move: all of them, the nonzero ones, or None when every slice is frozen."""
+    lr = np.array([getattr(c, name) for c in configs])[:, None, None]
+    live = np.flatnonzero(lr)
+    if live.size == len(configs):
+        return lr, slice(None)
+    return lr, (live if live.size else None)
+
+
+def _step(w: np.ndarray, b: np.ndarray, gw: np.ndarray, gb: np.ndarray,
+          lr: np.ndarray, decay: np.ndarray, live) -> None:
+    # only slices with a nonzero group lr move, and the lr scales the decay
+    # too, so lr 0 freezes its group exactly even when a gradient is not finite
+    w[live] -= lr[live] * (gw[live] + decay[live] * w[live])
+    b[live] -= lr[live] * gb[live]
+
+
+def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
+          config: TrainConfig) -> tuple[TinyClassifier, list[EpochStats]]:
+    """Plain SGD over shuffled mini-batches; returns the model and a per-epoch trace.
+
+    The trace entry for an epoch is the full-dataset smoothed loss and
+    accuracy after that epoch's updates. Both learning rates at zero leave
+    the parameters bit-identical. Identical seed, config, and data give a
+    bit-identical model. Non-finite trained parameters raise TrainingDiverged.
+    """
+    steps = _sgd(model, xs, labels, (config,))
+    params = next(steps)
+    xs = np.asarray(xs, dtype=np.float64)
+    labels = np.asarray(labels)
+    targets = _smoothed(labels, model.n_classes, config.label_smoothing)
+    trace: list[EpochStats] = []
+    for _ in steps:
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = _forward([p[0] for p in params], xs)[1]
+            trace.append(EpochStats(_mean_nll(_log_softmax(logits), targets),
+                                    float((logits.argmax(axis=1) == labels).mean())))
+    return _unstack(params)[0], trace
+
+
+def train_group(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
+                configs) -> tuple[TinyClassifier, ...]:
+    """train under each config from the same init, in one stacked SGD loop.
+
+    Model g is bit-identical to train(model, xs, labels, configs[g])[0]. The
+    configs must share epochs, batch_size, seed and mixup_alpha (otherwise
+    BadTrainConfig); learning rates, weight decay and label smoothing may
+    differ. No per-epoch trace is computed.
+    """
+    steps = _sgd(model, xs, labels, configs)
+    params = next(steps)
+    for _ in steps:
+        pass
+    return _unstack(params)
+
+
+def _unstack(params: list[np.ndarray]) -> tuple[TinyClassifier, ...]:
+    w_in, b_in, w_out, b_out = params
+    return tuple(TinyClassifier(w_in[g], b_in[g, 0], w_out[g], b_out[g, 0])
+                 for g in range(w_in.shape[0]))
 
 
 # --- serialization ----------------------------------------------------------

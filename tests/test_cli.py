@@ -460,6 +460,27 @@ def test_nested_cv_on_separable_features(tmp_path, capsys):
     assert len(rep["fold_accuracies"]) == 3
 
 
+@pytest.mark.parametrize("flag, field", [("--head-lrs", "head_lr"),
+                                         ("--backbone-lrs", "backbone_lr")])
+def test_nested_cv_diverging_rate_exits_3_with_one_line(tmp_path, flag, field):
+    rng = np.random.default_rng(8)
+    xs = rng.normal(0.0, 1.0, (40, 3))
+    ys = np.arange(40) % 4
+    xs[np.arange(40), ys % 3] += 4.0
+    src = tmp_path / "data.csv"
+    write_logit_csv(src, table([(f"s{i:03d}", Split.TRAIN, int(ys[i]), tuple(xs[i]))
+                                for i in range(40)]), column_prefix="x")
+    report = tmp_path / "report.json"
+    proc = run_script(["nested-cv", "--data", str(src), "--outer", "2", "--inner", "2",
+                       "--epochs", "2", flag, "1e300", "--out", str(report)])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert re.fullmatch(r"freshkit nested-cv: TrainingDiverged: parameters are not all "
+                        rf"finite after training with TrainConfig\(.*\b{field}=1e\+300, .*\)\n",
+                        proc.stderr)
+    assert not report.exists()
+
+
 # --- pseudomask -----------------------------------------------------------------
 
 def test_pseudomask_writes_masks(tmp_path, capsys):

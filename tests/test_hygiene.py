@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from freshkit import hygiene
 from freshkit.data_model import RgbImage, grayscale_as_rgb
 from freshkit.errors import (
     BadParameter,
@@ -23,7 +26,7 @@ from freshkit.hygiene import (
     phash64,
     stratified_split,
 )
-from freshkit.tiny_model import derive_seed
+from freshkit.tiny_model import derive_seed, forward, init_model, train
 
 
 def _random_image(rng, h=48, w=64):
@@ -446,3 +449,57 @@ def test_nested_cv_deterministic():
     b = nested_cv_run(grid, xs, labels, epochs=4, batch_size=16, hidden_dim=4, seed=19)
     assert a.fold_accuracies == b.fold_accuracies
     assert a.mean_accuracy == b.mean_accuracy
+
+
+# --- reference: one training per candidate -----------------------------------
+
+def _eval_candidate(config, xs, labels, plan, outer_index, hidden_dim, n_classes,
+                    stage, seed):
+    """Mean inner-validation accuracy of one config on one outer fold, with
+    one `train` call per inner fold: the search before candidates trained in
+    groups."""
+    train_ids = set(plan.outer_train(outer_index))
+    accs = []
+    for fold, val in enumerate(plan.inner_val[outer_index]):
+        val_ids = np.asarray(val)
+        fit_ids = np.asarray(sorted(train_ids - set(val)))
+        run_seed = derive_seed(seed, outer_index, stage, fold)
+        model = init_model(xs.shape[1], hidden_dim, n_classes,
+                           seed=derive_seed(run_seed, 0))
+        fitted, _ = train(model, xs[fit_ids], labels[fit_ids],
+                          replace(config, seed=derive_seed(run_seed, 1)))
+        pred = forward(fitted, xs[val_ids]).argmax(axis=1)
+        accs.append(float((pred == labels[val_ids]).mean()))
+    return float(np.mean(accs))
+
+
+def _per_candidate(monkeypatch):
+    """Route the search and the final fits through one `train` per config."""
+    monkeypatch.setattr(hygiene, "_eval_configs",
+                        lambda configs, *args: [_eval_candidate(c, *args) for c in configs])
+    monkeypatch.setattr(hygiene, "train_group",
+                        lambda model, xs, labels, configs:
+                        tuple(train(model, xs, labels, c)[0] for c in configs))
+
+
+@pytest.mark.parametrize("mixup_alphas", [(0.0, 0.2), (0.2, 0.2)])
+def test_grouped_search_equals_per_candidate_reference(monkeypatch, mixup_alphas):
+    # overlapping classes and few epochs, so candidates score differently
+    rng = np.random.default_rng(30)
+    labels = np.arange(48) % 4
+    xs = rng.normal(0.0, 1.0, (48, 3))
+    xs[np.arange(48), labels % 3] += 1.5
+    grid = HyperGrid(head_lrs=(0.0, 0.05, 0.3), weight_decays=(0.0, 0.1),
+                     label_smoothings=(0.0, 0.1), backbone_lrs=(0.0, 0.2),
+                     mixup_alphas=mixup_alphas, top_k=2)
+    kwargs = {"epochs": 3, "batch_size": 8, "hidden_dim": 4, "seed": 31}
+    plan = nested_fold_plan(labels, 3, 2, seed=31)
+    grouped = inner_select(grid, xs, labels, plan, 1, **kwargs)
+    grouped_cv = nested_cv_run(grid, xs, labels, 3, 2, **kwargs)
+    with monkeypatch.context() as patch:
+        _per_candidate(patch)
+        expected = inner_select(grid, xs, labels, plan, 1, **kwargs)
+        expected_cv = nested_cv_run(grid, xs, labels, 3, 2, **kwargs)
+    assert grouped == expected
+    assert grouped_cv == expected_cv
+    assert len({c.mean_accuracy for c in expected.stage1 + expected.stage2}) > 2

@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freshkit import tiny_model
 from freshkit.errors import (
     BadLabelIndex,
     BadTrainConfig,
     ComputeError,
     DimensionMismatch,
     MalformedModel,
+    TrainingDiverged,
 )
 from freshkit.tiny_model import (
     TinyClassifier,
@@ -26,7 +30,10 @@ from freshkit.tiny_model import (
     save_model,
     smooth_targets,
     train,
+    train_group,
 )
+
+PROPERTY = settings(derandomize=True, max_examples=120, deadline=None)
 
 
 def _loss_at(model, xs, targets):
@@ -295,6 +302,131 @@ def test_train_is_bit_identical_to_reference_loop():
     for name in ("w_in", "b_in", "w_out", "b_out"):
         assert np.array_equal(getattr(trained, name), getattr(expected, name))
     assert [(e.loss, e.accuracy) for e in trace] == expected_trace
+
+
+def _per_config_train(model, xs, labels, cfg):
+    """The per-config SGD loop `train` ran before configs trained as stacked
+    groups: one config, 2-D parameters, gradients of every group computed
+    and a step skipped only for a zero group lr."""
+    rng = np.random.default_rng(cfg.seed)
+    targets = np.stack([smooth_targets(int(y), model.n_classes, cfg.label_smoothing)
+                        for y in labels])
+    w_in, b_in, w_out, b_out = (p.copy() for p in (model.w_in, model.b_in,
+                                                   model.w_out, model.b_out))
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(labels))
+        for start in range(0, len(labels), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb, tb = xs[idx], targets[idx]
+            if cfg.mixup_alpha > 0.0:
+                lam = float(rng.beta(cfg.mixup_alpha, cfg.mixup_alpha))
+                pair = rng.permutation(len(idx))
+                xb, tb = mixup(xb, tb, xb[pair], tb[pair], lam)
+            g = grads_from_targets(TinyClassifier(w_in, b_in, w_out, b_out), xb, tb).params
+            if cfg.backbone_lr != 0.0 and model.hidden_dim:
+                w_in -= cfg.backbone_lr * (g.w_in + cfg.weight_decay * w_in)
+                b_in -= cfg.backbone_lr * g.b_in
+            if cfg.head_lr != 0.0:
+                w_out -= cfg.head_lr * (g.w_out + cfg.weight_decay * w_out)
+                b_out -= cfg.head_lr * g.b_out
+        current = TinyClassifier(w_in, b_in, w_out, b_out)
+        trace.append((grads_from_targets(current, xs, targets).loss,
+                      float((forward(current, xs).argmax(axis=1) == labels).mean())))
+    return TinyClassifier(w_in, b_in, w_out, b_out), trace
+
+
+@st.composite
+def training_groups(draw):
+    """(model, xs, labels, configs) for one stacked group."""
+    dim, hidden = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    n_classes = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs = rng.normal(0.0, 1.5, (n, dim))
+    labels = rng.integers(0, n_classes, n)
+    shared = {"epochs": draw(st.integers(0, 3)), "batch_size": draw(st.integers(1, 30)),
+              "mixup_alpha": draw(st.sampled_from([0.0, 0.3])),
+              "seed": draw(st.integers(0, 2 ** 32 - 1))}
+    rate = st.sampled_from([0.0, 0.05, 0.3])
+    configs = draw(st.lists(st.builds(
+        TrainConfig, head_lr=rate, backbone_lr=rate,
+        weight_decay=st.sampled_from([0.0, 0.01, 0.5]),
+        label_smoothing=st.sampled_from([0.0, 0.1]), **{k: st.just(v) for k, v in shared.items()},
+    ), min_size=1, max_size=5))
+    model = init_model(dim, hidden, n_classes, seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return model, xs, labels, configs
+
+
+@PROPERTY
+@given(training_groups())
+def test_train_group_equals_per_config_loop_slice_for_slice(group):
+    model, xs, labels, configs = group
+    fitted = train_group(model, xs, labels, configs)
+    assert len(fitted) == len(configs)
+    for cfg, got in zip(configs, fitted):
+        expected, expected_trace = _per_config_train(model, xs, labels, cfg)
+        for name in ("w_in", "b_in", "w_out", "b_out"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+        if cfg.head_lr == cfg.backbone_lr == 0.0:
+            for name in ("w_in", "b_in", "w_out", "b_out"):
+                assert np.array_equal(getattr(got, name), getattr(model, name))
+    if len(configs) == 1:
+        alone, trace = train(model, xs, labels, configs[0])
+        for name in ("w_in", "b_in", "w_out", "b_out"):
+            assert np.array_equal(getattr(alone, name), getattr(fitted[0], name))
+        assert [(e.loss, e.accuracy) for e in trace] == expected_trace
+
+
+def test_train_group_rejects_an_empty_config_list():
+    model = init_model(2, 3, 2, seed=0)
+    with pytest.raises(BadTrainConfig, match="at least one config"):
+        train_group(model, np.zeros((4, 2)), np.array([0, 1, 0, 1]), [])
+
+
+@pytest.mark.parametrize("field, other", [("epochs", 3), ("batch_size", 4),
+                                          ("seed", 8), ("mixup_alpha", 0.2)])
+def test_train_group_rejects_configs_that_cannot_share_batches(field, other):
+    model = init_model(2, 3, 2, seed=0)
+    base = TrainConfig(epochs=2, batch_size=2, head_lr=0.1, seed=7)
+    odd = TrainConfig(**{**base.__dict__, "head_lr": 0.2, field: other})
+    with pytest.raises(BadTrainConfig, match=f"must share {field}"):
+        train_group(model, np.zeros((4, 2)), np.array([0, 1, 0, 1]), [base, odd])
+
+
+@pytest.mark.parametrize("fields", [{"head_lr": 1e300}, {"backbone_lr": 1e300}])
+def test_diverging_training_names_the_first_bad_config(fields):
+    xs, labels = _blobs(10, 2, 3, spread=0.5, seed=3)
+    model = init_model(3, 4, 2, seed=4)
+    good = TrainConfig(epochs=2, batch_size=8, head_lr=0.1, weight_decay=0.01, seed=5)
+    bad = TrainConfig(**{**good.__dict__, **fields})
+    worse = TrainConfig(**{**bad.__dict__, "weight_decay": 0.5})
+    # slices 1 and 2 both diverge; the message names the first of them
+    with pytest.raises(TrainingDiverged,
+                       match=r"training with TrainConfig\(.*weight_decay=0\.01,"):
+        train_group(model, xs, labels, [good, bad, worse])
+    with pytest.raises(TrainingDiverged) as info:
+        train(model, xs, labels, bad)
+    assert isinstance(info.value, ComputeError)
+
+
+def test_zero_lr_group_stays_exact_under_non_finite_gradients():
+    # slice 0's head overflows, so its backbone gradient turns NaN; a step of
+    # 0 * NaN would poison the frozen backbone, a skipped step leaves it exact
+    xs, labels = _blobs(10, 2, 3, spread=0.5, seed=3)
+    model = init_model(3, 4, 2, seed=4)
+    base = TrainConfig(epochs=3, batch_size=8, head_lr=1e300, weight_decay=0.5, seed=5)
+    for configs in ([base], [base, TrainConfig(**{**base.__dict__, "head_lr": 0.1,
+                                                  "backbone_lr": 0.1})]):
+        steps = tiny_model._sgd(model, xs, labels, configs)
+        w_in, b_in, w_out, _ = next(steps)
+        for _ in range(base.epochs):
+            next(steps)
+        assert not np.isfinite(w_out[0]).all()
+        assert np.array_equal(w_in[0], model.w_in)
+        assert np.array_equal(b_in[0, 0], model.b_in)
+        with pytest.raises(TrainingDiverged):
+            next(steps)
 
 
 @pytest.mark.parametrize("fields", [
