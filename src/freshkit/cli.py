@@ -439,6 +439,8 @@ SPLIT_TAGS = ("train", "val", "test")
 def _cmd_split(args):
     if len(args.ratios) != len(SPLIT_TAGS):
         raise UsageError("--ratios takes exactly three comma-separated values")
+    if abs(sum(args.ratios) - 1.0) > 1e-9:  # the tolerance stratified_split applies
+        raise UsageError(f"--ratios must sum to 1, got {sum(args.ratios)!r}")
     table = _load(read_feature_csv, args.labels, args.prefix)
     labels = _require_labels(table, args.labels)
     assignment = stratified_split(labels, args.ratios, seed=args.seed)

@@ -24,7 +24,8 @@ from .hygiene import HyperGrid, nested_cv_run, stratified_split
 from .ood_eval import DEFAULT_TAUS, ScoredSample, ood_metrics, threshold_sweep
 from .scoring import OdinConfig, energy_score, msp_score, odin_score
 from .stats import mcnemar, paired_acc_diff_ci, paired_outcomes
-from .tiny_model import TrainConfig, derive_seed, forward, init_model, train_group
+from .tiny_model import (Stream, TrainConfig, derive_seed, forward, init_model,
+                         train_streams)
 
 N_CLASSES = 4
 N_PER_CLASS = 150
@@ -87,14 +88,12 @@ def run_demo(seed: int = 42) -> dict:
     best = _majority_config(cv.selected)
     fit_ids = np.concatenate([train_ids, val_ids])
 
-    def fit(config: TrainConfig, tag: int):
+    def stream(config: TrainConfig, tag: int) -> Stream:
         model = init_model(2, HIDDEN_DIM, N_CLASSES, seed=derive_seed(seed, tag, 0))
-        (fitted,) = train_group(model, xs[fit_ids], labels[fit_ids],
-                                [replace(config, seed=derive_seed(seed, tag, 1))])
-        return fitted
+        return Stream(model, xs[fit_ids], labels[fit_ids],
+                      [replace(config, seed=derive_seed(seed, tag, 1))])
 
-    model = fit(best, 1)
-    rival = fit(weakest, 2)
+    (model,), (rival,) = train_streams([stream(best, 1), stream(weakest, 2)])
 
     test_x = xs[test_ids]
     test_y = labels[test_ids]

@@ -29,12 +29,14 @@ from .errors import (
     TooFewSamplesPerClass,
 )
 from .tiny_model import (
+    Stream,
     TinyClassifier,
     TrainConfig,
     derive_seed,
     forward,
+    forward_stack,
     init_model,
-    train_group,
+    train_streams,
 )
 
 __all__ = [
@@ -411,30 +413,34 @@ def _eval_configs(configs: list[TrainConfig], xs: np.ndarray, labels: np.ndarray
     """Mean inner-validation accuracy of each config on one outer fold.
 
     Seeds depend on (outer fold, stage, inner fold) but never on a
-    candidate's position in the grid, so every candidate trains from the same
-    initialization on the same batches. Configs with identical effect then
-    score identically and the tie rules actually decide. That is also what
-    lets each inner fold train the candidates as groups in lockstep: one
-    group per mixup alpha, since the batch draws depend on it. Scores come
-    back in the order of configs.
+    candidate's position in the grid, so on each inner fold every candidate
+    trains from the same initialization on the same batches. Configs with
+    identical effect then score identically and the tie rules actually
+    decide. That is also what lets the whole stage train in one stacked call:
+    one stream per inner fold and mixup alpha (the batch draws depend on
+    alpha). The streams share epochs, batch size and architecture; each has
+    its inner fold's rows, initialization and batch seed, and the folds may
+    differ in size. Scores come back in the order of configs.
     """
     train_ids = set(plan.outer_train(outer_index))
-    accs: list[list[float]] = [[] for _ in configs]
+    groups = [[i for i, c in enumerate(configs) if c.mixup_alpha == alpha]
+              for alpha in dict.fromkeys(c.mixup_alpha for c in configs)]
+    streams, owners = [], []
     for fold, val in enumerate(plan.inner_val[outer_index]):
-        val_ids = np.asarray(val)
         fit_ids = np.asarray(sorted(train_ids - set(val)))
-        fit_xs, fit_labels = xs[fit_ids], labels[fit_ids]
         run_seed = derive_seed(seed, outer_index, stage, fold)
         model = init_model(xs.shape[1], hidden_dim, n_classes,
                            seed=derive_seed(run_seed, 0))
         batch_seed = derive_seed(run_seed, 1)
-        for alpha in dict.fromkeys(c.mixup_alpha for c in configs):
-            members = [i for i, c in enumerate(configs) if c.mixup_alpha == alpha]
-            fitted = train_group(model, fit_xs, fit_labels,
-                                 [replace(configs[i], seed=batch_seed) for i in members])
-            for i, model_i in zip(members, fitted):
-                pred = forward(model_i, xs[val_ids]).argmax(axis=1)
-                accs[i].append(float((pred == labels[val_ids]).mean()))
+        for members in groups:
+            streams.append(Stream(model, xs[fit_ids], labels[fit_ids],
+                                  [replace(configs[i], seed=batch_seed) for i in members]))
+            owners.append((members, np.asarray(val)))
+    accs: list[list[float]] = [[] for _ in configs]
+    for fitted, (members, val_ids) in zip(train_streams(streams), owners):
+        hits = forward_stack(fitted, xs[val_ids]).argmax(axis=2) == labels[val_ids]
+        for i, acc in zip(members, hits.mean(axis=1)):
+            accs[i].append(float(acc))
     return [float(np.mean(a)) for a in accs]
 
 
@@ -461,9 +467,11 @@ def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
     toward lower weight decay, then earlier enumeration order.
 
     Every candidate of a stage shares its initialization and batch seed on
-    each inner fold, so the stage trains per inner fold as stacked groups:
-    one for stage 1, one per distinct mixup alpha for stage 2. A candidate's
-    score equals training it alone.
+    each inner fold, so each stage trains in one stacked SGD loop of
+    streams, one per inner fold and distinct mixup alpha. The streams share
+    epochs, batch size and architecture; their rows, initializations, batch
+    seeds and mixup alpha differ. A candidate's score equals training it
+    alone.
     """
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -540,22 +548,23 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
     audit = audit_fold_plan(plan, labels)
     n_classes = int(labels.max()) + 1
 
-    accuracies = []
-    selections = []
-    for k in range(n_outer):
-        choice = inner_select(grid, xs, labels, plan, k, epochs=epochs,
-                              batch_size=batch_size, hidden_dim=hidden_dim,
-                              seed=seed)
+    selections = [inner_select(grid, xs, labels, plan, k, epochs=epochs,
+                               batch_size=batch_size, hidden_dim=hidden_dim, seed=seed)
+                  for k in range(n_outer)]
+    # the final fits train as one stacked call, one stream per outer fold
+    finals = []
+    for k, choice in enumerate(selections):
         train_ids = np.asarray(plan.outer_train(k))
-        test_ids = np.asarray(plan.outer_test[k])
         run_seed = derive_seed(seed, k, 3)
         model = init_model(xs.shape[1], hidden_dim, n_classes,
                            seed=derive_seed(run_seed, 0))
-        (fitted,) = train_group(model, xs[train_ids], labels[train_ids],
-                                [replace(choice.best, seed=derive_seed(run_seed, 1))])
+        finals.append(Stream(model, xs[train_ids], labels[train_ids],
+                             [replace(choice.best, seed=derive_seed(run_seed, 1))]))
+    accuracies = []
+    for test, (fitted,) in zip(plan.outer_test, train_streams(finals)):
+        test_ids = np.asarray(test)
         pred = forward(fitted, xs[test_ids]).argmax(axis=1)
         accuracies.append(float((pred == labels[test_ids]).mean()))
-        selections.append(choice)
 
     mean = float(np.mean(accuracies))
     sd = float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0

@@ -12,6 +12,7 @@ decoupled weight decay, so a zero learning rate freezes its group exactly.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -44,8 +45,11 @@ __all__ = [
     "grads",
     "grads_from_targets",
     "nll_input_gradient",
+    "Stream",
     "train",
+    "train_streams",
     "train_group",
+    "forward_stack",
     "model_to_json",
     "model_from_json",
     "load_model",
@@ -253,7 +257,10 @@ def mixup(x1: np.ndarray, t1: np.ndarray, x2: np.ndarray, t2: np.ndarray,
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # a max is exact in any reduction order, so reducing with the class axis
+    # outermost gives the same shift while numpy compares whole rows at once
+    # rather than a few classes per inner loop
+    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0).T[..., None]
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -311,93 +318,189 @@ def nll_input_gradient(model: TinyClassifier, x: np.ndarray, label: int | np.nda
     return dx[0] if single else dx
 
 
-def _sgd(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray, configs):
-    """Plain SGD of one initialization under every config at once.
+class Stream(NamedTuple):
+    """One initialization trained on its own rows under one or more configs.
 
-    Parameters are stacked along a leading axis G, one slice per config,
-    with biases shaped (G, 1, .). The first yield is the stacked list
-    [w_in, b_in, w_out, b_out]; it is updated in place and yielded again
-    after each epoch. Learning rates, weight decay and smoothed targets vary
-    along G; the configs must share epochs, batch size, seed and mixup, so
-    every slice sees the same batches. numpy runs a stacked matmul as one
-    2-D product per slice, so each slice is bit-identical to a G = 1 run.
-
-    Exhausting the generator raises TrainingDiverged, naming the first
-    config, if some slice's parameters are not all finite.
+    The configs share the stream's batches, so they must agree on epochs,
+    batch_size, seed and mixup_alpha.
     """
+
+    model: TinyClassifier
+    xs: np.ndarray
+    labels: np.ndarray
+    configs: tuple[TrainConfig, ...]
+
+
+def _require_shared(what: str, items, fields) -> None:
+    for item in items[1:]:
+        for field in fields:
+            first, other = getattr(items[0], field), getattr(item, field)
+            if other != first:
+                raise BadTrainConfig(f"{what} trained together must share {field}; "
+                                     f"got {first!r} and {other!r}")
+
+
+def _checked(stream) -> Stream:
+    model, xs, labels, configs = stream
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels)
     if xs.ndim != 2 or xs.shape[0] < 1:
         raise EmptyDataset("training needs at least one sample")
+    if xs.shape[1] != model.input_dim:
+        raise DimensionMismatch(f"inputs have {xs.shape[1]} features, "
+                                f"the model takes {model.input_dim}")
     if labels.shape != (xs.shape[0],):
         raise DimensionMismatch("labels must be one per sample")
     configs = tuple(configs)
     if not configs:
         raise BadTrainConfig("need at least one config to train")
-    first = configs[0]
-    for config in configs[1:]:
-        for field in ("epochs", "batch_size", "seed", "mixup_alpha"):
-            if getattr(config, field) != getattr(first, field):
-                raise BadTrainConfig(f"configs trained together must share {field}; "
-                                     f"got {getattr(first, field)!r} and "
-                                     f"{getattr(config, field)!r}")
-    n = xs.shape[0]
-    targets = np.stack([_smoothed(labels, model.n_classes, c.label_smoothing)
-                        for c in configs])
-    head_lr, head = _group_rates(configs, "head_lr")
-    backbone_lr, backbone = _group_rates(configs, "backbone_lr")
-    if not model.hidden_dim:
-        backbone = None
+    _require_shared("configs", configs, ("epochs", "batch_size", "seed", "mixup_alpha"))
+    return Stream(model, xs, labels, configs)
+
+
+_ALL = slice(None)  # a step whose slices all move
+
+
+def _sgd(streams):
+    """Plain SGD of several streams at once, one stacked slice per (stream, config).
+
+    Parameters are stacked along a leading slice axis, with biases shaped
+    (G, 1, .). Streams must share epochs, batch size and architecture. Each
+    has its own initial model, rows, labels, batch seed and mixup alpha, and
+    each of its configs its own learning rates, weight decay and label
+    smoothing. Every epoch, each stream draws its own row order, and per
+    batch its own mixup weight and pair, from its own generator.
+
+    The slices are laid out with the streams sorted by size, so at every
+    batch index the streams whose batch has one length hold one contiguous
+    range of slices and step together; ragged epoch tails step as separate
+    length groups. numpy runs a stacked matmul as one 2-D product per slice,
+    so each slice is bit-identical to training its stream alone.
+
+    The first yield is the stacked list [w_in, b_in, w_out, b_out]; it is
+    updated in place and yielded again after each epoch. Once training ends
+    its slices are put in given order, and exhausting the generator raises
+    TrainingDiverged, naming the first config in that order whose
+    parameters are not all finite.
+    """
+    given = [_checked(s) for s in streams]
+    if not given:
+        raise BadTrainConfig("need at least one stream to train")
+    _require_shared("streams", [s.configs[0] for s in given], ("epochs", "batch_size"))
+    _require_shared("streams", [s.model for s in given],
+                    ("input_dim", "hidden_dim", "n_classes"))
+    order = sorted(range(len(given)), key=lambda s: given[s].labels.size)
+    runs = [given[s] for s in order]
+    counts = [len(run.configs) for run in runs]
+    ends = np.cumsum(counts)
+    run_of = np.repeat(np.arange(len(runs)), counts)  # the run of each slice
+    configs = [c for run in runs for c in run.configs]
+    sizes = np.array([run.labels.size for run in runs])
+    n, dims = int(sizes[-1]), runs[0].model
+    epochs, batch = configs[0].epochs, configs[0].batch_size
+
+    # rows and targets padded to the largest stream; no batch reaches the padding
+    xs = np.zeros((len(runs), n, dims.input_dim))
+    for r, run in enumerate(runs):
+        xs[r, :sizes[r]] = run.xs
+    targets = np.zeros((len(configs), n, dims.n_classes))
+    for g, config in enumerate(configs):
+        run = runs[run_of[g]]
+        targets[g, :run.labels.size] = _smoothed(run.labels, dims.n_classes,
+                                                 config.label_smoothing)
+    inits = [run.model for run in runs for _ in run.configs]
+    params = [np.stack([m.w_in for m in inits]), np.stack([m.b_in[None] for m in inits]),
+              np.stack([m.w_out for m in inits]), np.stack([m.b_out[None] for m in inits])]
+    head_lr = np.array([c.head_lr for c in configs])[:, None, None]
+    backbone_lr = np.array([c.backbone_lr for c in configs])[:, None, None]
     decay = np.array([c.weight_decay for c in configs])[:, None, None]
-    params = [np.repeat(p[None], len(configs), axis=0)
-              for p in (model.w_in, model.b_in[None], model.w_out, model.b_out[None])]
-    w_in, b_in, w_out, b_out = params
-    rng = np.random.default_rng(first.seed)
+
+    def rates(lr: np.ndarray, a: int, b: int):
+        """(lr, decay, moving slices) of one group on slices a:b, or None
+        when its lr is 0 on all of them."""
+        live = np.flatnonzero(lr[a:b])
+        if not live.size:
+            return None
+        return lr[a:b], decay[a:b], _ALL if live.size == b - a else live
+
+    plan = []  # the steps of one epoch, the same in every epoch
+    for lo in range(0, n, batch):
+        lengths = np.clip(sizes - lo, 0, batch)
+        for length in np.unique(lengths[lengths > 0]).tolist():
+            members = np.flatnonzero(lengths == length)
+            a, b = int(ends[members[0]] - counts[members[0]]), int(ends[members[-1]])
+            backbone = rates(backbone_lr, a, b) if dims.hidden_dim else None
+            head = rates(head_lr, a, b)
+            if backbone or head:  # a step that moves no slice changes nothing
+                plan.append((slice(a, b), slice(lo, lo + length), length,
+                             [p[a:b] for p in params], backbone, head))
+
+    rngs = [np.random.default_rng(run.configs[0].seed) for run in runs]
+    alphas = [run.configs[0].mixup_alpha for run in runs]
+    mixing = np.flatnonzero(np.array(alphas) > 0.0)
+    mixed = np.flatnonzero(np.isin(run_of, mixing))  # the slices of mixing runs
+    all_runs = np.arange(len(runs))[:, None]
+    all_slices = np.arange(len(configs))[:, None]
     yield params
-    for _ in range(first.epochs):
-        order = rng.permutation(n)
+    for _ in range(epochs):
+        local = np.tile(np.arange(n), (len(runs), 1))  # padding rows stay put
+        mate = local.copy()
+        lam = np.ones((len(runs), n, 1))
+        for r, rng in enumerate(rngs):
+            size = int(sizes[r])
+            local[r, :size] = rng.permutation(size)
+            if alphas[r] > 0.0:
+                for lo in range(0, size, batch):
+                    hi = min(lo + batch, size)
+                    lam[r, lo:hi] = rng.beta(alphas[r], alphas[r])
+                    mate[r, lo:hi] = lo + rng.permutation(hi - lo)
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, first.batch_size):
-                idx = order[start:start + first.batch_size]
-                xb = xs[idx]
-                tb = targets[:, idx]
-                if first.mixup_alpha > 0.0:
-                    lam = float(rng.beta(first.mixup_alpha, first.mixup_alpha))
-                    pair = rng.permutation(len(idx))
-                    xb, tb = mixup(xb, tb, xb[pair], tb[:, pair], lam)
-                hidden, logits = _forward(params, xb)
-                dlogits = (np.exp(_log_softmax(logits)) - tb) / len(idx)
+            # each stream's rows and targets in epoch order, gathered once so
+            # that every batch is a view; mixup pairs rows within a batch
+            x_epoch = xs[all_runs, local]
+            t_epoch = targets[all_slices, local[run_of]]
+            if mixing.size:
+                partner = np.take_along_axis(local, mate, axis=1)
+                w = lam[mixing]
+                x_epoch[mixing] = (w * x_epoch[mixing]
+                                   + (1.0 - w) * xs[mixing[:, None], partner[mixing]])
+                w = lam[run_of[mixed]]
+                t_epoch[mixed] = (w * t_epoch[mixed] + (1.0 - w)
+                                  * targets[mixed[:, None], partner[run_of[mixed]]])
+            x_epoch = x_epoch[run_of]
+            for slices, rows, length, group, backbone, head in plan:
+                xb = x_epoch[slices, rows]
+                hidden, logits = _forward(group, xb)
+                dlogits = (np.exp(_log_softmax(logits)) - t_epoch[slices, rows]) / length
                 # grads from the pre-step parameters: the backbone's uses w_out
                 if backbone is not None:
-                    dpre = (dlogits @ w_out) * (1.0 - hidden * hidden)
-                    _step(w_in, b_in, dpre.mT @ xb, dpre.sum(axis=1, keepdims=True),
-                          backbone_lr, decay, backbone)
+                    dpre = (dlogits @ group[2]) * (1.0 - hidden * hidden)
+                    _step(group[0], group[1], dpre.mT @ xb, dpre.sum(axis=1, keepdims=True),
+                          *backbone)
                 if head is not None:
-                    _step(w_out, b_out, dlogits.mT @ (xb if hidden is None else hidden),
-                          dlogits.sum(axis=1, keepdims=True), head_lr, decay, head)
+                    _step(group[2], group[3], dlogits.mT @ (xb if hidden is None else hidden),
+                          dlogits.sum(axis=1, keepdims=True), *head)
         yield params
+    if order != sorted(order):
+        rank = np.argsort(order)
+        slots = np.concatenate([np.arange(ends[r] - counts[r], ends[r]) for r in rank])
+        params[:] = [p[slots] for p in params]
     finite = np.logical_and.reduce([np.isfinite(p).all(axis=(1, 2)) for p in params])
     if not finite.all():
-        raise TrainingDiverged(f"parameters are not all finite after training with "
-                               f"{configs[int(np.argmin(finite))]}")
-
-
-def _group_rates(configs: tuple[TrainConfig, ...], name: str):
-    """(G, 1, 1) learning rates of one parameter group, and the slices they
-    move: all of them, the nonzero ones, or None when every slice is frozen."""
-    lr = np.array([getattr(c, name) for c in configs])[:, None, None]
-    live = np.flatnonzero(lr)
-    if live.size == len(configs):
-        return lr, slice(None)
-    return lr, (live if live.size else None)
+        bad = [c for s in given for c in s.configs][int(np.argmin(finite))]
+        raise TrainingDiverged(f"parameters are not all finite after training with {bad}")
 
 
 def _step(w: np.ndarray, b: np.ndarray, gw: np.ndarray, gb: np.ndarray,
           lr: np.ndarray, decay: np.ndarray, live) -> None:
     # only slices with a nonzero group lr move, and the lr scales the decay
     # too, so lr 0 freezes its group exactly even when a gradient is not finite
-    w[live] -= lr[live] * (gw[live] + decay[live] * w[live])
-    b[live] -= lr[live] * gb[live]
+    if live is _ALL:
+        w -= lr * (gw + decay * w)
+        b -= lr * gb
+    else:
+        w[live] -= lr[live] * (gw[live] + decay[live] * w[live])
+        b[live] -= lr[live] * gb[live]
 
 
 def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
@@ -409,7 +512,7 @@ def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
     the parameters bit-identical. Identical seed, config, and data give a
     bit-identical model. Non-finite trained parameters raise TrainingDiverged.
     """
-    steps = _sgd(model, xs, labels, (config,))
+    steps = _sgd([Stream(model, xs, labels, (config,))])
     params = next(steps)
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -423,6 +526,24 @@ def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
     return _unstack(params)[0], trace
 
 
+def train_streams(streams) -> tuple[tuple[TinyClassifier, ...], ...]:
+    """train every stream under each of its configs, all in one stacked SGD loop.
+
+    Returns one tuple of models per stream, in the order of its configs;
+    each model is bit-identical to train_group on its stream alone. The
+    streams must share epochs, batch_size and architecture (otherwise
+    BadTrainConfig); their models, rows, seeds and mixup_alpha may differ.
+    No per-epoch trace is computed.
+    """
+    streams = [Stream(*s[:3], tuple(s[3])) for s in streams]
+    steps = _sgd(streams)
+    params = next(steps)
+    for _ in steps:
+        pass
+    models = iter(_unstack(params))
+    return tuple(tuple(itertools.islice(models, len(s.configs))) for s in streams)
+
+
 def train_group(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
                 configs) -> tuple[TinyClassifier, ...]:
     """train under each config from the same init, in one stacked SGD loop.
@@ -432,11 +553,19 @@ def train_group(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
     BadTrainConfig); learning rates, weight decay and label smoothing may
     differ. No per-epoch trace is computed.
     """
-    steps = _sgd(model, xs, labels, configs)
-    params = next(steps)
-    for _ in steps:
-        pass
-    return _unstack(params)
+    return train_streams([Stream(model, xs, labels, configs)])[0]
+
+
+def forward_stack(models, xs: np.ndarray) -> np.ndarray:
+    """Logits (G, N, C) of G same-shaped models on one batch (N, D).
+
+    Slice g is bit-identical to forward(models[g], xs), since numpy runs the
+    stacked matmul as one 2-D product per model.
+    """
+    xs, _ = _as_batch(xs, models[0].input_dim)
+    params = [np.stack([m.w_in for m in models]), np.stack([m.b_in[None] for m in models]),
+              np.stack([m.w_out for m in models]), np.stack([m.b_out[None] for m in models])]
+    return _forward(params, xs)[1]
 
 
 def _unstack(params: list[np.ndarray]) -> tuple[TinyClassifier, ...]:

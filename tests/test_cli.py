@@ -417,6 +417,20 @@ def test_split_counts_and_assignment(tmp_path, capsys):
     assert len(rep["assignment"]) == 60
 
 
+@pytest.mark.parametrize("ratios, total", [("0,0,0", "0.0"), ("0.5,0.5,0.5", "1.5"),
+                                           ("0.7,0.15,0.1500001", "1.0000001")])
+def test_split_ratios_not_summing_to_one_exit_1_before_reading(tmp_path, capsys,
+                                                               ratios, total):
+    # the labels file does not exist: the flag check comes first, so it is never read
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(["split", "--ratios", ratios, "--labels",
+                              str(tmp_path / "absent.csv"), "--out", str(report)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"freshkit split: error: --ratios must sum to 1, got {total}\n"
+    assert not report.exists()
+
+
 def test_folds_audit_passes(tmp_path, capsys):
     records = [
         (f"s{i:03d}", Split.TRAIN, i % 3, (0.0,)) for i in range(45)

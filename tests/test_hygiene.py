@@ -5,6 +5,7 @@ import pytest
 
 from freshkit import hygiene
 from freshkit.data_model import RgbImage, grayscale_as_rgb
+from freshkit.demo import DEMO_GRID
 from freshkit.errors import (
     BadParameter,
     InputFormatError,
@@ -477,23 +478,36 @@ def _per_candidate(monkeypatch):
     """Route the search and the final fits through one `train` per config."""
     monkeypatch.setattr(hygiene, "_eval_configs",
                         lambda configs, *args: [_eval_candidate(c, *args) for c in configs])
-    monkeypatch.setattr(hygiene, "train_group",
-                        lambda model, xs, labels, configs:
-                        tuple(train(model, xs, labels, c)[0] for c in configs))
+    monkeypatch.setattr(hygiene, "train_streams", lambda streams: tuple(
+        tuple(train(model, xs, labels, c)[0] for c in configs)
+        for model, xs, labels, configs in streams))
 
 
-@pytest.mark.parametrize("mixup_alphas", [(0.0, 0.2), (0.2, 0.2)])
-def test_grouped_search_equals_per_candidate_reference(monkeypatch, mixup_alphas):
+_SEARCH_GRID = HyperGrid(head_lrs=(0.0, 0.05, 0.3), weight_decays=(0.0, 0.1),
+                         label_smoothings=(0.0, 0.1), backbone_lrs=(0.0, 0.2),
+                         mixup_alphas=(0.0, 0.2), top_k=2)
+
+
+@pytest.mark.parametrize("grid, n", [
+    pytest.param(_SEARCH_GRID, 48, id="mixup_alphas0"),
+    pytest.param(replace(_SEARCH_GRID, mixup_alphas=(0.2, 0.2)), 48, id="mixup_alphas1"),
+    # the grid demo runs: lr 0 freezes the head or the backbone on some slices
+    pytest.param(DEMO_GRID, 48, id="demo_grid"),
+    # inner folds and outer training sets of unequal size: ragged epoch tails
+    pytest.param(_SEARCH_GRID, 53, id="unequal_folds"),
+    pytest.param(DEMO_GRID, 53, id="demo_grid_unequal_folds"),
+])
+def test_grouped_search_equals_per_candidate_reference(monkeypatch, grid, n):
     # overlapping classes and few epochs, so candidates score differently
     rng = np.random.default_rng(30)
-    labels = np.arange(48) % 4
-    xs = rng.normal(0.0, 1.0, (48, 3))
-    xs[np.arange(48), labels % 3] += 1.5
-    grid = HyperGrid(head_lrs=(0.0, 0.05, 0.3), weight_decays=(0.0, 0.1),
-                     label_smoothings=(0.0, 0.1), backbone_lrs=(0.0, 0.2),
-                     mixup_alphas=mixup_alphas, top_k=2)
+    labels = np.arange(n) % 4
+    xs = rng.normal(0.0, 1.0, (n, 3))
+    xs[np.arange(n), labels % 3] += 1.5
     kwargs = {"epochs": 3, "batch_size": 8, "hidden_dim": 4, "seed": 31}
     plan = nested_fold_plan(labels, 3, 2, seed=31)
+    fit_sizes = [{len(plan.outer_train(k)) - len(val) for val in plan.inner_val[k]}
+                 for k in range(3)]
+    assert all(len(sizes) == (1 if n == 48 else 2) for sizes in fit_sizes)
     grouped = inner_select(grid, xs, labels, plan, 1, **kwargs)
     grouped_cv = nested_cv_run(grid, xs, labels, 3, 2, **kwargs)
     with monkeypatch.context() as patch:

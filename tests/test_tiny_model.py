@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from freshkit.errors import (
     TrainingDiverged,
 )
 from freshkit.tiny_model import (
+    Stream,
     TinyClassifier,
     TrainConfig,
     derive_seed,
     forward,
+    forward_stack,
     grads,
     grads_from_targets,
     init_model,
@@ -31,6 +34,7 @@ from freshkit.tiny_model import (
     smooth_targets,
     train,
     train_group,
+    train_streams,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=120, deadline=None)
@@ -418,7 +422,7 @@ def test_zero_lr_group_stays_exact_under_non_finite_gradients():
     base = TrainConfig(epochs=3, batch_size=8, head_lr=1e300, weight_decay=0.5, seed=5)
     for configs in ([base], [base, TrainConfig(**{**base.__dict__, "head_lr": 0.1,
                                                   "backbone_lr": 0.1})]):
-        steps = tiny_model._sgd(model, xs, labels, configs)
+        steps = tiny_model._sgd([Stream(model, xs, labels, configs)])
         w_in, b_in, w_out, _ = next(steps)
         for _ in range(base.epochs):
             next(steps)
@@ -427,6 +431,109 @@ def test_zero_lr_group_stays_exact_under_non_finite_gradients():
         assert np.array_equal(b_in[0, 0], model.b_in)
         with pytest.raises(TrainingDiverged):
             next(steps)
+
+
+@st.composite
+def training_streams(draw):
+    """Streams for one stacked loop: shared epochs, batch size and
+    architecture; each with its own init, rows, seed, mixup and configs."""
+    dim, hidden = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    n_classes = draw(st.integers(2, 4))
+    epochs, batch_size = draw(st.integers(0, 3)), draw(st.integers(1, 12))
+    base = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rate = st.sampled_from([0.0, 0.05, 0.3])
+    streams = []
+    for _ in range(draw(st.integers(1, 4))):
+        # sizes within about a batch of each other make ragged epoch tails
+        n = max(1, base + draw(st.integers(-batch_size - 1, batch_size + 1)))
+        shared = {"epochs": epochs, "batch_size": batch_size,
+                  "mixup_alpha": draw(st.sampled_from([0.0, 0.3])),
+                  "seed": draw(st.integers(0, 2 ** 32 - 1))}
+        configs = draw(st.lists(st.builds(
+            TrainConfig, head_lr=rate, backbone_lr=rate,
+            weight_decay=st.sampled_from([0.0, 0.01, 0.5]),
+            label_smoothing=st.sampled_from([0.0, 0.1]),
+            **{k: st.just(v) for k, v in shared.items()},
+        ), min_size=1, max_size=4))
+        model = init_model(dim, hidden, n_classes, seed=draw(st.integers(0, 2 ** 32 - 1)))
+        streams.append(Stream(model, rng.normal(0.0, 1.5, (n, dim)),
+                              rng.integers(0, n_classes, n), tuple(configs)))
+    return streams
+
+
+@PROPERTY
+@given(training_streams())
+def test_train_streams_equals_per_stream_train_group(streams):
+    fitted = train_streams(streams)
+    assert len(fitted) == len(streams)
+    for stream, got in zip(streams, fitted):
+        expected = train_group(*stream)
+        assert len(got) == len(expected) == len(stream.configs)
+        for a, b in zip(got, expected):
+            for name in ("w_in", "b_in", "w_out", "b_out"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_train_streams_rejects_an_empty_stream_list():
+    with pytest.raises(BadTrainConfig, match="at least one stream"):
+        train_streams([])
+
+
+@pytest.mark.parametrize("field, other", [("epochs", 3), ("batch_size", 4), ("input_dim", 3),
+                                          ("hidden_dim", 2), ("n_classes", 3)])
+def test_train_streams_rejects_streams_that_cannot_share_a_loop(field, other):
+    base = TrainConfig(epochs=2, batch_size=2, head_lr=0.1, seed=7)
+    arch = {"input_dim": 2, "hidden_dim": 3, "n_classes": 2}
+    first = Stream(init_model(**arch, seed=0), np.zeros((4, 2)), np.array([0, 1, 0, 1]),
+                   (base,))
+    config = replace(base, seed=8, mixup_alpha=0.2)  # streams may differ in these
+    if field in arch:
+        arch[field] = other
+    else:
+        config = replace(config, **{field: other})
+    second = Stream(init_model(**arch, seed=1), np.zeros((5, arch["input_dim"])),
+                    np.array([0, 1, 0, 1, 0]), (config,))
+    with pytest.raises(BadTrainConfig, match=f"streams trained together must share {field};"):
+        train_streams([first, second])
+
+
+def test_train_streams_names_the_config_the_per_stream_sequence_names_first():
+    xs, labels = _blobs(10, 2, 3, spread=0.5, seed=3)
+    good = TrainConfig(epochs=2, batch_size=8, head_lr=0.1, weight_decay=0.01, seed=5)
+    bad = replace(good, head_lr=1e300)
+    streams = [
+        Stream(init_model(3, 4, 2, seed=4), xs, labels, (good, replace(good, head_lr=0.2))),
+        # the second stream diverges at its second config ...
+        Stream(init_model(3, 4, 2, seed=6), xs[:17], labels[:17],
+               (replace(good, seed=7), replace(bad, seed=7, weight_decay=0.5))),
+        # ... and the third, the smallest and so the first among the slices, at once
+        Stream(init_model(3, 4, 2, seed=8), xs[:9], labels[:9], (replace(bad, seed=9),)),
+    ]
+    expected = None
+    for stream in streams:
+        try:
+            train_group(*stream)
+        except TrainingDiverged as exc:
+            expected = str(exc)
+            break
+    assert expected is not None and "weight_decay=0.5" in expected
+    with pytest.raises(TrainingDiverged) as info:
+        train_streams(streams)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("hidden", [8, 0])
+def test_stacked_forward_equals_per_model_calls(hidden):
+    xs, labels = _blobs(40, 4, 16, spread=2.0, seed=9)
+    config = TrainConfig(epochs=2, batch_size=16, head_lr=0.1, backbone_lr=0.1, seed=10)
+    models = [train(init_model(16, hidden, 4, seed=s), xs, labels, config)[0] for s in range(5)]
+    stacked = forward_stack(models, xs)
+    assert stacked.shape == (5, 160, 4)
+    for model, logits in zip(models, stacked):
+        expected = forward(model, xs)
+        assert np.array_equal(logits, expected)
+        assert np.array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
 
 
 @pytest.mark.parametrize("fields", [
