@@ -7,7 +7,8 @@ report goes to stdout or --report.
 
 Exit codes: 0 success; 1 command line usage error; 2 malformed or empty
 input data (including files with zero data rows, reported as EmptyInput,
-and unreadable paths); 3 numeric or semantic failure on well-formed input.
+and unreadable paths); 3 numeric or semantic failure on well-formed input,
+including an allocation that does not fit in memory (MemoryError).
 
 Nothing is written until the report has rendered: each subcommand returns
 its report and its pending file writes, and main renders the report, runs
@@ -714,8 +715,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", default="x")
     p.add_argument("--outer", type=_bounded(int, 2), default=5)
     p.add_argument("--inner", type=_bounded(int, 2), default=3)
-    p.add_argument("--hidden", type=_bounded(int, 0), default=8,
-                   help="hidden width of the small classifier (default 8)")
+    # below 2**40 numpy can size the (H, D) first layer for up to 2**20 features;
+    # a layer that numpy can size but memory cannot hold exits 3 with MemoryError
+    p.add_argument("--hidden", type=_bounded(int, 0, 2 ** 40), default=8,
+                   help="hidden width of the small classifier, below 2**40 (default 8)")
     p.add_argument("--epochs", type=_bounded(int, 0), default=20)
     p.add_argument("--batch-size", type=_bounded(int, 1), default=32)
     p.add_argument("--head-lrs", type=_bounded(_float_list, 0.0), default=(1e-3, 3e-3))
@@ -782,6 +785,9 @@ def main(argv=None) -> int:
     except ComputeError as exc:
         print(f"freshkit {args.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy raises a private subclass; name the public type
+        print(f"freshkit {args.command}: MemoryError: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -37,9 +37,7 @@ from .errors import (
 )
 
 __all__ = [
-    "DEFAULT_CLASS_NAMES",
     "Split",
-    "ClassSpace",
     "RecordTable",
     "BinaryMask",
     "RgbImage",
@@ -54,13 +52,6 @@ __all__ = [
     "grayscale_as_rgb",
 ]
 
-DEFAULT_CLASS_NAMES = (
-    "PackagedFresh",
-    "PackagedSpoiled",
-    "UnpackagedFresh",
-    "UnpackagedSpoiled",
-)
-
 
 class Split(str, Enum):
     """Which partition a record belongs to."""
@@ -69,20 +60,6 @@ class Split(str, Enum):
     VAL = "val"
     TEST = "test"
     OOD = "ood"
-
-
-@dataclass(frozen=True)
-class ClassSpace:
-    """Ordered class names; index in the tuple is the label index."""
-
-    names: tuple[str, ...] = DEFAULT_CLASS_NAMES
-
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

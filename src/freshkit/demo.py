@@ -25,7 +25,7 @@ from .ood_eval import DEFAULT_TAUS, ScoredSample, ood_metrics, threshold_sweep
 from .scoring import OdinConfig, energy_score, msp_score, odin_score
 from .stats import mcnemar, paired_acc_diff_ci, paired_outcomes
 from .tiny_model import (Stream, TrainConfig, derive_seed, forward, init_model,
-                         train_streams)
+                         train_streams, unstack)
 
 N_CLASSES = 4
 N_PER_CLASS = 150
@@ -93,7 +93,8 @@ def run_demo(seed: int = 42) -> dict:
         return Stream(model, xs[fit_ids], labels[fit_ids],
                       [replace(config, seed=derive_seed(seed, tag, 1))])
 
-    (model,), (rival,) = train_streams([stream(best, 1), stream(weakest, 2)])
+    fits = train_streams([stream(best, 1), stream(weakest, 2)])
+    model, rival = (unstack(fitted)[0] for fitted in fits)  # ODIN scoring takes models
 
     test_x = xs[test_ids]
     test_y = labels[test_ids]

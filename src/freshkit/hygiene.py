@@ -24,16 +24,13 @@ from .errors import (
     EmptyInput,
     InputFormatError,
     LengthMismatch,
-    MissingClass,
     RowNotNormalized,
     TooFewSamplesPerClass,
 )
 from .tiny_model import (
     Stream,
-    TinyClassifier,
     TrainConfig,
     derive_seed,
-    forward,
     forward_stack,
     init_model,
     train_streams,
@@ -48,7 +45,6 @@ __all__ = [
     "FoldPlan",
     "nested_fold_plan",
     "audit_fold_plan",
-    "class_weights",
     "HyperGrid",
     "CandidateScore",
     "SelectionResult",
@@ -362,19 +358,6 @@ def audit_fold_plan(plan: FoldPlan, labels) -> dict[str, bool]:
     }
 
 
-def class_weights(labels, n_classes: int) -> np.ndarray:
-    """Inverse-frequency weights (N / C) / count_c; mean-1 normalized in the
-    sense that the weighted sample count equals N."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise EmptyInput("no labels to weight")
-    counts = np.bincount(labels.astype(np.int64), minlength=n_classes)
-    if (counts[:n_classes] == 0).any():
-        missing = int(np.flatnonzero(counts[:n_classes] == 0)[0])
-        raise MissingClass(f"class {missing} has no samples")
-    return (labels.size / n_classes) / counts[:n_classes].astype(np.float64)
-
-
 # --- two-stage nested search -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -420,7 +403,8 @@ def _eval_configs(configs: list[TrainConfig], xs: np.ndarray, labels: np.ndarray
     one stream per inner fold and mixup alpha (the batch draws depend on
     alpha). The streams share epochs, batch size and architecture; each has
     its inner fold's rows, initialization and batch seed, and the folds may
-    differ in size. Scores come back in the order of configs.
+    differ in size. Trained slices are scored while stacked, and scores come
+    back in the order of configs.
     """
     train_ids = set(plan.outer_train(outer_index))
     groups = [[i for i, c in enumerate(configs) if c.mixup_alpha == alpha]
@@ -561,9 +545,9 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
         finals.append(Stream(model, xs[train_ids], labels[train_ids],
                              [replace(choice.best, seed=derive_seed(run_seed, 1))]))
     accuracies = []
-    for test, (fitted,) in zip(plan.outer_test, train_streams(finals)):
+    for test, fitted in zip(plan.outer_test, train_streams(finals)):
         test_ids = np.asarray(test)
-        pred = forward(fitted, xs[test_ids]).argmax(axis=1)
+        pred = forward_stack(fitted, xs[test_ids])[0].argmax(axis=1)
         accuracies.append(float((pred == labels[test_ids]).mean()))
 
     mean = float(np.mean(accuracies))

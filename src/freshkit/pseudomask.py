@@ -45,7 +45,6 @@ __all__ = [
     "build_cut_problem",
     "cut_energy",
     "solve_cut",
-    "min_cut_segment",
     "GrabCutResult",
     "grabcut",
     "morph_open",
@@ -325,14 +324,6 @@ def solve_cut(problem: CutProblem) -> np.ndarray:
     return graph.source_side()[:n]
 
 
-def min_cut_segment(image: RgbImage, fg_gmm: GmmModel, bg_gmm: GmmModel,
-                    smoothness: float = 50.0, locked_bg=None) -> BinaryMask:
-    """Segment one image given fitted foreground/background mixtures."""
-    problem = build_cut_problem(image, fg_gmm, bg_gmm, smoothness, locked_bg)
-    labels = solve_cut(problem)
-    return BinaryMask(labels.reshape(problem.shape))
-
-
 # --- the full loop --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -392,6 +383,7 @@ def grabcut(image: RgbImage, seed: int = 42, n_iter: int = 5,
 def _window_reduce(pixels: np.ndarray, radius: int, combine_any: bool) -> np.ndarray:
     """OR (dilate) or AND (erode) over a (2r+1)^2 window; outside is background."""
     h, w = pixels.shape
+    radius = min(radius, max(h, w))  # from every pixel this already reaches past each edge
     padded = np.zeros((h + 2 * radius, w + 2 * radius), dtype=bool)
     padded[radius:radius + h, radius:radius + w] = pixels
     out = None

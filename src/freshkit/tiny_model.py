@@ -12,7 +12,6 @@ decoupled weight decay, so a zero learning rate freezes its group exactly.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -40,16 +39,14 @@ __all__ = [
     "init_model",
     "forward",
     "forward_rows",
-    "smooth_targets",
-    "mixup",
     "grads",
     "grads_from_targets",
     "nll_input_gradient",
     "Stream",
     "train",
     "train_streams",
-    "train_group",
     "forward_stack",
+    "unstack",
     "model_to_json",
     "model_from_json",
     "load_model",
@@ -187,6 +184,18 @@ def _forward(params: tuple, xs: np.ndarray) -> tuple[np.ndarray | None, np.ndarr
     return None, xs @ w_out.mT + b_out
 
 
+def _layer_grads(delta: np.ndarray, inputs: np.ndarray,
+                 bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weight, bias) gradients of a dense layer from the gradient wrt its outputs,
+    over (N, .) rows or (G, N, .) stacks; the bias one is shaped like bias."""
+    return delta.mT @ inputs, delta.sum(axis=-2, keepdims=True).reshape(bias.shape)
+
+
+def _tanh_delta(dlogits: np.ndarray, w_out: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """Gradient wrt the hidden layer's pre-activations from the one wrt the logits."""
+    return (dlogits @ w_out) * (1.0 - hidden * hidden)
+
+
 def _backward(params: tuple, hidden: np.ndarray | None, dlogits: np.ndarray,
               xs: np.ndarray | None = None) -> tuple[ParamGrads | None, np.ndarray]:
     """(parameter gradients, input gradient) from the gradient wrt the logits.
@@ -194,18 +203,18 @@ def _backward(params: tuple, hidden: np.ndarray | None, dlogits: np.ndarray,
     The parameter gradients need the batch inputs xs; without them they are
     None, which keeps the one-sample ODIN step free of work it would discard.
     """
-    w_in, b_in, w_out, _ = params
-    dx = dlogits @ w_out
-    if hidden is not None:  # back through the tanh layer
-        dpre = dx * (1.0 - hidden * hidden)
-        dx = dpre @ w_in
+    w_in, b_in, w_out, b_out = params
+    if hidden is None:
+        dx = dlogits @ w_out
+        if xs is None:
+            return None, dx
+        return ParamGrads(np.zeros_like(w_in), np.zeros_like(b_in),
+                          *_layer_grads(dlogits, xs, b_out)), dx
+    dpre = _tanh_delta(dlogits, w_out, hidden)
+    dx = dpre @ w_in
     if xs is None:
         return None, dx
-    if hidden is None:
-        return ParamGrads(np.zeros_like(w_in), np.zeros_like(b_in), dlogits.T @ xs,
-                          dlogits.sum(axis=0)), dx
-    return ParamGrads(dpre.T @ xs, dpre.sum(axis=0), dlogits.T @ hidden,
-                      dlogits.sum(axis=0)), dx
+    return ParamGrads(*_layer_grads(dpre, xs, b_in), *_layer_grads(dlogits, hidden, b_out)), dx
 
 
 def forward(model: TinyClassifier, x: np.ndarray) -> np.ndarray:
@@ -237,23 +246,6 @@ def _smoothed(labels, n_classes: int, alpha: float) -> np.ndarray:
     targets = np.full((labels.size, n_classes), alpha / n_classes)
     targets[np.arange(labels.size), labels] += 1.0 - alpha
     return targets
-
-
-def smooth_targets(label: int, n_classes: int, alpha: float) -> np.ndarray:
-    """(1 - alpha) * onehot + alpha / C."""
-    return _smoothed([label], n_classes, alpha)[0]
-
-
-def mixup(x1: np.ndarray, t1: np.ndarray, x2: np.ndarray, t2: np.ndarray,
-          lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Convex combination of two (input, target) pairs with weight lam on the first."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    t1 = np.asarray(t1, dtype=np.float64)
-    t2 = np.asarray(t2, dtype=np.float64)
-    if x1.shape != x2.shape or t1.shape != t2.shape:
-        raise DimensionMismatch("mixup operands must share shapes")
-    return lam * x1 + (1.0 - lam) * x2, lam * t1 + (1.0 - lam) * t2
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -474,12 +466,11 @@ def _sgd(streams):
                 dlogits = (np.exp(_log_softmax(logits)) - t_epoch[slices, rows]) / length
                 # grads from the pre-step parameters: the backbone's uses w_out
                 if backbone is not None:
-                    dpre = (dlogits @ group[2]) * (1.0 - hidden * hidden)
-                    _step(group[0], group[1], dpre.mT @ xb, dpre.sum(axis=1, keepdims=True),
-                          *backbone)
+                    _step(group[0], group[1], *_layer_grads(
+                        _tanh_delta(dlogits, group[2], hidden), xb, group[1]), *backbone)
                 if head is not None:
-                    _step(group[2], group[3], dlogits.mT @ (xb if hidden is None else hidden),
-                          dlogits.sum(axis=1, keepdims=True), *head)
+                    _step(group[2], group[3], *_layer_grads(
+                        dlogits, xb if hidden is None else hidden, group[3]), *head)
         yield params
     if order != sorted(order):
         rank = np.argsort(order)
@@ -523,52 +514,38 @@ def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
             logits = _forward([p[0] for p in params], xs)[1]
             trace.append(EpochStats(_mean_nll(_log_softmax(logits), targets),
                                     float((logits.argmax(axis=1) == labels).mean())))
-    return _unstack(params)[0], trace
+    return unstack(params)[0], trace
 
 
-def train_streams(streams) -> tuple[tuple[TinyClassifier, ...], ...]:
+def train_streams(streams) -> tuple[list[np.ndarray], ...]:
     """train every stream under each of its configs, all in one stacked SGD loop.
 
-    Returns one tuple of models per stream, in the order of its configs;
-    each model is bit-identical to train_group on its stream alone. The
-    streams must share epochs, batch_size and architecture (otherwise
-    BadTrainConfig); their models, rows, seeds and mixup_alpha may differ.
-    No per-epoch trace is computed.
+    Returns, per stream, its trained [w_in, b_in, w_out, b_out] stacked one
+    slice per config in the order of its configs, with biases shaped
+    (G, 1, .); slice g is bit-identical to training the stream alone under
+    its config g. The streams must share epochs, batch_size and architecture
+    (otherwise BadTrainConfig); their models, rows, seeds and mixup_alpha
+    may differ. No per-epoch trace is computed.
     """
     streams = [Stream(*s[:3], tuple(s[3])) for s in streams]
-    steps = _sgd(streams)
-    params = next(steps)
-    for _ in steps:
-        pass
-    models = iter(_unstack(params))
-    return tuple(tuple(itertools.islice(models, len(s.configs))) for s in streams)
+    *_, params = _sgd(streams)  # the last yield, put in given order once training ends
+    bounds = np.cumsum([0] + [len(s.configs) for s in streams]).tolist()
+    return tuple([p[lo:hi] for p in params] for lo, hi in zip(bounds, bounds[1:]))
 
 
-def train_group(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
-                configs) -> tuple[TinyClassifier, ...]:
-    """train under each config from the same init, in one stacked SGD loop.
+def forward_stack(params, xs: np.ndarray) -> np.ndarray:
+    """Logits (G, N, C) of stacked [w_in, b_in, w_out, b_out] on one batch (N, D).
 
-    Model g is bit-identical to train(model, xs, labels, configs[g])[0]. The
-    configs must share epochs, batch_size, seed and mixup_alpha (otherwise
-    BadTrainConfig); learning rates, weight decay and label smoothing may
-    differ. No per-epoch trace is computed.
+    The parameters are stacked as train_streams returns them. Slice g is
+    bit-identical to forward on unstack(params)[g], since numpy runs the
+    stacked matmul as one 2-D product per slice.
     """
-    return train_streams([Stream(model, xs, labels, configs)])[0]
-
-
-def forward_stack(models, xs: np.ndarray) -> np.ndarray:
-    """Logits (G, N, C) of G same-shaped models on one batch (N, D).
-
-    Slice g is bit-identical to forward(models[g], xs), since numpy runs the
-    stacked matmul as one 2-D product per model.
-    """
-    xs, _ = _as_batch(xs, models[0].input_dim)
-    params = [np.stack([m.w_in for m in models]), np.stack([m.b_in[None] for m in models]),
-              np.stack([m.w_out for m in models]), np.stack([m.b_out[None] for m in models])]
+    xs, _ = _as_batch(xs, params[0].shape[-1])
     return _forward(params, xs)[1]
 
 
-def _unstack(params: list[np.ndarray]) -> tuple[TinyClassifier, ...]:
+def unstack(params) -> tuple[TinyClassifier, ...]:
+    """One model per slice of stacked [w_in, b_in, w_out, b_out]."""
     w_in, b_in, w_out, b_out = params
     return tuple(TinyClassifier(w_in[g], b_in[g, 0], w_out[g], b_out[g, 0])
                  for g in range(w_in.shape[0]))

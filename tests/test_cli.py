@@ -495,6 +495,27 @@ def test_nested_cv_diverging_rate_exits_3_with_one_line(tmp_path, flag, field):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("hidden, code, line", [
+    # 10**11 units by 512 features is 373 TiB, past any user address space
+    ("100000000000", 3, r"freshkit nested-cv: MemoryError: Unable to allocate .*"),
+    ("10000000000000000000000", 1,
+     r"freshkit nested-cv: error: argument --hidden: values must lie in .*"),
+])
+def test_oversized_hidden_layer_exits_with_one_line(tmp_path, hidden, code, line):
+    rng = np.random.default_rng(8)
+    xs = rng.normal(0.0, 1.0, (40, 512))
+    src = tmp_path / "data.csv"
+    write_logit_csv(src, table([(f"s{i:03d}", Split.TRAIN, i % 4, tuple(xs[i]))
+                                for i in range(40)]), column_prefix="x")
+    report = tmp_path / "report.json"
+    proc = run_script(["nested-cv", "--data", str(src), "--outer", "2", "--inner", "2",
+                       "--hidden", hidden, "--out", str(report)])
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert re.fullmatch(line + "\n", proc.stderr)
+    assert not report.exists()
+
+
 # --- pseudomask -----------------------------------------------------------------
 
 def test_pseudomask_writes_masks(tmp_path, capsys):
@@ -529,6 +550,18 @@ def test_pseudomask_writes_masks(tmp_path, capsys):
     assert overlap / union > 0.8
     energies = row["energies"]
     assert all(b <= a + 1e-6 for a, b in zip(energies, energies[1:]))
+
+
+def test_pseudomask_radius_past_the_image_exits_0(tmp_path, capsys):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_ppm(in_dir / "tray.ppm", _tray(24))
+    code, out, err = run_cli(["pseudomask", "--in", str(in_dir), "--out", str(tmp_path / "out"),
+                              "--iters", "1", "--k", "2", "--open", "1000000000000",
+                              "--close", "1000000000000"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["report"]["open_radius"] == 10 ** 12
+    assert read_pgm(tmp_path / "out" / "tray.pgm").pixels.shape == (24, 24)
 
 
 # --- demo --------------------------------------------------------------------

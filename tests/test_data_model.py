@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from freshkit.data_model import (
-    DEFAULT_CLASS_NAMES,
     BinaryMask,
-    ClassSpace,
     RecordTable,
     RgbImage,
     Split,
@@ -31,14 +29,6 @@ from freshkit.errors import (
     TruncatedPayload,
     UnsupportedMaxval,
 )
-
-
-def test_default_class_space():
-    space = ClassSpace(DEFAULT_CLASS_NAMES)
-    assert space.size == 4
-    assert space.index_of("UnpackagedFresh") == 2
-    with pytest.raises(ValueError):
-        space.index_of("nope")
 
 
 def test_split_values():

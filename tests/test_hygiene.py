@@ -9,7 +9,6 @@ from freshkit.demo import DEMO_GRID
 from freshkit.errors import (
     BadParameter,
     InputFormatError,
-    MissingClass,
     RowNotNormalized,
     TooFewSamplesPerClass,
 )
@@ -18,7 +17,6 @@ from freshkit.hygiene import (
     HyperGrid,
     _area_weights,
     audit_fold_plan,
-    class_weights,
     cluster_near_duplicates,
     hamming,
     inner_select,
@@ -292,27 +290,6 @@ def test_split_total_is_preserved_per_class():
         assert sum(int(np.sum((labels == c) & (parts == p))) for p in range(3)) == size
 
 
-# --- class weights ------------------------------------------------------------
-
-def test_class_weights_hand_case():
-    w = class_weights([0, 0, 0, 1], 2)
-    assert w == pytest.approx([2 / 3, 2.0], abs=1e-15)
-
-
-def test_class_weights_balance_property():
-    # reweighted class masses are equal, and total mass stays N
-    rng = np.random.default_rng(12)
-    labels = rng.integers(0, 4, size=500)
-    w = class_weights(labels, 4)
-    masses = [w[c] * np.sum(labels == c) for c in range(4)]
-    assert masses == pytest.approx([500 / 4] * 4, abs=1e-9)
-
-
-def test_class_weights_requires_every_class():
-    with pytest.raises(MissingClass):
-        class_weights([0, 0, 2], 3)
-
-
 # --- fold planning --------------------------------------------------------------
 
 def test_fold_plan_audit_on_random_labels():
@@ -474,12 +451,18 @@ def _eval_candidate(config, xs, labels, plan, outer_index, hidden_dim, n_classes
     return float(np.mean(accs))
 
 
+def _stacked(models):
+    """[w_in, b_in, w_out, b_out] of models stacked as train_streams returns them."""
+    return [np.stack([m.w_in for m in models]), np.stack([m.b_in[None] for m in models]),
+            np.stack([m.w_out for m in models]), np.stack([m.b_out[None] for m in models])]
+
+
 def _per_candidate(monkeypatch):
     """Route the search and the final fits through one `train` per config."""
     monkeypatch.setattr(hygiene, "_eval_configs",
                         lambda configs, *args: [_eval_candidate(c, *args) for c in configs])
     monkeypatch.setattr(hygiene, "train_streams", lambda streams: tuple(
-        tuple(train(model, xs, labels, c)[0] for c in configs)
+        _stacked([train(model, xs, labels, c)[0] for c in configs])
         for model, xs, labels, configs in streams))
 
 

@@ -26,7 +26,6 @@ from freshkit.pseudomask import (
     gmm_nll,
     grabcut,
     init_box,
-    min_cut_segment,
     morph_close,
     morph_open,
     rgb_to_lab,
@@ -348,7 +347,8 @@ def test_min_cut_segment_separates_synthetic_object():
     lab = rgb_to_lab(image.pixels).reshape(-1, 3)
     fg = fit_gmm(lab[truth.ravel()], n_components=2, seed=3)
     bg = fit_gmm(lab[~truth.ravel()], n_components=2, seed=4)
-    mask = min_cut_segment(image, fg, bg, smoothness=50.0)
+    problem = build_cut_problem(image, fg, bg, smoothness=50.0)
+    mask = BinaryMask(solve_cut(problem).reshape(problem.shape))
     assert mask_metrics(mask, truth).iou >= 0.9
 
 
@@ -503,6 +503,34 @@ def test_close_is_idempotent():
         mask = BinaryMask(rng.random((10, 12)) > 0.5)
         closed = morph_close(mask)
         assert morph_close(closed) == closed
+
+
+def _window_reference(pixels, radius, combine_any):
+    """Dilation (any) or erosion (all) pixel by pixel, over an unclamped window."""
+    h, w = pixels.shape
+    padded = np.zeros((h + 2 * radius, w + 2 * radius), dtype=bool)
+    padded[radius:radius + h, radius:radius + w] = pixels
+    windows = [[padded[y:y + 2 * radius + 1, x:x + 2 * radius + 1] for x in range(w)]
+               for y in range(h)]
+    return np.array([[win.any() if combine_any else win.all() for win in row]
+                     for row in windows])
+
+
+@pytest.mark.parametrize("shape", [(9, 13), (16, 16), (20, 7)])
+def test_morphology_radius_is_clamped_exactly(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    mask = BinaryMask(rng.random(shape) > 0.4)
+    side = max(shape)
+    for radius in (1, 2, 5, side - 1, side, side + 1, side + 7, 3 * side):
+        eroded = _window_reference(mask.pixels, radius, False)
+        dilated = _window_reference(mask.pixels, radius, True)
+        assert np.array_equal(morph_open(mask, radius).pixels,
+                              _window_reference(eroded, radius, True))
+        assert np.array_equal(morph_close(mask, radius).pixels,
+                              _window_reference(dilated, radius, False))
+    # a radius far beyond the mask runs no longer than one of max(h, w)
+    assert morph_open(mask, 10 ** 12) == morph_open(mask, side)
+    assert morph_close(mask, 10 ** 12) == morph_close(mask, side)
 
 
 def test_apply_mask_zeroes_background():

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,18 +27,35 @@ from freshkit.tiny_model import (
     grads_from_targets,
     init_model,
     load_model,
-    mixup,
     model_from_json,
     model_to_json,
     nll_input_gradient,
     save_model,
-    smooth_targets,
     train,
-    train_group,
     train_streams,
+    unstack,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=120, deadline=None)
+
+
+# reference copies of the one-sample target and mixup helpers the package
+# no longer has; training builds both for whole batches at once
+def smooth_targets(label, n_classes, alpha):
+    """(1 - alpha) * onehot + alpha / C."""
+    targets = np.full(n_classes, alpha / n_classes)
+    targets[label] += 1.0 - alpha
+    return targets
+
+
+def mixup(x1, t1, x2, t2, lam):
+    """Convex combination of two (input, target) pairs with weight lam on the first."""
+    return lam * x1 + (1.0 - lam) * x2, lam * t1 + (1.0 - lam) * t2
+
+
+def train_group(model, xs, labels, configs):
+    """One trained model per config, from one stream through train_streams."""
+    return unstack(train_streams([Stream(model, xs, labels, configs)])[0])
 
 
 def _loss_at(model, xs, targets):
@@ -143,20 +161,9 @@ def test_linear_model_gradients():
     assert _rel_err(analytic.b_out, numeric["b_out"]) < 1e-5
 
 
-def test_smooth_targets():
-    t = smooth_targets(1, 4, 0.0)
-    assert t.tolist() == [0.0, 1.0, 0.0, 0.0]
-    t = smooth_targets(1, 4, 0.2)
-    assert t.sum() == pytest.approx(1.0, abs=1e-12)
-    assert t[1] == pytest.approx(0.8 + 0.05, abs=1e-12)
-    assert t[0] == pytest.approx(0.05, abs=1e-12)
-
-
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_out_of_range_labels_are_rejected(bad):
     # vectorised target building must not let numpy wrap -1 to the last class
-    with pytest.raises(BadLabelIndex):
-        smooth_targets(bad, 4, 0.1)
     model = init_model(3, 2, 4, seed=0)
     xs = np.zeros((3, 3))
     labels = np.array([0, bad, 1])
@@ -180,17 +187,6 @@ def test_label_targets_match_a_per_label_loop():
     for name in ("w_in", "b_in", "w_out", "b_out"):
         assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
     assert np.array_equal(a.inputs, b.inputs)
-
-
-def test_mixup_combines_inputs_and_targets():
-    x1 = np.ones((2, 3))
-    x2 = np.zeros((2, 3))
-    t1 = np.array([[1.0, 0.0], [1.0, 0.0]])
-    t2 = np.array([[0.0, 1.0], [0.0, 1.0]])
-    xm, tm = mixup(x1, t1, x2, t2, 0.25)
-    assert np.allclose(xm, 0.25)
-    assert np.allclose(tm, [[0.25, 0.75], [0.25, 0.75]])
-    assert np.allclose(tm.sum(axis=1), 1.0)
 
 
 def test_derive_seed_is_deterministic_and_spread():
@@ -468,11 +464,76 @@ def test_train_streams_equals_per_stream_train_group(streams):
     fitted = train_streams(streams)
     assert len(fitted) == len(streams)
     for stream, got in zip(streams, fitted):
+        g, model = len(stream.configs), stream.model
+        assert [p.shape for p in got] == [
+            (g, model.hidden_dim, model.input_dim), (g, 1, model.hidden_dim),
+            (g, *model.w_out.shape), (g, 1, model.n_classes)]
         expected = train_group(*stream)
-        assert len(got) == len(expected) == len(stream.configs)
-        for a, b in zip(got, expected):
+        assert len(expected) == g
+        for a, b in zip(unstack(got), expected):
             for name in ("w_in", "b_in", "w_out", "b_out"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@st.composite
+def one_step_streams(draw, hidden):
+    """Streams of one size, each trained one epoch of a single batch without
+    mixup, so _sgd makes exactly one step on every slice at once."""
+    dim, n_classes = draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    n = draw(st.integers(1, 25))
+    batch_size = draw(st.integers(n, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rate = st.sampled_from([0.0, 0.05, 0.3])
+    streams = []
+    for _ in range(draw(st.integers(1, 3))):
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        configs = draw(st.lists(st.builds(
+            TrainConfig, epochs=st.just(1), batch_size=st.just(batch_size), seed=st.just(seed),
+            head_lr=rate, backbone_lr=rate, weight_decay=st.sampled_from([0.0, 0.5]),
+            label_smoothing=st.sampled_from([0.0, 0.1]),
+        ), min_size=1, max_size=4))
+        model = init_model(dim, hidden, n_classes, seed=draw(st.integers(0, 2 ** 32 - 1)))
+        streams.append(Stream(model, rng.normal(0.0, 1.5, (n, dim)),
+                              rng.integers(0, n_classes, n), tuple(configs)))
+    # one live slice in each group, so both groups take their step
+    first = streams[0]
+    streams[0] = first._replace(configs=(replace(first.configs[0], head_lr=0.1, backbone_lr=0.1),
+                                         *first.configs[1:]))
+    return streams
+
+
+@pytest.mark.parametrize("hidden", [0, 5])
+@PROPERTY
+@given(data=st.data())
+def test_sgd_applies_the_gradients_grads_from_targets_gives_each_slice(hidden, data):
+    streams = data.draw(one_step_streams(hidden))
+    steps = tiny_model._sgd(streams)
+    params = next(steps)
+    applied = {}
+    step = tiny_model._step
+
+    def spy(w, b, gw, gb, *rates):
+        applied["backbone" if np.shares_memory(w, params[0]) else "head"] = (gw.copy(), gb.copy())
+        step(w, b, gw, gb, *rates)
+
+    with mock.patch.object(tiny_model, "_step", spy):
+        for _ in steps:
+            pass
+    assert set(applied) == ({"backbone", "head"} if hidden else {"head"})
+    # equal sizes keep the streams in given order among the slices
+    slices = [(stream, config) for stream in streams for config in stream.configs]
+    for g, (stream, config) in enumerate(slices):
+        order = np.random.default_rng(config.seed).permutation(stream.labels.size)
+        targets = np.stack([smooth_targets(int(y), stream.model.n_classes,
+                                           config.label_smoothing) for y in stream.labels])
+        expected = grads_from_targets(stream.model, stream.xs[order], targets[order]).params
+        gw, gb = applied["head"]
+        assert np.array_equal(gw[g], expected.w_out)
+        assert np.array_equal(gb[g, 0], expected.b_out)
+        if hidden:
+            gw, gb = applied["backbone"]
+            assert np.array_equal(gw[g], expected.w_in)
+            assert np.array_equal(gb[g, 0], expected.b_in)
 
 
 def test_train_streams_rejects_an_empty_stream_list():
@@ -526,11 +587,12 @@ def test_train_streams_names_the_config_the_per_stream_sequence_names_first():
 @pytest.mark.parametrize("hidden", [8, 0])
 def test_stacked_forward_equals_per_model_calls(hidden):
     xs, labels = _blobs(40, 4, 16, spread=2.0, seed=9)
-    config = TrainConfig(epochs=2, batch_size=16, head_lr=0.1, backbone_lr=0.1, seed=10)
-    models = [train(init_model(16, hidden, 4, seed=s), xs, labels, config)[0] for s in range(5)]
-    stacked = forward_stack(models, xs)
+    configs = [TrainConfig(epochs=2, batch_size=16, head_lr=lr, backbone_lr=0.1, seed=10)
+               for lr in (0.0, 0.01, 0.05, 0.1, 0.3)]
+    (params,) = train_streams([Stream(init_model(16, hidden, 4, seed=11), xs, labels, configs)])
+    stacked = forward_stack(params, xs)
     assert stacked.shape == (5, 160, 4)
-    for model, logits in zip(models, stacked):
+    for model, logits in zip(unstack(params), stacked):
         expected = forward(model, xs)
         assert np.array_equal(logits, expected)
         assert np.array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
