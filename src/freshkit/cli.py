@@ -65,7 +65,7 @@ from .hygiene import (
     stratified_split,
 )
 from .ood_eval import DEFAULT_TAUS, ScoredSample, ood_metrics, threshold_sweep
-from .pseudomask import apply_mask, grabcut, morph_close, morph_open
+from .pseudomask import grabcut, morph_close, morph_open
 from .scoring import OdinConfig, energy_score, msp_score, odin_score, softmax
 from .seg_eval import mask_metrics, dataset_summary
 from .stats import (
@@ -649,8 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, metavar="DIR")
     p.add_argument("--gt", required=True, metavar="DIR")
     p.add_argument("--classes", metavar="CSV", default=None)
-    p.add_argument("--boot", type=_bounded(int, 1), default=5000,
-                   help="bootstrap replicates (default 5000)")
+    p.add_argument("--boot", type=_bounded(int, 1, 2 ** 40), default=5000,
+                   help="bootstrap replicates, below 2**40 (default 5000)")
 
     p = add("mcnemar", _cmd_mcnemar, "paired test between two classifiers",
             "Continuity-corrected McNemar test plus the paired accuracy "
@@ -672,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
             "interval, linear interpolation between order statistics.")
     p.add_argument("--values", required=True, metavar="TXT")
     p.add_argument("--stat", choices=("mean", "median"), default="mean")
-    p.add_argument("--b", type=_bounded(int, 1), default=4000,
-                   help="bootstrap replicates (default 4000)")
+    p.add_argument("--b", type=_bounded(int, 1, 2 ** 40), default=4000,
+                   help="bootstrap replicates, below 2**40 (default 4000)")
 
     p = add("dedup", _cmd_dedup, "perceptual-hash near-duplicate clusters",
             "Hashes every .ppm (P6) and .pgm (P5) file in a directory with "

@@ -67,12 +67,9 @@ def cross_entropy(probs, labels, label_smoothing: float = 0.0) -> float:
     return float(-((1.0 - alpha) * picked + alpha * uniform).mean())
 
 
-def confusion(true_labels, pred_labels, n_classes: int, keep=None) -> np.ndarray:
-    """Counts matrix with rows true, columns predicted.
-
-    keep, when given, is a boolean mask selecting the samples that were not
-    abstained on; only those pairs are counted.
-    """
+def _kept_pairs(true_labels, pred_labels, keep, verb: str) -> tuple[np.ndarray, np.ndarray]:
+    """The two label vectors, checked to pair up and cut to the kept samples;
+    when none are left, EmptyBatch says there are no samples to verb."""
     t = np.asarray(true_labels)
     p = np.asarray(pred_labels)
     if t.shape != p.shape or t.ndim != 1:
@@ -83,7 +80,17 @@ def confusion(true_labels, pred_labels, n_classes: int, keep=None) -> np.ndarray
             raise LengthMismatch("keep mask must pair with the labels")
         t, p = t[k], p[k]
     if t.size == 0:
-        raise EmptyBatch("no samples to count")
+        raise EmptyBatch(f"no samples to {verb}")
+    return t, p
+
+
+def confusion(true_labels, pred_labels, n_classes: int, keep=None) -> np.ndarray:
+    """Counts matrix with rows true, columns predicted.
+
+    keep, when given, is a boolean mask selecting the samples that were not
+    abstained on; only those pairs are counted.
+    """
+    t, p = _kept_pairs(true_labels, pred_labels, keep, "count")
     t = t.astype(np.int64)
     p = p.astype(np.int64)
     for name, arr in (("true", t), ("pred", p)):
@@ -97,17 +104,7 @@ def confusion(true_labels, pred_labels, n_classes: int, keep=None) -> np.ndarray
 
 def accuracy(true_labels, pred_labels, keep=None) -> float:
     """Fraction correct, over kept samples when a mask is supplied."""
-    t = np.asarray(true_labels)
-    p = np.asarray(pred_labels)
-    if t.shape != p.shape or t.ndim != 1:
-        raise LengthMismatch(f"shapes {t.shape} and {p.shape} do not pair up")
-    if keep is not None:
-        k = np.asarray(keep, dtype=bool)
-        if k.shape != t.shape:
-            raise LengthMismatch("keep mask must pair with the labels")
-        t, p = t[k], p[k]
-    if t.size == 0:
-        raise EmptyBatch("no samples to score")
+    t, p = _kept_pairs(true_labels, pred_labels, keep, "score")
     return float((t == p).mean())
 
 

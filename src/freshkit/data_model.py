@@ -90,10 +90,28 @@ class RecordTable:
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryMask:
-    """A height x width boolean array; True marks foreground."""
+class _Raster:
+    """Shared by the image types: a read-only pixel array compared by value."""
 
     pixels: np.ndarray
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return bool(np.array_equal(self.pixels, other.pixels))
+
+
+@dataclass(frozen=True, eq=False)
+class BinaryMask(_Raster):
+    """A height x width boolean array; True marks foreground."""
 
     def __post_init__(self) -> None:
         px = np.asarray(self.pixels)
@@ -101,47 +119,19 @@ class BinaryMask:
             raise DimensionMismatch(f"mask must be 2-D and nonempty, got shape {px.shape}")
         object.__setattr__(self, "pixels", _freeze(px.astype(bool)))
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
     def foreground_count(self) -> int:
         return int(self.pixels.sum())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BinaryMask):
-            return NotImplemented
-        return bool(np.array_equal(self.pixels, other.pixels))
-
 
 @dataclass(frozen=True, eq=False)
-class RgbImage:
+class RgbImage(_Raster):
     """A height x width x 3 uint8 array, sRGB channel order."""
-
-    pixels: np.ndarray
 
     def __post_init__(self) -> None:
         px = np.asarray(self.pixels)
         if px.ndim != 3 or px.shape[2] != 3 or px.shape[0] < 1 or px.shape[1] < 1:
             raise DimensionMismatch(f"image must be (h, w, 3), got shape {px.shape}")
         object.__setattr__(self, "pixels", _freeze(px.astype(np.uint8)))
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RgbImage):
-            return NotImplemented
-        return bool(np.array_equal(self.pixels, other.pixels))
 
 
 # --- text files -----------------------------------------------------------
@@ -290,16 +280,21 @@ def _parse_pnm_header(data: bytes, path: Path, magic: bytes) -> tuple[int, int, 
     return width, height, pos
 
 
-def read_pgm_values(path: str | Path) -> np.ndarray:
-    """Read a binary PGM (P5, maxval 255) as raw uint8 gray values."""
+def _read_pnm(path: str | Path, magic: bytes, channels: int) -> np.ndarray:
+    """The uint8 payload of a binary PNM as (height, width, channels)."""
     path = Path(path)
     data = path.read_bytes()
-    width, height, offset = _parse_pnm_header(data, path, b"P5")
-    need = width * height
+    width, height, offset = _parse_pnm_header(data, path, magic)
+    need = width * height * channels
     payload = data[offset:offset + need]
     if len(payload) < need:
         raise TruncatedPayload(f"{path}: payload has {len(payload)} bytes, needs {need}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+
+
+def read_pgm_values(path: str | Path) -> np.ndarray:
+    """Read a binary PGM (P5, maxval 255) as raw uint8 gray values."""
+    return _read_pnm(path, b"P5", 1)[:, :, 0]
 
 
 def read_pgm(path: str | Path) -> BinaryMask:
@@ -316,15 +311,7 @@ def write_pgm(path: str | Path, mask: BinaryMask) -> None:
 
 def read_ppm(path: str | Path) -> RgbImage:
     """Read a binary PPM (P6, maxval 255)."""
-    path = Path(path)
-    data = path.read_bytes()
-    width, height, offset = _parse_pnm_header(data, path, b"P6")
-    need = width * height * 3
-    payload = data[offset:offset + need]
-    if len(payload) < need:
-        raise TruncatedPayload(f"{path}: payload has {len(payload)} bytes, needs {need}")
-    values = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return RgbImage(values)
+    return RgbImage(_read_pnm(path, b"P6", 3))
 
 
 def write_ppm(path: str | Path, image: RgbImage) -> None:

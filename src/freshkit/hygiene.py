@@ -23,7 +23,6 @@ from .errors import (
     BadParameter,
     EmptyInput,
     InputFormatError,
-    LengthMismatch,
     RowNotNormalized,
     TooFewSamplesPerClass,
 )

@@ -1,10 +1,12 @@
 """Detector metrics over scored ID/OOD samples, plus the abstention sweep.
 
-AUROC uses the rank statistic with average ranks, which equals brute-force
-pair counting with half credit for ties. AUPR treats ID as the positive
-class and integrates precision over recall step-wise at distinct score
-thresholds, with no interpolation. FPR@95TPR is the smallest false positive
-rate among thresholds (accept when score >= t) whose ID true positive rate
+All three detector metrics come from one walk down the distinct score
+thresholds (accept when score >= t), ID being the positive class. AUROC is
+the trapezoidal area under the ROC staircase; in counts that area is twice
+the Mann-Whitney U, so it equals brute-force pair counting with half credit
+for ties, exactly in float64. AUPR integrates precision over recall
+step-wise at the same thresholds, with no interpolation. FPR@95TPR is the
+smallest false positive rate among thresholds whose ID true positive rate
 is at least 0.95.
 """
 from __future__ import annotations
@@ -57,22 +59,6 @@ class SweepPoint:
     reference: bool
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the group average (multiples of 0.5)."""
-    order = np.argsort(scores, kind="mergesort")
-    sorted_vals = scores[order]
-    n = scores.shape[0]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    group = np.cumsum(starts) - 1
-    firsts = np.flatnonzero(starts)
-    counts = np.diff(np.append(firsts, n))
-    group_avg = firsts + (counts + 1) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = group_avg[group]
-    return ranks
-
-
 def ood_metrics(samples) -> OodReport:
     """AUROC, AUPR with ID positive, and FPR@95TPR for a scored sample set."""
     samples = list(samples)
@@ -85,9 +71,6 @@ def ood_metrics(samples) -> OodReport:
     if n_id == 0 or n_ood == 0:
         raise MissingClass(f"need both sides, got {n_id} ID and {n_ood} OOD")
 
-    ranks = _average_ranks(scores)
-    auroc = float((ranks[is_id].sum() - n_id * (n_id + 1) / 2.0) / (n_id * n_ood))
-
     # walk distinct thresholds from high to low; a threshold cannot split ties
     desc = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[desc]
@@ -98,14 +81,18 @@ def ood_metrics(samples) -> OodReport:
     accepted = (np.arange(len(samples)) + 1)[boundary].astype(np.float64)
     fp = accepted - tp
 
+    # each trapezoid of the ROC staircase in counts: a tie group's ID-OOD
+    # pairs earn half credit; the sum is 2U, exact while n**2 < 2**53
+    prev_tp = np.concatenate([[0.0], tp[:-1]])
+    two_u = (np.diff(fp, prepend=0.0) * (tp + prev_tp)).sum()
+    auroc = float(two_u / (2.0 * n_id * n_ood))
+
     precision = tp / accepted
     recall = tp / n_id
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    aupr = float(((recall - prev_recall) * precision).sum())
+    aupr = float((np.diff(recall, prepend=0.0) * precision).sum())
 
-    tpr = recall
     fpr = fp / n_ood
-    eligible = tpr >= 0.95
+    eligible = recall >= 0.95
     fpr95 = float(fpr[eligible].min())
 
     return OodReport(auroc, aupr, fpr95, n_id, n_ood)

@@ -386,16 +386,14 @@ def _window_reduce(pixels: np.ndarray, radius: int, combine_any: bool) -> np.nda
     radius = min(radius, max(h, w))  # from every pixel this already reaches past each edge
     padded = np.zeros((h + 2 * radius, w + 2 * radius), dtype=bool)
     padded[radius:radius + h, radius:radius + w] = pixels
-    out = None
-    for dy in range(2 * radius + 1):
-        for dx in range(2 * radius + 1):
-            view = padded[dy:dy + h, dx:dx + w]
-            if out is None:
-                out = view.copy()
-            elif combine_any:
-                out |= view
-            else:
-                out &= view
+    combine = np.logical_or if combine_any else np.logical_and
+    # the square is separable: a column window, then a row window of those
+    columns = padded[:h].copy()
+    for dy in range(1, 2 * radius + 1):
+        combine(columns, padded[dy:dy + h], out=columns)
+    out = columns[:, :w].copy()
+    for dx in range(1, 2 * radius + 1):
+        combine(out, columns[:, dx:dx + w], out=out)
     return out
 
 

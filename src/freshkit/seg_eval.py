@@ -13,6 +13,7 @@ import numpy as np
 
 from .data_model import BinaryMask
 from .errors import DimensionMismatch, EmptyInput
+from .stats import bootstrap_replicates
 
 __all__ = [
     "METRIC_NAMES",
@@ -95,7 +96,8 @@ class SegSummary:
 def dataset_summary(per_image, n_boot: int = 5000, seed: int = 42) -> SegSummary:
     """Mean of each metric with a percentile bootstrap CI over images.
 
-    Images are resampled with replacement n_boot times; one index draw per
+    Images are resampled with replacement n_boot times by
+    bootstrap_replicates on the (n, 5) metric matrix, so one index draw per
     replicate is shared across metrics. The CI is the 2.5/97.5 percentile of
     replicate means with linear interpolation between order statistics.
     Deterministic for a fixed seed.
@@ -104,14 +106,11 @@ def dataset_summary(per_image, n_boot: int = 5000, seed: int = 42) -> SegSummary
     if not rows:
         raise EmptyInput("no per-image metrics to summarize")
     values = np.stack([m.as_array() for m in rows])
-    n = values.shape[0]
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(n_boot, n))
-    boot_means = values[idx].mean(axis=1)
+    boot_means = bootstrap_replicates(values, np.mean, n_boot, seed)
     lo, hi = np.percentile(boot_means, [2.5, 97.5], axis=0)
     means = values.mean(axis=0)
     metrics = {
         name: MetricSummary(float(means[j]), float(lo[j]), float(hi[j]))
         for j, name in enumerate(METRIC_NAMES)
     }
-    return SegSummary(n, n_boot, seed, metrics)
+    return SegSummary(len(rows), n_boot, seed, metrics)

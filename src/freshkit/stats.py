@@ -25,6 +25,7 @@ __all__ = [
     "paired_acc_diff_ci",
     "chi2_sf_df1",
     "BootstrapCi",
+    "bootstrap_replicates",
     "percentile_bootstrap",
 ]
 
@@ -128,29 +129,39 @@ class BootstrapCi:
     seed: int
 
 
+def bootstrap_replicates(values: np.ndarray, statistic: Callable[..., np.ndarray],
+                         n_boot: int, seed: int) -> np.ndarray:
+    """statistic(resampled, axis=1) for n_boot resamples of the rows of values.
+
+    Every bootstrap CI in the package draws here. Blocks of max(1, 2**15 // n)
+    replicates fill one preallocated (n_boot, *values.shape[1:]) array, so a
+    count that memory cannot hold raises MemoryError at once. The blocks draw
+    in turn from one seeded generator, giving the indices of one (n_boot, n)
+    draw whatever the block size.
+    """
+    if n_boot < 1:
+        raise BadParameter(f"n_boot must be >= 1, got {n_boot}")
+    n = values.shape[0]
+    out = np.empty((n_boot, *values.shape[1:]))
+    rng = np.random.default_rng(seed)
+    block = max(1, 2 ** 15 // n)
+    for start in range(0, n_boot, block):
+        rows = rng.integers(0, n, size=(min(block, n_boot - start), n))
+        out[start:start + len(rows)] = statistic(values[rows], axis=1)
+    return out
+
+
 def percentile_bootstrap(values, statistic: Callable[..., np.ndarray],
                          n_boot: int = 4000, seed: int = 42) -> BootstrapCi:
     """Percentile bootstrap CI of a statistic.
 
-    The statistic must take an `axis` argument, as np.mean and np.median do:
-    replicates are evaluated as statistic(rows, axis=1) over blocks of
-    resampled rows. Each block draws its index rows from one seeded
-    generator in turn, which gives the same indices as a single
-    (n_boot, n) draw, so the result is deterministic and independent of
-    the block size. The CI is the 2.5/97.5 percentile with linear
+    Replicates come from bootstrap_replicates, so the statistic must take an
+    `axis` argument. The CI is the 2.5/97.5 percentile with linear
     interpolation.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyInput("need at least one observation")
-    if n_boot < 1:
-        raise BadParameter(f"n_boot must be >= 1, got {n_boot}")
-    n = arr.size
-    rng = np.random.default_rng(seed)
-    block = max(1, 2 ** 15 // n)  # about 2**15 resampled values per block
-    replicates = np.concatenate([
-        statistic(arr[rng.integers(0, n, size=(min(block, n_boot - start), n))], axis=1)
-        for start in range(0, n_boot, block)
-    ])
+    replicates = bootstrap_replicates(arr, statistic, n_boot, seed)
     lo, hi = np.percentile(replicates, [2.5, 97.5])
     return BootstrapCi(float(statistic(arr)), float(lo), float(hi), n_boot, seed)

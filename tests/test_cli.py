@@ -772,6 +772,28 @@ def test_bad_mask_flags_fail_at_parse_time(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [("seg-eval", "--boot"), ("bootstrap", "--b")])
+def test_replicate_count_past_2_pow_40_fails_at_parse_time(tmp_path, capsys, command, flag):
+    # unbounded, 10**29 replicates raised a raw ValueError from seg-eval's
+    # index draw and kept bootstrap drawing blocks without end
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    write_pgm(masks / "a.pgm", BinaryMask(np.eye(16, dtype=bool)))
+    values = tmp_path / "values.txt"
+    values.write_text("1.0\n2.5\n4.0\n")
+    inputs = {"seg-eval": ["--pred", str(masks), "--gt", str(masks)],
+              "bootstrap": ["--values", str(values)]}
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as info:
+        main([command, *inputs[command], flag, str(10 ** 29), "--out", str(report)])
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"freshkit {command}: error: argument {flag}: "
+                        r"values must lie in \[1, 1099511627776\), got '10{29}'\n", err)
+    assert not report.exists()
+
+
 def test_help_exits_0():
     for argv in (["--help"], ["mcnemar", "--help"], ["pseudomask", "--help"]):
         with pytest.raises(SystemExit) as info:

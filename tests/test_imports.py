@@ -1,0 +1,38 @@
+"""Every name a freshkit module imports is used in that module or re-exported
+through its __all__. Parsed with ast, so no linter is needed."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import freshkit
+
+MODULES = sorted(Path(freshkit.__file__).parent.glob("*.py"))
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imported_names_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    kept = used | _exported_names(tree)
+    unused = [f"{path.name}:{line}: {name}" for line, name in _imported_names(tree)
+              if name not in kept]
+    assert not unused, "imported but never used: " + ", ".join(unused)

@@ -2,6 +2,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freshkit.errors import EmptyInput, MissingClass
 from freshkit.ood_eval import (
@@ -78,6 +80,56 @@ def test_auroc_equals_brute_force_with_ties():
         report = ood_metrics(_samples(id_scores, ood_scores))
         expected = _brute_force_auroc(id_scores.tolist(), ood_scores.tolist())
         assert report.auroc == expected, f"trial {trial}"
+
+
+def _rank_ood_metrics(scores, is_id):
+    """The rank-statistic implementation that the threshold walk replaced,
+    kept here as the bit-for-bit reference."""
+    order = np.argsort(scores, kind="mergesort")
+    sorted_vals = scores[order]
+    n = scores.shape[0]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    group = np.cumsum(starts) - 1
+    firsts = np.flatnonzero(starts)
+    counts = np.diff(np.append(firsts, n))
+    group_avg = firsts + (counts + 1) / 2.0
+    ranks = np.empty(n)
+    ranks[order] = group_avg[group]
+    n_id = int(is_id.sum())
+    n_ood = n - n_id
+    auroc = float((ranks[is_id].sum() - n_id * (n_id + 1) / 2.0) / (n_id * n_ood))
+
+    desc = np.argsort(-scores, kind="mergesort")
+    sorted_scores = scores[desc]
+    sorted_id = is_id[desc]
+    boundary = np.ones(n, dtype=bool)
+    boundary[:-1] = sorted_scores[:-1] != sorted_scores[1:]
+    tp = np.cumsum(sorted_id)[boundary].astype(np.float64)
+    accepted = (np.arange(n) + 1)[boundary].astype(np.float64)
+    fp = accepted - tp
+    precision = tp / accepted
+    recall = tp / n_id
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    aupr = float(((recall - prev_recall) * precision).sum())
+    fpr95 = float((fp / n_ood)[recall >= 0.95].min())
+    return OodReport(auroc, aupr, fpr95, n_id, n_ood)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(2, 2000), levels=st.sampled_from([1, 2, 3, 8, 40, 0]),
+       id_share=st.floats(0.01, 0.99), seed=st.integers(0, 2 ** 32 - 1))
+def test_walk_metrics_equal_rank_statistic_bit_for_bit(n, levels, id_share, seed):
+    rng = np.random.default_rng(seed)
+    is_id = rng.random(n) < id_share
+    is_id[:2] = True, False
+    if levels:  # quantized: most scores tie, within and across the groups
+        scores = np.floor(rng.random(n) * levels) / levels
+    else:
+        scores = rng.normal(size=n) + is_id
+    samples = [ScoredSample(f"s{i}", score, side)
+               for i, (score, side) in enumerate(zip(scores.tolist(), is_id.tolist()))]
+    assert ood_metrics(samples) == _rank_ood_metrics(scores, is_id)
 
 
 def test_auroc_flip_symmetry():

@@ -516,7 +516,7 @@ def _window_reference(pixels, radius, combine_any):
                      for row in windows])
 
 
-@pytest.mark.parametrize("shape", [(9, 13), (16, 16), (20, 7)])
+@pytest.mark.parametrize("shape", [(9, 13), (16, 16), (20, 7), (1, 1), (1, 17), (17, 1)])
 def test_morphology_radius_is_clamped_exactly(shape):
     rng = np.random.default_rng(shape[0] * shape[1])
     mask = BinaryMask(rng.random(shape) > 0.4)

@@ -8,6 +8,8 @@ from freshkit.errors import DimensionMismatch, EmptyInput
 from freshkit.seg_eval import (
     METRIC_NAMES,
     MaskMetrics,
+    MetricSummary,
+    SegSummary,
     dataset_summary,
     mask_metrics,
 )
@@ -158,6 +160,47 @@ def test_summary_ci_narrows_with_sample_size():
     width_big = w_big.ci_hi - w_big.ci_lo
     ratio = width_big / width_small  # expect about 1/4, allow slack
     assert ratio < 0.5
+
+
+def _summary_one_draw(per_image, n_boot, seed):
+    # reference: every replicate's indices from a single (n_boot, n) draw
+    values = np.stack([m.as_array() for m in per_image])
+    n = values.shape[0]
+    idx = np.random.default_rng(seed).integers(0, n, size=(n_boot, n))
+    lo, hi = np.percentile(values[idx].mean(axis=1), [2.5, 97.5], axis=0)
+    means = values.mean(axis=0)
+    return SegSummary(n, n_boot, seed, {
+        name: MetricSummary(float(means[j]), float(lo[j]), float(hi[j]))
+        for j, name in enumerate(METRIC_NAMES)
+    })
+
+
+@pytest.mark.parametrize("n, n_boot", [(1, 50), (37, 1000), (2000, 999), (2 ** 15 + 1, 7)])
+def test_summary_blocks_equal_one_draw(n, n_boot):
+    # blocks of max(1, 2**15 // n) replicates: at n = 2000 a block is 16, so
+    # 999 ends in a partial one, and past 2**15 rows every block is one
+    values = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 5))
+    per_image = [MaskMetrics(*row) for row in values.tolist()]
+    got = dataset_summary(per_image, n_boot=n_boot, seed=n + 3)
+    assert got == _summary_one_draw(per_image, n_boot, n + 3)
+
+
+def test_summary_draws_at_most_2_pow_15_indices_at_once(monkeypatch):
+    # pins the memory bound of the block-wise draw without reading RSS
+    n = 2000
+    per_image = _fake_metrics(np.random.default_rng(11), n)
+    draws = []
+
+    class CountingGenerator(np.random.Generator):
+        def integers(self, *args, size=None, **kwargs):
+            draws.append(int(np.prod(size)))
+            return super().integers(*args, size=size, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: CountingGenerator(np.random.PCG64(seed)))
+    dataset_summary(per_image, n_boot=5000, seed=4)
+    assert sum(draws) == 5000 * n
+    assert max(draws) <= max(2 ** 15, n)
 
 
 def test_summary_requires_images():
