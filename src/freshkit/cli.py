@@ -23,6 +23,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -64,7 +65,7 @@ from .hygiene import (
     phash64,
     stratified_split,
 )
-from .ood_eval import DEFAULT_TAUS, ScoredSample, ood_metrics, threshold_sweep
+from .ood_eval import DEFAULT_TAUS, ood_metrics, threshold_sweep
 from .pseudomask import grabcut, morph_close, morph_open
 from .scoring import OdinConfig, energy_score, msp_score, odin_score, softmax
 from .seg_eval import mask_metrics, dataset_summary
@@ -192,6 +193,37 @@ def _write_scores_csv(path: str, table: RecordTable, scores) -> None:
 
 # --- subcommands --------------------------------------------------------------
 
+def _is_id(table: RecordTable) -> list[bool]:
+    # every row not tagged split=ood counts as in-distribution
+    return [split is not Split.OOD for split in table.splits]
+
+
+def _odin(args, table: RecordTable):
+    """(settings, scores) for --method odin: the given setting, or else the
+    built-in grid tuned against the rows tagged split=ood by AUROC, where
+    the first of equal AUROCs wins."""
+    if args.model is None:
+        raise UsageError("--method odin requires --model")
+    if (args.temperature is None) != (args.epsilon is None):
+        raise UsageError("give both --temperature and --epsilon, "
+                         "or neither to tune over the built-in grid")
+    model = load_model(args.model)
+    if args.temperature is not None:
+        config = OdinConfig(args.temperature, args.epsilon)
+        return {"mode": "fixed", **asdict(config)}, odin_score(model, table.values, config)
+    is_id = _is_id(table)
+    if all(is_id) or not any(is_id):
+        raise MissingClass("grid tuning needs both ood-tagged and in-distribution rows")
+    runs = []
+    for temperature, epsilon in itertools.product(ODIN_GRID_TEMPERATURES, ODIN_GRID_EPSILONS):
+        config = OdinConfig(temperature, epsilon)
+        scores = odin_score(model, table.values, config)
+        runs.append((ood_metrics(zip(table.ids, scores.tolist(), is_id)).auroc, config, scores))
+    _, config, scores = max(runs, key=lambda run: run[0])
+    grid = [{**asdict(c), "auroc": auroc} for auroc, c, _ in runs]
+    return {"mode": "grid", **asdict(config), "grid": grid}, scores
+
+
 def _cmd_score(args):
     if args.method != "odin":
         if args.model is not None:
@@ -203,61 +235,16 @@ def _cmd_score(args):
 
     read = read_feature_csv if args.method == "odin" else read_logit_csv
     table = _load(read, args.logits, args.prefix)
-    xs = table.values
 
     if args.method == "msp":
-        scores = msp_score(xs)
-        report = {"method": "msp", "n": len(table.ids),
-                  "scores": _score_records(table, scores)}
+        settings, scores = {}, msp_score(table.values)
     elif args.method == "energy":
         temperature = 1.0 if args.temperature is None else args.temperature
-        scores = energy_score(xs, temperature)
-        report = {"method": "energy", "temperature": temperature,
-                  "n": len(table.ids),
-                  "scores": _score_records(table, scores)}
+        settings, scores = {"temperature": temperature}, energy_score(table.values, temperature)
     else:
-        if args.model is None:
-            raise UsageError("--method odin requires --model")
-        if (args.temperature is None) != (args.epsilon is None):
-            raise UsageError("give both --temperature and --epsilon, "
-                             "or neither to tune over the built-in grid")
-        model = load_model(args.model)
-        if args.temperature is not None:
-            config = OdinConfig(args.temperature, args.epsilon)
-            scores = odin_score(model, xs, config).tolist()
-            report = {"method": "odin", "mode": "fixed",
-                      "temperature": config.temperature,
-                      "epsilon": config.epsilon, "n": len(table.ids),
-                      "scores": _score_records(table, scores)}
-        else:
-            # no explicit setting: tune over the built-in grid against the
-            # rows tagged split=ood, maximizing AUROC
-            is_id = [split is not Split.OOD for split in table.splits]
-            if all(is_id) or not any(is_id):
-                raise MissingClass(
-                    "grid tuning needs both ood-tagged and in-distribution rows"
-                )
-            grid = []
-            best = None
-            for temperature in ODIN_GRID_TEMPERATURES:
-                for epsilon in ODIN_GRID_EPSILONS:
-                    config = OdinConfig(temperature, epsilon)
-                    scores = odin_score(model, xs, config).tolist()
-                    samples = [
-                        ScoredSample(rec_id, s, keep)
-                        for rec_id, s, keep in zip(table.ids, scores, is_id)
-                    ]
-                    auroc = ood_metrics(samples).auroc
-                    grid.append({"temperature": temperature,
-                                 "epsilon": epsilon, "auroc": auroc})
-                    if best is None or auroc > best[0]:
-                        best = (auroc, config, scores)
-            _, config, scores = best
-            report = {"method": "odin", "mode": "grid",
-                      "temperature": config.temperature,
-                      "epsilon": config.epsilon, "grid": grid,
-                      "n": len(table.ids),
-                      "scores": _score_records(table, scores)}
+        settings, scores = _odin(args, table)
+    report = {"method": args.method, **settings, "n": len(table.ids),
+              "scores": _score_records(table, scores)}
 
     writes = []
     if args.scores_out:
@@ -270,11 +257,8 @@ def _cmd_ood_eval(args):
     raw = _single_column(table, args.scores)
     if args.flip:
         raw = -raw
-    samples = [
-        ScoredSample(rec_id, s, split is not Split.OOD)
-        for rec_id, s, split in zip(table.ids, raw.tolist(), table.splits)
-    ]
-    return {**asdict(ood_metrics(samples)), "flipped": bool(args.flip)}, []
+    report = ood_metrics(zip(table.ids, raw.tolist(), _is_id(table)))
+    return {**asdict(report), "flipped": bool(args.flip)}, []
 
 
 def _cmd_sweep(args):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cls_eval import accuracy
 from .hygiene import HyperGrid, nested_cv_run, stratified_split
-from .ood_eval import DEFAULT_TAUS, ScoredSample, ood_metrics, threshold_sweep
+from .ood_eval import DEFAULT_TAUS, ood_metrics, threshold_sweep
 from .scoring import OdinConfig, energy_score, msp_score, odin_score
 from .stats import mcnemar, paired_acc_diff_ci, paired_outcomes
 from .tiny_model import (Stream, TrainConfig, derive_seed, forward, init_model,
@@ -103,31 +103,24 @@ def run_demo(seed: int = 42) -> dict:
 
     odin_config = OdinConfig(temperature=ODIN_TEMPERATURE, epsilon=ODIN_EPSILON)
 
-    def detector_scores(points: np.ndarray, is_id: bool, prefix: str):
+    def detector_scores(points: np.ndarray) -> dict[str, np.ndarray]:
         logits = forward(model, points)
-        rows = {
+        return {
             "msp": msp_score(logits),
             # detectors share the larger-is-ID orientation, so energy enters negated
             "energy": -energy_score(logits),
             "odin": odin_score(model, points, odin_config),
         }
-        return {
-            method: [
-                ScoredSample(f"{prefix}{i}", float(s), is_id)
-                for i, s in enumerate(values)
-            ]
-            for method, values in rows.items()
-        }
 
-    id_scores = detector_scores(test_x, True, "id")
-    ood_scores = detector_scores(ood, False, "ood")
-    ood_reports = {
-        method: ood_metrics(id_scores[method] + ood_scores[method])
-        for method in ("msp", "energy", "odin")
-    }
-
-    stream_conf = [s.score for s in id_scores["msp"] + ood_scores["msp"]]
-    sweep = threshold_sweep(stream_conf, DEFAULT_TAUS)
+    id_scores = detector_scores(test_x)
+    ood_scores = detector_scores(ood)
+    ids = [f"id{i}" for i in range(len(test_x))] + [f"ood{i}" for i in range(len(ood))]
+    is_id = [True] * len(test_x) + [False] * len(ood)
+    scores = {method: np.concatenate([id_scores[method], ood_scores[method]])
+              for method in id_scores}
+    ood_reports = {method: ood_metrics(zip(ids, column.tolist(), is_id))
+                   for method, column in scores.items()}
+    sweep = threshold_sweep(scores["msp"], DEFAULT_TAUS)
 
     rival_pred = forward(rival, test_x).argmax(axis=1)
     outcome = paired_outcomes(test_pred == test_y, rival_pred == test_y)

@@ -427,16 +427,9 @@ def _eval_configs(configs: list[TrainConfig], xs: np.ndarray, labels: np.ndarray
     return [float(np.mean(a)) for a in accs]
 
 
-def _pick_best(cands: list[CandidateScore]) -> CandidateScore:
-    # ties: lower weight decay first, then enumeration order
-    best = cands[0]
-    for cand in cands[1:]:
-        if cand.mean_accuracy > best.mean_accuracy or (
-            cand.mean_accuracy == best.mean_accuracy
-            and cand.config.weight_decay < best.config.weight_decay
-        ):
-            best = cand
-    return best
+def _ranked(cands: list[CandidateScore]) -> list[CandidateScore]:
+    # best first; ties: lower weight decay first, then enumeration order (stable sort)
+    return sorted(cands, key=lambda c: (-c.mean_accuracy, c.config.weight_decay))
 
 
 def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
@@ -471,22 +464,18 @@ def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
                             hidden_dim, n_classes, 1, seed)
     stage1 = [CandidateScore(c, s) for c, s in zip(configs1, scores1)]
 
-    ranked = sorted(
-        range(len(stage1)),
-        key=lambda i: (-stage1[i].mean_accuracy, stage1[i].config.weight_decay, i),
-    )
-    survivors = [stage1[i] for i in ranked[:grid.top_k]]
+    survivors = _ranked(stage1)[:grid.top_k]
 
     configs2 = [
-        replace(survivors[si].config, backbone_lr=backbone_lr, mixup_alpha=mixup_alpha)
-        for si, backbone_lr, mixup_alpha in itertools.product(
-            range(len(survivors)), grid.backbone_lrs, grid.mixup_alphas)
+        replace(survivor.config, backbone_lr=backbone_lr, mixup_alpha=mixup_alpha)
+        for survivor, backbone_lr, mixup_alpha in itertools.product(
+            survivors, grid.backbone_lrs, grid.mixup_alphas)
     ]
     scores2 = _eval_configs(configs2, xs, labels, plan, outer_index,
                             hidden_dim, n_classes, 2, seed)
     stage2 = [CandidateScore(c, s) for c, s in zip(configs2, scores2)]
 
-    return SelectionResult(_pick_best(stage2).config, tuple(stage1), tuple(stage2))
+    return SelectionResult(_ranked(stage2)[0].config, tuple(stage1), tuple(stage2))
 
 
 @dataclass(frozen=True)

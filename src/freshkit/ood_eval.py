@@ -1,5 +1,10 @@
 """Detector metrics over scored ID/OOD samples, plus the abstention sweep.
 
+A scored sample is a row (id, score, is_id), a `ScoredSample` or a plain
+tuple. Callers holding score columns pass `zip(ids, scores, is_id)` and
+build no per-row object. A NaN score is rejected, as it has no place in the
+threshold order; +-inf are ordered and allowed.
+
 All three detector metrics come from one walk down the distinct score
 thresholds (accept when score >= t), ID being the positive class. AUROC is
 the trapezoidal area under the ROC staircase; in counts that area is twice
@@ -12,10 +17,11 @@ is at least 0.95.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInput, MissingClass
+from .errors import BadParameter, EmptyInput, MissingClass
 
 __all__ = [
     "DEFAULT_TAUS",
@@ -31,9 +37,8 @@ DEFAULT_TAUS = (0.2, 0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7, 0.8)
 REFERENCE_TAU = 0.5
 
 
-@dataclass(frozen=True)
-class ScoredSample:
-    """One detector output; is_id marks ground-truth in-distribution."""
+class ScoredSample(NamedTuple):
+    """One detector output row; is_id marks ground-truth in-distribution."""
 
     id: str
     score: float
@@ -60,12 +65,20 @@ class SweepPoint:
 
 
 def ood_metrics(samples) -> OodReport:
-    """AUROC, AUPR with ID positive, and FPR@95TPR for a scored sample set."""
+    """AUROC, AUPR with ID positive, and FPR@95TPR for a scored sample set.
+
+    samples is any iterable of (id, score, is_id) rows, read once; a NaN
+    score raises BadParameter naming its row's id.
+    """
     samples = list(samples)
     if not samples:
         raise EmptyInput("no scored samples")
-    scores = np.asarray([s.score for s in samples], dtype=np.float64)
-    is_id = np.asarray([s.is_id for s in samples], dtype=bool)
+    ids, scores, is_id = zip(*samples)
+    scores = np.asarray(scores, dtype=np.float64)
+    is_id = np.asarray(is_id, dtype=bool)
+    nan = np.flatnonzero(np.isnan(scores))
+    if nan.size:
+        raise BadParameter(f"sample {ids[nan[0]]!r} has a NaN score")
     n_id = int(is_id.sum())
     n_ood = int((~is_id).sum())
     if n_id == 0 or n_ood == 0:

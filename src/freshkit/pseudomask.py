@@ -49,7 +49,6 @@ __all__ = [
     "grabcut",
     "morph_open",
     "morph_close",
-    "apply_mask",
 ]
 
 _LOCK_CAP = 1e30
@@ -408,11 +407,3 @@ def morph_close(mask: BinaryMask, radius: int = 1) -> BinaryMask:
     dilated = _window_reduce(mask.pixels, radius, combine_any=True)
     return BinaryMask(_window_reduce(dilated, radius, combine_any=False))
 
-
-def apply_mask(image: RgbImage, mask: BinaryMask) -> RgbImage:
-    """Zero out pixels outside the mask."""
-    if (mask.height, mask.width) != (image.height, image.width):
-        raise DimensionMismatch(
-            f"mask {mask.height}x{mask.width} does not match image {image.height}x{image.width}"
-        )
-    return RgbImage(np.where(mask.pixels[:, :, None], image.pixels, 0))

@@ -227,7 +227,8 @@ def test_sweep_defaults_and_reference_point(tmp_path, capsys):
     assert [p["tau"] for p in json.loads(out)["report"]["points"]] == [0.1, 0.9]
 
 
-def test_odin_grid_and_fixed_modes(tmp_path, capsys):
+def write_odin_inputs(tmp_path):
+    """A trained model file and a features file with 120 ID and 30 OOD rows."""
     rng = np.random.default_rng(3)
     centers = np.array([(-2.0, -2.0), (2.0, -2.0), (0.0, 2.0)])
     xs = np.concatenate([rng.normal(c, 0.4, (40, 2)) for c in centers])
@@ -247,7 +248,11 @@ def test_odin_grid_and_fixed_modes(tmp_path, capsys):
     ]
     src = tmp_path / "features.csv"
     write_logit_csv(src, table(records), column_prefix="x")
+    return src, model_path
 
+
+def test_odin_grid_and_fixed_modes(tmp_path, capsys):
+    src, model_path = write_odin_inputs(tmp_path)
     code, out, _ = run_cli(
         ["score", "--method", "odin", "--logits", str(src), "--prefix", "x",
          "--model", str(model_path)],
@@ -259,8 +264,9 @@ def test_odin_grid_and_fixed_modes(tmp_path, capsys):
     rep = doc["report"]
     assert rep["mode"] == "grid"
     assert len(rep["grid"]) == 16
+    # the first of equal AUROCs wins
     chosen = max(rep["grid"], key=lambda row: row["auroc"])
-    assert chosen["auroc"] >= max(row["auroc"] for row in rep["grid"])
+    assert (rep["temperature"], rep["epsilon"]) == (chosen["temperature"], chosen["epsilon"])
 
     code, out, _ = run_cli(
         ["score", "--method", "odin", "--logits", str(src), "--prefix", "x",
@@ -272,6 +278,29 @@ def test_odin_grid_and_fixed_modes(tmp_path, capsys):
     assert rep["mode"] == "fixed"
     assert rep["temperature"] == 1000.0
     assert rep["epsilon"] == 0.001
+
+
+@pytest.mark.parametrize("flags, keys", [
+    (["--method", "msp"], ["method", "n", "scores"]),
+    (["--method", "energy"], ["method", "temperature", "n", "scores"]),
+    (["--method", "odin", "--temperature", "10", "--epsilon", "0.002"],
+     ["method", "mode", "temperature", "epsilon", "n", "scores"]),
+    (["--method", "odin"], ["method", "mode", "temperature", "epsilon", "grid", "n", "scores"]),
+])
+def test_score_report_key_order(tmp_path, capsys, flags, keys):
+    if "odin" in flags:
+        src, model_path = write_odin_inputs(tmp_path)
+        flags = [*flags, "--prefix", "x", "--model", str(model_path)]
+    else:
+        src = tmp_path / "logits.csv"
+        write_labeled_logits(src)
+    code, out, _ = run_cli(["score", "--logits", str(src), *flags], capsys)
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert list(rep) == keys
+    assert [list(row) for row in rep["scores"]] == [["id", "split", "label", "score"]] * rep["n"]
+    for row in rep.get("grid", []):
+        assert list(row) == ["temperature", "epsilon", "auroc"]
 
 
 # --- evaluation commands ----------------------------------------------------

@@ -1,6 +1,8 @@
 """Every name a freshkit module imports is used in that module or re-exported
-through its __all__. Parsed with ast, so no linter is needed."""
+through its __all__, and every name in its __all__ is bound. Parsed with ast,
+so no linter is needed."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,12 @@ def test_imported_names_are_used(path):
     unused = [f"{path.name}:{line}: {name}" for line, name in _imported_names(tree)
               if name not in kept]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_exported_names_are_bound(path):
+    # a stale __all__ entry breaks `from module import *`
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module = importlib.import_module(f"freshkit.{path.stem}")
+    unbound = sorted(name for name in _exported_names(tree) if not hasattr(module, name))
+    assert not unbound, f"{path.name}: __all__ names unbound: " + ", ".join(unbound)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshkit.errors import EmptyInput, MissingClass
+from freshkit.errors import BadParameter, EmptyInput, MissingClass
 from freshkit.ood_eval import (
     DEFAULT_TAUS,
     REFERENCE_TAU,
@@ -129,7 +129,11 @@ def test_walk_metrics_equal_rank_statistic_bit_for_bit(n, levels, id_share, seed
         scores = rng.normal(size=n) + is_id
     samples = [ScoredSample(f"s{i}", score, side)
                for i, (score, side) in enumerate(zip(scores.tolist(), is_id.tolist()))]
-    assert ood_metrics(samples) == _rank_ood_metrics(scores, is_id)
+    reference = _rank_ood_metrics(scores, is_id)
+    assert ood_metrics(samples) == reference
+    # plain tuples from a one-shot iterator are rows too
+    ids = [f"s{i}" for i in range(n)]
+    assert ood_metrics(zip(ids, scores.tolist(), is_id.tolist())) == reference
 
 
 def test_auroc_flip_symmetry():
@@ -165,6 +169,33 @@ def test_requires_both_groups():
         ood_metrics(_samples([], [0.5]))
     with pytest.raises(EmptyInput):
         ood_metrics([])
+    with pytest.raises(EmptyInput):
+        ood_metrics(iter([]))
+
+
+def test_nan_score_is_rejected_by_id():
+    rows = [("a", 0.9, True), ("b", float("nan"), True), ("c", 0.5, False),
+            ("d", float("nan"), True)]
+    with pytest.raises(BadParameter, match="'b'"):
+        ood_metrics(rows)
+
+
+def test_infinite_scores_are_ordered_and_tie():
+    inf = float("inf")
+    rows = [("a", inf, True), ("b", inf, False), ("c", 0.5, True), ("d", -inf, False)]
+    report = ood_metrics(rows)
+    # pairs (a,b) tie for half credit, (a,d) and (c,d) win, (c,b) loses
+    assert report.auroc == 2.5 / 4
+    # thresholds inf and 0.5 each add half the recall, at precision 1/2 and 2/3
+    assert report.aupr_id == pytest.approx(0.5 * 0.5 + 0.5 * 2 / 3, abs=1e-15)
+    assert report.fpr_at_95_tpr == 0.5
+
+
+def test_scored_sample_is_a_row():
+    sample = ScoredSample("a", 0.5, True)
+    assert sample == ("a", 0.5, True)
+    rec_id, score, is_id = sample
+    assert (rec_id, score, is_id) == (sample.id, sample.score, sample.is_id)
 
 
 def test_report_to_dict():

@@ -19,7 +19,6 @@ from freshkit.pseudomask import (
     CutProblem,
     GmmModel,
     GrabCutResult,
-    apply_mask,
     build_cut_problem,
     cut_energy,
     fit_gmm,
@@ -532,21 +531,3 @@ def test_morphology_radius_is_clamped_exactly(shape):
     assert morph_open(mask, 10 ** 12) == morph_open(mask, side)
     assert morph_close(mask, 10 ** 12) == morph_close(mask, side)
 
-
-def test_apply_mask_zeroes_background():
-    rng = np.random.default_rng(32)
-    image = RgbImage(rng.integers(1, 256, size=(4, 4, 3), dtype=np.uint8))
-    mask = np.zeros((4, 4), dtype=bool)
-    mask[1:3, 1:3] = True
-    out = apply_mask(image, BinaryMask(mask))
-    assert (out.pixels[~mask] == 0).all()
-    assert np.array_equal(out.pixels[mask], image.pixels[mask])
-
-    untouched = apply_mask(image, BinaryMask(np.ones((4, 4), dtype=bool)))
-    assert untouched == image
-
-
-def test_apply_mask_shape_check():
-    image = RgbImage(np.zeros((4, 4, 3), dtype=np.uint8))
-    with pytest.raises(DimensionMismatch):
-        apply_mask(image, BinaryMask(np.zeros((3, 4), dtype=bool)))
