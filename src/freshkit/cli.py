@@ -3,7 +3,8 @@
 Every subcommand accepts --seed (default 42) and writes one JSON report,
 to stdout or to the --out path. The one exception is `pseudomask`, where
 --out names the directory that receives the generated masks and the JSON
-report goes to stdout or --report.
+report goes to stdout or --report. Subcommand modules execute on first
+use; importing freshkit.<module> as a library is unchanged.
 
 Exit codes: 0 success; 1 command line usage error; 2 malformed or empty
 input data (including files with zero data rows, reported as EmptyInput,
@@ -23,6 +24,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import json
 import math
@@ -33,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cls_eval import confusion, cross_entropy, prf_report
 from .data_model import (
     RecordTable,
     Split,
@@ -47,7 +48,6 @@ from .data_model import (
     write_logit_csv,
     write_pgm,
 )
-from .demo import run_demo
 from .errors import (
     BadLabelIndex,
     ComputeError,
@@ -56,27 +56,32 @@ from .errors import (
     InputFormatError,
     MissingClass,
 )
-from .hygiene import (
-    HyperGrid,
-    cluster_near_duplicates,
-    audit_fold_plan,
-    nested_cv_run,
-    nested_fold_plan,
-    phash64,
-    stratified_split,
-)
-from .ood_eval import DEFAULT_TAUS, ood_metrics, threshold_sweep
-from .pseudomask import grabcut, morph_close, morph_open
-from .scoring import OdinConfig, energy_score, msp_score, odin_score, softmax
-from .seg_eval import mask_metrics, dataset_summary
-from .stats import (
-    PairedOutcome,
-    mcnemar,
-    paired_acc_diff_ci,
-    paired_outcomes,
-    percentile_bootstrap,
-)
-from .tiny_model import load_model
+
+
+def _lazy(name: str):
+    """freshkit.<name>, executed when an attribute is first read (LazyLoader)."""
+    qualname = f"{__package__}.{name}"
+    if qualname in sys.modules:
+        return sys.modules[qualname]
+    spec = importlib.util.find_spec(qualname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[qualname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# in sys.modules from import on, where perfbench wraps them; each runs on first use
+cls_eval = _lazy("cls_eval")
+demo = _lazy("demo")
+hygiene = _lazy("hygiene")
+maxflow = _lazy("maxflow")  # only pseudomask calls it
+ood_eval = _lazy("ood_eval")
+pseudomask = _lazy("pseudomask")
+scoring = _lazy("scoring")
+seg_eval = _lazy("seg_eval")
+stats = _lazy("stats")
+tiny_model = _lazy("tiny_model")
 
 SCHEMA_VERSION = 1
 
@@ -207,18 +212,19 @@ def _odin(args, table: RecordTable):
     if (args.temperature is None) != (args.epsilon is None):
         raise UsageError("give both --temperature and --epsilon, "
                          "or neither to tune over the built-in grid")
-    model = load_model(args.model)
+    model = tiny_model.load_model(args.model)
     if args.temperature is not None:
-        config = OdinConfig(args.temperature, args.epsilon)
-        return {"mode": "fixed", **asdict(config)}, odin_score(model, table.values, config)
+        config = scoring.OdinConfig(args.temperature, args.epsilon)
+        return {"mode": "fixed", **asdict(config)}, scoring.odin_score(model, table.values, config)
     is_id = _is_id(table)
     if all(is_id) or not any(is_id):
         raise MissingClass("grid tuning needs both ood-tagged and in-distribution rows")
     runs = []
     for temperature, epsilon in itertools.product(ODIN_GRID_TEMPERATURES, ODIN_GRID_EPSILONS):
-        config = OdinConfig(temperature, epsilon)
-        scores = odin_score(model, table.values, config)
-        runs.append((ood_metrics(zip(table.ids, scores.tolist(), is_id)).auroc, config, scores))
+        config = scoring.OdinConfig(temperature, epsilon)
+        scores = scoring.odin_score(model, table.values, config)
+        auroc = ood_eval.ood_metrics(zip(table.ids, scores.tolist(), is_id)).auroc
+        runs.append((auroc, config, scores))
     _, config, scores = max(runs, key=lambda run: run[0])
     grid = [{**asdict(c), "auroc": auroc} for auroc, c, _ in runs]
     return {"mode": "grid", **asdict(config), "grid": grid}, scores
@@ -237,10 +243,10 @@ def _cmd_score(args):
     table = _load(read, args.logits, args.prefix)
 
     if args.method == "msp":
-        settings, scores = {}, msp_score(table.values)
+        settings, scores = {}, scoring.msp_score(table.values)
     elif args.method == "energy":
-        temperature = 1.0 if args.temperature is None else args.temperature
-        settings, scores = {"temperature": temperature}, energy_score(table.values, temperature)
+        settings = {"temperature": 1.0 if args.temperature is None else args.temperature}
+        scores = scoring.energy_score(table.values, settings["temperature"])
     else:
         settings, scores = _odin(args, table)
     report = {"method": args.method, **settings, "n": len(table.ids),
@@ -257,15 +263,15 @@ def _cmd_ood_eval(args):
     raw = _single_column(table, args.scores)
     if args.flip:
         raw = -raw
-    report = ood_metrics(zip(table.ids, raw.tolist(), _is_id(table)))
+    report = ood_eval.ood_metrics(zip(table.ids, raw.tolist(), _is_id(table)))
     return {**asdict(report), "flipped": bool(args.flip)}, []
 
 
 def _cmd_sweep(args):
     table = _load(read_logit_csv, args.scores, args.prefix)
     conf = _single_column(table, args.scores)
-    taus = DEFAULT_TAUS if args.taus is None else args.taus
-    points = threshold_sweep(conf, taus)
+    taus = ood_eval.DEFAULT_TAUS if args.taus is None else args.taus
+    points = ood_eval.threshold_sweep(conf, taus)
     return {"n": len(table.ids), "taus": list(taus), "points": points}, []
 
 
@@ -273,19 +279,16 @@ def _cmd_cls_eval(args):
     table = _load(read_logit_csv, args.logits, args.prefix)
     labels = _require_labels(table, args.logits)
     logits = table.values
-    preds = logits.argmax(axis=1)
     n_classes = logits.shape[1]
-    cm = confusion(labels, preds, n_classes)
-    rep = prf_report(cm)
-    probs = softmax(logits)
-    ce = cross_entropy(probs, labels, args.label_smoothing)
+    cm = cls_eval.confusion(labels, logits.argmax(axis=1), n_classes)
+    ce = cls_eval.cross_entropy(scoring.softmax(logits), labels, args.label_smoothing)
     return {
         "n": len(table.ids),
         "n_classes": n_classes,
         "cross_entropy": ce,
         "label_smoothing": args.label_smoothing,
         "confusion": cm.tolist(),
-        **asdict(rep),
+        **asdict(cls_eval.prf_report(cm)),
     }, []
 
 
@@ -321,11 +324,11 @@ def _cmd_seg_eval(args):
         stem = Path(name).stem
         if class_of is not None and stem not in class_of:
             raise InputFormatError(f"{args.classes}: no class for {stem!r}")
-        metrics = mask_metrics(read_pgm(pred_dir / name), read_pgm(gt_dir / name))
+        metrics = seg_eval.mask_metrics(read_pgm(pred_dir / name), read_pgm(gt_dir / name))
         per_image.append((stem, metrics))
 
-    summary = dataset_summary([m for _, m in per_image],
-                              n_boot=args.boot, seed=args.seed)
+    summary = seg_eval.dataset_summary([m for _, m in per_image],
+                                       n_boot=args.boot, seed=args.seed)
     report = {
         "n_images": len(per_image),
         "global": summary,
@@ -336,7 +339,7 @@ def _cmd_seg_eval(args):
         for stem, m in per_image:
             by_class.setdefault(class_of[stem], []).append(m)
         report["per_class"] = {
-            cls: dataset_summary(rows, n_boot=args.boot, seed=args.seed)
+            cls: seg_eval.dataset_summary(rows, n_boot=args.boot, seed=args.seed)
             for cls, rows in sorted(by_class.items())
         }
     return report, []
@@ -362,7 +365,7 @@ def _cmd_mcnemar(args):
     if have_counts:
         if any(c is None for c in counts):
             raise UsageError("all four of --n11 --n10 --n01 --n00 are required")
-        outcome = PairedOutcome(*counts)
+        outcome = stats.PairedOutcome(*counts)
     else:
         if args.pred_a is None or args.pred_b is None:
             raise UsageError("both --pred-a and --pred-b are required")
@@ -370,11 +373,11 @@ def _cmd_mcnemar(args):
         correct_b = _correctness(_load(read_logit_csv, args.pred_b, args.prefix), args.pred_b)
         if set(correct_a) != set(correct_b):
             raise InputFormatError("prediction files disagree on record ids")
-        outcome = paired_outcomes(  # in file A's row order
+        outcome = stats.paired_outcomes(  # in file A's row order
             list(correct_a.values()), [correct_b[i] for i in correct_a]
         )
-    result = mcnemar(outcome)
-    ci = paired_acc_diff_ci(outcome)
+    result = stats.mcnemar(outcome)
+    ci = stats.paired_acc_diff_ci(outcome)
     return {
         "n11": outcome.n11, "n10": outcome.n10,
         "n01": outcome.n01, "n00": outcome.n00,
@@ -401,7 +404,7 @@ def _cmd_bootstrap(args):
     if not values:
         raise EmptyInput(f"{path}: no values")
     statistic = {"mean": np.mean, "median": np.median}[args.stat]
-    result = percentile_bootstrap(values, statistic, n_boot=args.b, seed=args.seed)
+    result = stats.percentile_bootstrap(values, statistic, n_boot=args.b, seed=args.seed)
     return {"statistic": args.stat, "n": len(values), **asdict(result)}, []
 
 
@@ -414,8 +417,8 @@ def _cmd_dedup(args):
     hashes = {}
     for p in files:
         image = read_ppm(p) if p.suffix == ".ppm" else grayscale_as_rgb(read_pgm_values(p))
-        hashes[p.name] = phash64(image)
-    return cluster_near_duplicates(hashes, max_dist=args.max_dist), []
+        hashes[p.name] = hygiene.phash64(image)
+    return hygiene.cluster_near_duplicates(hashes, max_dist=args.max_dist), []
 
 
 SPLIT_TAGS = ("train", "val", "test")
@@ -428,7 +431,7 @@ def _cmd_split(args):
         raise UsageError(f"--ratios must sum to 1, got {sum(args.ratios)!r}")
     table = _load(read_feature_csv, args.labels, args.prefix)
     labels = _require_labels(table, args.labels)
-    assignment = stratified_split(labels, args.ratios, seed=args.seed)
+    assignment = hygiene.stratified_split(labels, args.ratios, seed=args.seed)
     counts = {tag: int((assignment == i).sum()) for i, tag in enumerate(SPLIT_TAGS)}
     per_class = []
     for cls in np.unique(labels):
@@ -451,8 +454,8 @@ def _cmd_split(args):
 def _cmd_folds(args):
     table = _load(read_feature_csv, args.labels, args.prefix)
     labels = _require_labels(table, args.labels)
-    plan = nested_fold_plan(labels, args.outer, args.inner, seed=args.seed)
-    audit = audit_fold_plan(plan, labels)
+    plan = hygiene.nested_fold_plan(labels, args.outer, args.inner, seed=args.seed)
+    audit = hygiene.audit_fold_plan(plan, labels)
     ids = table.ids
     return {
         "n_samples": plan.n_samples,
@@ -470,8 +473,7 @@ def _cmd_folds(args):
 def _cmd_nested_cv(args):
     table = _load(read_feature_csv, args.data, args.prefix)
     labels = _require_labels(table, args.data)
-    xs = table.values
-    grid = HyperGrid(
+    grid = hygiene.HyperGrid(
         head_lrs=args.head_lrs,
         weight_decays=args.weight_decays,
         label_smoothings=args.smoothings,
@@ -479,10 +481,10 @@ def _cmd_nested_cv(args):
         mixup_alphas=args.mixups,
         top_k=args.top_k,
     )
-    result = nested_cv_run(grid, xs, labels, n_outer=args.outer,
-                           n_inner=args.inner, epochs=args.epochs,
-                           batch_size=args.batch_size,
-                           hidden_dim=args.hidden, seed=args.seed)
+    result = hygiene.nested_cv_run(grid, table.values, labels, n_outer=args.outer,
+                                   n_inner=args.inner, epochs=args.epochs,
+                                   batch_size=args.batch_size, hidden_dim=args.hidden,
+                                   seed=args.seed)
     return result.to_dict(), []
 
 
@@ -496,13 +498,11 @@ def _cmd_pseudomask(args):
     rows = []
     for p in files:
         image = read_ppm(p)
-        result = grabcut(image, seed=args.seed, n_iter=args.iters,
-                         n_components=args.k, smoothness=args.smoothness)
+        result = pseudomask.grabcut(image, seed=args.seed, n_iter=args.iters,
+                                    n_components=args.k, smoothness=args.smoothness)
         mask = result.mask
-        ops = [("close", morph_close, args.close), ("open", morph_open, args.open)]
-        if not args.close_first:
-            ops.reverse()
-        for _, op, radius in ops:
+        ops = [(pseudomask.morph_close, args.close), (pseudomask.morph_open, args.open)]
+        for op, radius in ops if args.close_first else reversed(ops):
             if radius > 0:
                 mask = op(mask, radius)
         writes.append(partial(write_pgm, out_dir / (p.stem + ".pgm"), mask))
@@ -528,7 +528,7 @@ def _cmd_pseudomask(args):
 
 
 def _cmd_demo(args):
-    return run_demo(args.seed), []
+    return demo.run_demo(args.seed), []
 
 
 # --- parser -------------------------------------------------------------------
@@ -613,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", default="score")
     p.add_argument("--taus", type=_bounded(_float_list, -math.inf, open_lo=True), default=None,
                    help="comma-separated thresholds (default "
-                        + ",".join(str(t) for t in DEFAULT_TAUS) + ")")
+                        + ",".join(str(t) for t in ood_eval.DEFAULT_TAUS) + ")")
 
     p = add("cls-eval", _cmd_cls_eval, "confusion matrix and per-class P/R/F1",
             "Classifier metrics from a labeled logit CSV; predictions are "
