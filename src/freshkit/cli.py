@@ -432,18 +432,15 @@ def _cmd_split(args):
     table = _load(read_feature_csv, args.labels, args.prefix)
     labels = _require_labels(table, args.labels)
     assignment = hygiene.stratified_split(labels, args.ratios, seed=args.seed)
-    counts = {tag: int((assignment == i).sum()) for i, tag in enumerate(SPLIT_TAGS)}
-    per_class = []
-    for cls in np.unique(labels):
-        row = {"label": int(cls)}
-        for i, tag in enumerate(SPLIT_TAGS):
-            row[tag] = int(((labels == cls) & (assignment == i)).sum())
-        per_class.append(row)
+    classes, cls = np.unique(labels, return_inverse=True)
+    counts = np.zeros((classes.size, len(SPLIT_TAGS)), dtype=np.int64)
+    np.add.at(counts, (cls, assignment), 1)
     return {
         "ratios": list(args.ratios),
         "n": len(table.ids),
-        "counts": counts,
-        "per_class": per_class,
+        "counts": dict(zip(SPLIT_TAGS, counts.sum(axis=0).tolist())),
+        "per_class": [{"label": label, **dict(zip(SPLIT_TAGS, row))}
+                      for label, row in zip(classes.tolist(), counts.tolist())],
         "assignment": [
             {"id": rec_id, "split": SPLIT_TAGS[part]}
             for rec_id, part in zip(table.ids, assignment)
@@ -456,17 +453,16 @@ def _cmd_folds(args):
     labels = _require_labels(table, args.labels)
     plan = hygiene.nested_fold_plan(labels, args.outer, args.inner, seed=args.seed)
     audit = hygiene.audit_fold_plan(plan, labels)
-    ids = table.ids
+    ids = np.array(table.ids, dtype=object)  # a str array would drop trailing NULs
     return {
         "n_samples": plan.n_samples,
         "n_outer": plan.n_outer,
         "n_inner": plan.n_inner,
         "audit": audit,
         "audit_passed": all(audit.values()),
-        "outer_test": [[ids[i] for i in fold] for fold in plan.outer_test],
-        "inner_val": [
-            [[ids[i] for i in val] for val in folds] for folds in plan.inner_val
-        ],
+        "outer_test": [ids[plan.outer_test(k)].tolist() for k in range(plan.n_outer)],
+        "inner_val": [[ids[plan.inner_val(k, fold)].tolist() for fold in range(plan.n_inner)]
+                      for k in range(plan.n_outer)],
     }, []
 
 

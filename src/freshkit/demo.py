@@ -62,21 +62,15 @@ def make_blobs(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _majority_config(configs) -> TrainConfig:
-    counts = Counter(configs)
-    best_count = max(counts.values())
-    for config in configs:  # earliest fold wins ties
-        if counts[config] == best_count:
-            return config
-    raise AssertionError("unreachable: configs is nonempty")
+    # max keeps the first maximal item, so the earliest fold wins ties
+    return max(configs, key=Counter(configs).__getitem__)
 
 
 def run_demo(seed: int = 42) -> dict:
     xs, labels, ood = make_blobs(seed)
 
     assignment = stratified_split(labels, (0.70, 0.15, 0.15), seed=seed)
-    train_ids = np.flatnonzero(assignment == 0)
-    val_ids = np.flatnonzero(assignment == 1)
-    test_ids = np.flatnonzero(assignment == 2)
+    train_ids, val_ids, test_ids = (np.flatnonzero(assignment == part) for part in range(3))
 
     cv = nested_cv_run(DEMO_GRID, xs[train_ids], labels[train_ids],
                        n_outer=5, n_inner=3, epochs=15, batch_size=32,

@@ -8,13 +8,16 @@ the hash and positive scaling cannot move a value across the median.
 
 Split and fold construction is deterministic for a fixed seed and uses one
 generator family (numpy PCG64 via default_rng) like the rest of the package.
+Both deal each class, shuffled once, to parts in runs. A split is a part
+index per sample; a fold plan is an outer fold per sample, shape (n,), plus an
+inner fold per outer fold and sample, shape (n_outer, n), -1 where held out.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -200,15 +203,12 @@ def cluster_near_duplicates(hashes: dict[str, int], max_dist: int = 10) -> Dedup
 
 # --- splits and folds -------------------------------------------------------
 
-def _largest_remainder(n: int, ratios: tuple[float, ...]) -> list[int]:
+def _largest_remainder(n: int, ratios: tuple[float, ...]) -> np.ndarray:
     """Integer allocation of n by ratio; leftovers go to largest remainders,
     ties to the earlier part."""
-    scaled = [n * r for r in ratios]
-    base = [int(np.floor(s)) for s in scaled]
-    leftover = n - sum(base)
-    order = sorted(range(len(ratios)), key=lambda k: (-(scaled[k] - base[k]), k))
-    for k in order[:leftover]:
-        base[k] += 1
+    scaled = n * np.array(ratios)
+    base = np.floor(scaled).astype(np.int64)
+    base[np.argsort(base - scaled, kind="stable")[:n - base.sum()]] += 1
     return base
 
 
@@ -221,71 +221,78 @@ def _check_ratios(ratios) -> tuple[float, ...]:
     return ratios
 
 
+def _even_sizes(n: int, parts: int) -> list[int]:
+    base, extra = divmod(n, parts)  # sizes differ by at most one, larger first
+    return [base + (part < extra) for part in range(parts)]
+
+
+def _deal(labels: np.ndarray, sizes, rng: np.random.Generator) -> np.ndarray:
+    """Part index per sample: each class, in sorted order, is shuffled once
+    and dealt to parts 0, 1, ... in runs of sizes(class count)."""
+    parts = np.empty(labels.size, dtype=np.int64)
+    for cls in np.unique(labels):
+        members = np.flatnonzero(labels == cls)
+        counts = sizes(members.size)
+        parts[members[rng.permutation(members.size)]] = np.repeat(np.arange(len(counts)), counts)
+    return parts
+
+
 def stratified_split(labels, ratios=(0.70, 0.15, 0.15), seed: int = 42) -> np.ndarray:
     """Per-class largest-remainder allocation into len(ratios) parts.
 
-    Returns one part index per sample. Within each class (processed in
-    sorted class order) the samples are shuffled once, then dealt to parts
-    in order, so part sizes per class match largest-remainder rounding
-    exactly and every sample lands in exactly one part.
+    Returns one part index per sample; part sizes per class match
+    largest-remainder rounding exactly.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise EmptyInput("no labels to split")
     ratios = _check_ratios(ratios)
-    rng = np.random.default_rng(seed)
-    assignment = np.full(labels.shape[0], -1, dtype=np.int64)
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        idx = idx[rng.permutation(idx.size)]
-        counts = _largest_remainder(idx.size, ratios)
-        start = 0
-        for part, count in enumerate(counts):
-            assignment[idx[start:start + count]] = part
-            start += count
-    return assignment
+    return _deal(labels, lambda n: _largest_remainder(n, ratios), np.random.default_rng(seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldPlan:
     """Stratified nested fold layout over sample positions 0..n-1.
 
-    outer_test[k] holds fold k's held-out ids. inner_val[k][i] holds the
-    i-th inner validation set, the three of which partition fold k's
-    training ids (everything outside outer_test[k]).
+    Two read-only int64 arrays: outer (n,) is the outer fold that holds
+    sample i out; inner (n_outer, n) is i's inner validation fold inside outer
+    fold k, or -1 where i is in fold k's test set. Keeping both lets the audit
+    compare two independent facts; the accessors return ascending ids.
     """
 
-    n_samples: int
-    outer_test: tuple[tuple[int, ...], ...]
-    inner_val: tuple[tuple[tuple[int, ...], ...], ...]
+    outer: np.ndarray
+    inner: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("outer", "inner"):
+            array = np.array(getattr(self, name), dtype=np.int64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @property
+    def n_samples(self) -> int:
+        return self.outer.size
 
     @property
     def n_outer(self) -> int:
-        return len(self.outer_test)
+        return self.inner.shape[0]
 
     @property
     def n_inner(self) -> int:
-        return len(self.inner_val[0]) if self.inner_val else 0
+        return int(self.inner.max(initial=-1)) + 1
 
-    def outer_train(self, k: int) -> tuple[int, ...]:
-        held = set(self.outer_test[k])
-        return tuple(i for i in range(self.n_samples) if i not in held)
+    def outer_test(self, k: int) -> np.ndarray:
+        return np.flatnonzero(self.outer == k)
 
+    def outer_train(self, k: int) -> np.ndarray:
+        return np.flatnonzero(self.outer != k)
 
-def _stratified_partition(ids: np.ndarray, labels: np.ndarray, k: int,
-                          rng: np.random.Generator) -> list[list[int]]:
-    """Split ids into k stratified chunks; per-class sizes differ by <= 1."""
-    chunks: list[list[int]] = [[] for _ in range(k)]
-    for cls in np.unique(labels[ids]):
-        members = ids[labels[ids] == cls]
-        members = members[rng.permutation(members.size)]
-        base, extra = divmod(members.size, k)
-        start = 0
-        for fold in range(k):
-            size = base + (1 if fold < extra else 0)
-            chunks[fold].extend(int(i) for i in members[start:start + size])
-            start += size
-    return chunks
+    def inner_val(self, k: int, fold: int) -> np.ndarray:
+        return np.flatnonzero(self.inner[k] == fold)
+
+    def inner_fit(self, k: int, fold: int) -> np.ndarray:
+        """Outer fold k's training ids outside inner validation fold `fold`."""
+        return np.flatnonzero((self.outer != k) & (self.inner[k] != fold))
 
 
 def nested_fold_plan(labels, n_outer: int = 5, n_inner: int = 3,
@@ -293,7 +300,7 @@ def nested_fold_plan(labels, n_outer: int = 5, n_inner: int = 3,
     """Stratified n_outer x n_inner fold layout.
 
     Every class needs at least n_outer samples. Outer folds partition all
-    ids; each outer fold's training ids are partitioned again into n_inner
+    ids; each outer fold's training ids are dealt again into n_inner
     validation sets, so no outer-test id can appear in any inner set of its
     own fold by construction.
     """
@@ -307,53 +314,32 @@ def nested_fold_plan(labels, n_outer: int = 5, n_inner: int = 3,
         if count < n_outer:
             raise TooFewSamplesPerClass(f"class {cls.item()!r} has {count} samples, needs >= {n_outer}")
     rng = np.random.default_rng(seed)
-    all_ids = np.arange(labels.size)
-    outer = _stratified_partition(all_ids, labels, n_outer, rng)
-    inner_all = []
+    outer = _deal(labels, lambda n: _even_sizes(n, n_outer), rng)
+    inner = np.full((n_outer, labels.size), -1, dtype=np.int64)
     for k in range(n_outer):
-        train_ids = np.asarray(sorted(set(range(labels.size)) - set(outer[k])))
-        inner = _stratified_partition(train_ids, labels, n_inner, rng)
-        if any(len(chunk) == 0 for chunk in inner):
+        train = np.flatnonzero(outer != k)
+        inner[k, train] = _deal(labels[train], lambda n: _even_sizes(n, n_inner), rng)
+        if np.bincount(inner[k, train], minlength=n_inner).min() == 0:
             raise TooFewSamplesPerClass(f"outer fold {k} leaves an empty inner set")
-        inner_all.append(tuple(tuple(sorted(chunk)) for chunk in inner))
-    return FoldPlan(
-        n_samples=int(labels.size),
-        outer_test=tuple(tuple(sorted(f)) for f in outer),
-        inner_val=tuple(inner_all),
-    )
+    return FoldPlan(outer, inner)
 
 
 def audit_fold_plan(plan: FoldPlan, labels) -> dict[str, bool]:
-    """Leakage audit: partition properties every conforming plan must satisfy."""
-    labels = np.asarray(labels)
-    n = plan.n_samples
-    outer_ids = [set(f) for f in plan.outer_test]
-    union = set().union(*outer_ids) if outer_ids else set()
-    outer_partition = len(union) == n and sum(len(f) for f in outer_ids) == n
-    inner_ok = True
-    no_leak = True
-    for k in range(plan.n_outer):
-        train = set(plan.outer_train(k))
-        seen: set[int] = set()
-        for val in plan.inner_val[k]:
-            vs = set(val)
-            if vs & outer_ids[k]:
-                no_leak = False
-            if vs & seen:
-                inner_ok = False
-            seen |= vs
-        if seen != train:
-            inner_ok = False
-    counts_ok = True
-    for cls in np.unique(labels):
-        per_fold = [sum(1 for i in f if labels[i] == cls) for f in plan.outer_test]
-        if max(per_fold) - min(per_fold) > 1:
-            counts_ok = False
+    """Leakage audit: partition properties every conforming plan must satisfy.
+
+    A sample whose outer fold index is out of range is in no outer test set.
+    """
+    held = plan.outer == np.arange(plan.n_outer)[:, None]
+    placed = held.any(axis=0)
+    in_inner = plan.inner >= 0
+    classes, cls = np.unique(labels, return_inverse=True)
+    table = np.zeros((classes.size, plan.n_outer), dtype=np.int64)
+    np.add.at(table, (cls[placed], plan.outer[placed]), 1)
     return {
-        "outer_sets_partition_all_ids": outer_partition,
-        "inner_sets_partition_training_ids": inner_ok,
-        "no_outer_test_id_in_inner_sets": no_leak,
-        "per_class_outer_counts_within_one": counts_ok,
+        "outer_sets_partition_all_ids": bool(placed.all()),
+        "inner_sets_partition_training_ids": bool(np.array_equal(in_inner, ~held)),
+        "no_outer_test_id_in_inner_sets": not (in_inner & held).any(),
+        "per_class_outer_counts_within_one": bool((np.ptp(table, axis=1) <= 1).all()),
     }
 
 
@@ -405,12 +391,12 @@ def _eval_configs(configs: list[TrainConfig], xs: np.ndarray, labels: np.ndarray
     differ in size. Trained slices are scored while stacked, and scores come
     back in the order of configs.
     """
-    train_ids = set(plan.outer_train(outer_index))
     groups = [[i for i, c in enumerate(configs) if c.mixup_alpha == alpha]
               for alpha in dict.fromkeys(c.mixup_alpha for c in configs)]
     streams, owners = [], []
-    for fold, val in enumerate(plan.inner_val[outer_index]):
-        fit_ids = np.asarray(sorted(train_ids - set(val)))
+    for fold in range(plan.n_inner):
+        fit_ids = plan.inner_fit(outer_index, fold)
+        val_ids = plan.inner_val(outer_index, fold)
         run_seed = derive_seed(seed, outer_index, stage, fold)
         model = init_model(xs.shape[1], hidden_dim, n_classes,
                            seed=derive_seed(run_seed, 0))
@@ -418,7 +404,7 @@ def _eval_configs(configs: list[TrainConfig], xs: np.ndarray, labels: np.ndarray
         for members in groups:
             streams.append(Stream(model, xs[fit_ids], labels[fit_ids],
                                   [replace(configs[i], seed=batch_seed) for i in members]))
-            owners.append((members, np.asarray(val)))
+            owners.append((members, val_ids))
     accs: list[list[float]] = [[] for _ in configs]
     for fitted, (members, val_ids) in zip(train_streams(streams), owners):
         hits = forward_stack(fitted, xs[val_ids]).argmax(axis=2) == labels[val_ids]
@@ -495,7 +481,6 @@ class NestedCvResult:
         return all(self.audit.values())
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
         return {
             "fold_accuracies": list(self.fold_accuracies),
             "mean_accuracy": self.mean_accuracy,
@@ -526,15 +511,15 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
     # the final fits train as one stacked call, one stream per outer fold
     finals = []
     for k, choice in enumerate(selections):
-        train_ids = np.asarray(plan.outer_train(k))
+        train_ids = plan.outer_train(k)
         run_seed = derive_seed(seed, k, 3)
         model = init_model(xs.shape[1], hidden_dim, n_classes,
                            seed=derive_seed(run_seed, 0))
         finals.append(Stream(model, xs[train_ids], labels[train_ids],
                              [replace(choice.best, seed=derive_seed(run_seed, 1))]))
     accuracies = []
-    for test, fitted in zip(plan.outer_test, train_streams(finals)):
-        test_ids = np.asarray(test)
+    for k, fitted in enumerate(train_streams(finals)):
+        test_ids = plan.outer_test(k)
         pred = forward_stack(fitted, xs[test_ids])[0].argmax(axis=1)
         accuracies.append(float((pred == labels[test_ids]).mean()))
 

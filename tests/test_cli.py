@@ -29,7 +29,7 @@ from freshkit.data_model import (
     write_pgm,
     write_ppm,
 )
-from freshkit.hygiene import CandidateScore, cluster_near_duplicates, nested_fold_plan
+from freshkit.hygiene import CandidateScore, cluster_near_duplicates
 from freshkit.ood_eval import ScoredSample, ood_metrics, threshold_sweep
 from freshkit.pseudomask import init_box
 from freshkit.seg_eval import METRIC_NAMES, dataset_summary, mask_metrics
@@ -1128,11 +1128,6 @@ def _old_dedup_report(r):
             "max_dist": r.max_dist}
 
 
-def _old_fold_plan(p):
-    return {"n_samples": p.n_samples, "outer_test": [list(f) for f in p.outer_test],
-            "inner_val": [[list(v) for v in folds] for folds in p.inner_val]}
-
-
 def _old_candidate_score(c):
     return {"config": asdict(c.config), "mean_accuracy": c.mean_accuracy}
 
@@ -1187,7 +1182,6 @@ def _result_objects():
     cm = confusion([0, 0, 1, 1, 2, 0], [0, 1, 1, 1, 0, 0], 4)
     prf = prf_report(cm)
     hashes = {"a": 0, "b": 1, "c": 3, "d": 2 ** 63 + 5, "e": 2 ** 40}
-    labels = np.repeat(np.arange(3), 12)
     outcome = PairedOutcome(788, 35, 8, 12)
     pred = rng.random((20, 20)) > 0.5
     metrics = [mask_metrics(pred, rng.random((20, 20)) > 0.4) for _ in range(4)]
@@ -1197,7 +1191,6 @@ def _result_objects():
         (prf.per_class[2], _old_class_report),
         (prf, _old_prf_report),
         (cluster_near_duplicates(hashes, max_dist=2), _old_dedup_report),
-        (nested_fold_plan(labels, 3, 2, seed=5), _old_fold_plan),
         (CandidateScore(TrainConfig(head_lr=0.05, mixup_alpha=0.2), 0.875),
          _old_candidate_score),
         (ood_metrics(samples), _old_ood_report),
@@ -1217,7 +1210,7 @@ def _result_objects():
 
 def test_dataclasses_render_as_their_old_dicts():
     objects = _result_objects()
-    assert len({type(obj) for obj, _ in objects}) == 15
+    assert len({type(obj) for obj, _ in objects}) == 14
     for obj, old_to_dict in objects:
         assert render_json(obj) == render_json(old_to_dict(obj)), type(obj).__name__
         nested = {"p": obj, "rows": [obj, obj]}

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freshkit import hygiene
 from freshkit.data_model import RgbImage, grayscale_as_rgb
@@ -14,7 +16,9 @@ from freshkit.errors import (
 )
 from freshkit.hygiene import (
     _DEDUP_BLOCK,
+    FoldPlan,
     HyperGrid,
+    NestedCvResult,
     _area_weights,
     audit_fold_plan,
     cluster_near_duplicates,
@@ -307,22 +311,27 @@ def test_fold_plan_audit_on_random_labels():
 def test_fold_plan_shapes():
     labels = np.repeat(np.arange(4), 30)
     plan = nested_fold_plan(labels, seed=0)
-    assert len(plan.outer_test) == 5
-    assert len(plan.inner_val) == 5
-    assert all(len(inner) == 3 for inner in plan.inner_val)
-    # outer train/test partition the ids
+    assert (plan.n_samples, plan.n_outer, plan.n_inner) == (120, 5, 3)
+    assert plan.outer.shape == (120,) and plan.inner.shape == (5, 120)
+    for array in (plan.outer, plan.inner):
+        assert array.dtype == np.int64 and not array.flags.writeable
     for k in range(5):
-        train = set(plan.outer_train(k))
-        test = set(plan.outer_test[k])
-        assert not train & test
-        assert len(train) + len(test) == len(labels)
+        # outer train/test partition the ids, and the inner sets partition train
+        train, test = plan.outer_train(k), plan.outer_test(k)
+        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(120))
+        inner = [plan.inner_val(k, fold) for fold in range(3)]
+        assert np.array_equal(np.sort(np.concatenate(inner)), train)
+        for fold, val in enumerate(inner):
+            assert np.array_equal(plan.inner_fit(k, fold), np.setdiff1d(train, val))
 
 
 def test_fold_plan_deterministic():
     labels = np.repeat(np.arange(3), 40)
     a = nested_fold_plan(labels, seed=3)
     b = nested_fold_plan(labels, seed=3)
-    assert a == b
+    c = nested_fold_plan(labels, seed=4)
+    assert np.array_equal(a.outer, b.outer) and np.array_equal(a.inner, b.inner)
+    assert not np.array_equal(a.outer, c.outer)
 
 
 def test_fold_plan_rejects_tiny_classes():
@@ -331,9 +340,200 @@ def test_fold_plan_rejects_tiny_classes():
         nested_fold_plan(labels, seed=0)
 
 
+def _hand_plan(outer, n_outer=3):
+    """A plan whose inner folds split each outer fold's training ids by parity."""
+    outer = np.asarray(outer)
+    held = outer == np.arange(n_outer)[:, None]
+    return FoldPlan(outer, np.where(held, -1, np.arange(outer.size) % 2))
+
+
+_HAND_LABELS = np.repeat([0, 1], 6)
+_HAND_OUTER = np.tile([0, 1, 2], 4)  # two of each class per outer fold
+_AUDIT_KEYS = ("outer_sets_partition_all_ids", "inner_sets_partition_training_ids",
+               "no_outer_test_id_in_inner_sets", "per_class_outer_counts_within_one")
+
+
+def _with(array, index, value):
+    array = np.array(array)
+    array[index] = value
+    return array
+
+
+def _leaked():
+    # sample 0 is a test id of outer fold 0 and also sits in that fold's inner set 0
+    plan = _hand_plan(_HAND_OUTER)
+    return FoldPlan(plan.outer, _with(plan.inner, (0, 0), 0))
+
+
+def _orphaned():
+    # sample 1 trains in outer fold 0 but is in none of its inner sets
+    plan = _hand_plan(_HAND_OUTER)
+    return FoldPlan(plan.outer, _with(plan.inner, (0, 1), -1))
+
+
+@pytest.mark.parametrize("plan, failed", [
+    (_hand_plan(_HAND_OUTER), ()),
+    (_leaked(), ("inner_sets_partition_training_ids", "no_outer_test_id_in_inner_sets")),
+    (_orphaned(), ("inner_sets_partition_training_ids",)),
+    # sample 2 names outer fold 3 of 3, so no outer test set holds it
+    (_hand_plan(_with(_HAND_OUTER, 2, 3)), ("outer_sets_partition_all_ids",)),
+    (_hand_plan(_with(_HAND_OUTER, 2, -1)), ("outer_sets_partition_all_ids",)),
+    # class 0 moves sample 1 from fold 1 to fold 0: its fold counts are 3, 1, 2
+    (_hand_plan(_with(_HAND_OUTER, 1, 0)), ("per_class_outer_counts_within_one",)),
+], ids=["clean", "leak", "orphan", "fold_past_end", "negative_fold", "counts_off_by_two"])
+def test_audit_fails_on_each_defect(plan, failed):
+    audit = audit_fold_plan(plan, _HAND_LABELS)
+    assert audit == {key: key not in failed for key in _AUDIT_KEYS}
+    assert NestedCvResult((), 0.0, 0.0, (), audit).audit_passed == (not failed)
+    assert audit == _reference_audit(_HAND_LABELS, *_as_tuples(plan))
+
+
 def test_derive_seed_varies_by_position():
     assert derive_seed(1, 2) != derive_seed(2, 1)
     assert derive_seed(1) != derive_seed(1, 0)
+
+
+# --- reference: the set-based fold plan, audit and split loop --------------------
+
+def _reference_partition(ids, labels, k, rng):
+    """Split ids into k stratified chunks; per-class sizes differ by <= 1."""
+    chunks = [[] for _ in range(k)]
+    for cls in np.unique(labels[ids]):
+        members = ids[labels[ids] == cls]
+        members = members[rng.permutation(members.size)]
+        base, extra = divmod(members.size, k)
+        start = 0
+        for fold in range(k):
+            size = base + (1 if fold < extra else 0)
+            chunks[fold].extend(int(i) for i in members[start:start + size])
+            start += size
+    return chunks
+
+
+def _reference_plan(labels, n_outer, n_inner, seed):
+    """(outer_test, inner_val) as sorted id tuples, built with set arithmetic."""
+    classes, counts = np.unique(labels, return_counts=True)
+    for cls, count in zip(classes, counts):
+        if count < n_outer:
+            raise TooFewSamplesPerClass(f"class {cls.item()!r} has {count} samples, needs >= {n_outer}")
+    rng = np.random.default_rng(seed)
+    outer = _reference_partition(np.arange(labels.size), labels, n_outer, rng)
+    inner_all = []
+    for k in range(n_outer):
+        train_ids = np.asarray(sorted(set(range(labels.size)) - set(outer[k])))
+        inner = _reference_partition(train_ids, labels, n_inner, rng)
+        if any(len(chunk) == 0 for chunk in inner):
+            raise TooFewSamplesPerClass(f"outer fold {k} leaves an empty inner set")
+        inner_all.append(tuple(tuple(sorted(chunk)) for chunk in inner))
+    return tuple(tuple(sorted(f)) for f in outer), tuple(inner_all)
+
+
+def _reference_audit(labels, outer_test, inner_val):
+    n = len(labels)
+    outer_ids = [set(f) for f in outer_test]
+    union = set().union(*outer_ids)
+    inner_ok = no_leak = True
+    for k, held in enumerate(outer_ids):
+        train = set(range(n)) - held
+        seen = set()
+        for val in map(set, inner_val[k]):
+            no_leak &= not val & held
+            inner_ok &= not val & seen
+            seen |= val
+        inner_ok &= seen == train
+    counts_ok = True
+    for cls in np.unique(labels):
+        per_fold = [sum(1 for i in f if labels[i] == cls) for f in outer_test]
+        counts_ok &= max(per_fold) - min(per_fold) <= 1
+    return dict(zip(_AUDIT_KEYS, (len(union) == n and sum(map(len, outer_ids)) == n,
+                                  inner_ok, no_leak, counts_ok)))
+
+
+def _reference_split(labels, ratios, seed):
+    """Per-class shuffle, then deal by largest remainder, one part at a time."""
+    rng = np.random.default_rng(seed)
+    assignment = np.full(labels.shape[0], -1, dtype=np.int64)
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[rng.permutation(idx.size)]
+        scaled = [idx.size * r for r in ratios]
+        counts = [int(np.floor(x)) for x in scaled]
+        order = sorted(range(len(ratios)), key=lambda k: (-(scaled[k] - counts[k]), k))
+        for k in order[:idx.size - sum(counts)]:
+            counts[k] += 1
+        start = 0
+        for part, count in enumerate(counts):
+            assignment[idx[start:start + count]] = part
+            start += count
+    return assignment
+
+
+def _as_tuples(plan):
+    """The plan as the sorted id tuples the set-based layout held."""
+    return (tuple(tuple(plan.outer_test(k).tolist()) for k in range(plan.n_outer)),
+            tuple(tuple(tuple(plan.inner_val(k, fold).tolist()) for fold in range(plan.n_inner))
+                  for k in range(plan.n_outer)))
+
+
+# uneven classes, sparse and negative label values, some too small to fold
+_class_sizes = st.dictionaries(st.integers(-40, 40), st.integers(1, 24), min_size=1, max_size=4)
+
+
+def _shuffled_labels(sizes, seed):
+    labels = np.repeat(list(sizes), list(sizes.values()))
+    return labels[np.random.default_rng(seed).permutation(labels.size)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sizes=_class_sizes, n_outer=st.integers(2, 6), n_inner=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_fold_plan_equals_set_based_reference(sizes, n_outer, n_inner, seed):
+    labels = _shuffled_labels(sizes, seed)
+    try:
+        expected = _reference_plan(labels, n_outer, n_inner, seed)
+    except TooFewSamplesPerClass as error:
+        with pytest.raises(TooFewSamplesPerClass) as raised:
+            nested_fold_plan(labels, n_outer, n_inner, seed)
+        assert str(raised.value) == str(error)
+        return
+    plan = nested_fold_plan(labels, n_outer, n_inner, seed)
+    assert (plan.n_samples, plan.n_outer, plan.n_inner) == (labels.size, n_outer, n_inner)
+    assert _as_tuples(plan) == expected
+    outer_test, inner_val = expected
+    for k in range(n_outer):
+        train = set(range(labels.size)) - set(outer_test[k])
+        assert plan.outer_train(k).tolist() == sorted(train)
+        for fold, val in enumerate(inner_val[k]):
+            assert plan.inner_fit(k, fold).tolist() == sorted(train - set(val))
+    audit = audit_fold_plan(plan, labels)
+    assert audit == _reference_audit(labels, *expected) == dict.fromkeys(_AUDIT_KEYS, True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sizes=_class_sizes, n_outer=st.integers(2, 6), n_inner=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1), edits=st.lists(st.tuples(
+           st.booleans(), st.integers(0, 10**6), st.integers(-2, 7)), max_size=4))
+def test_audit_keeps_the_set_based_truth_table(sizes, n_outer, n_inner, seed, edits):
+    # a conforming plan with a few entries overwritten, in range or not
+    labels = np.repeat(list(sizes), [max(v, n_outer * n_inner) for v in sizes.values()])
+    plan = nested_fold_plan(labels, n_outer, n_inner, seed)
+    outer, inner = np.array(plan.outer), np.array(plan.inner)
+    for in_outer, where, value in edits:
+        if in_outer:
+            outer[where % outer.size] = value
+        else:
+            inner.flat[where % inner.size] = value
+    edited = FoldPlan(outer, inner)
+    assert audit_fold_plan(edited, labels) == _reference_audit(labels, *_as_tuples(edited))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sizes=_class_sizes, weights=st.lists(st.integers(0, 9), min_size=1, max_size=5)
+       .filter(any), seed=st.integers(0, 2**32 - 1))
+def test_split_equals_loop_reference(sizes, weights, seed):
+    labels = _shuffled_labels(sizes, seed)
+    ratios = tuple(w / sum(weights) for w in weights)
+    assert np.array_equal(stratified_split(labels, ratios, seed), _reference_split(labels, ratios, seed))
 
 
 # --- hyperparameter selection ----------------------------------------------------
@@ -436,11 +636,10 @@ def _eval_candidate(config, xs, labels, plan, outer_index, hidden_dim, n_classes
     """Mean inner-validation accuracy of one config on one outer fold, with
     one `train` call per inner fold: the search before candidates trained in
     groups."""
-    train_ids = set(plan.outer_train(outer_index))
     accs = []
-    for fold, val in enumerate(plan.inner_val[outer_index]):
-        val_ids = np.asarray(val)
-        fit_ids = np.asarray(sorted(train_ids - set(val)))
+    for fold in range(plan.n_inner):
+        val_ids = plan.inner_val(outer_index, fold)
+        fit_ids = np.setdiff1d(plan.outer_train(outer_index), val_ids)
         run_seed = derive_seed(seed, outer_index, stage, fold)
         model = init_model(xs.shape[1], hidden_dim, n_classes,
                            seed=derive_seed(run_seed, 0))
@@ -488,8 +687,7 @@ def test_grouped_search_equals_per_candidate_reference(monkeypatch, grid, n):
     xs[np.arange(n), labels % 3] += 1.5
     kwargs = {"epochs": 3, "batch_size": 8, "hidden_dim": 4, "seed": 31}
     plan = nested_fold_plan(labels, 3, 2, seed=31)
-    fit_sizes = [{len(plan.outer_train(k)) - len(val) for val in plan.inner_val[k]}
-                 for k in range(3)]
+    fit_sizes = [{plan.inner_fit(k, fold).size for fold in range(2)} for k in range(3)]
     assert all(len(sizes) == (1 if n == 48 else 2) for sizes in fit_sizes)
     grouped = inner_select(grid, xs, labels, plan, 1, **kwargs)
     grouped_cv = nested_cv_run(grid, xs, labels, 3, 2, **kwargs)

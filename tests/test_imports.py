@@ -1,6 +1,6 @@
 """Every name a freshkit module imports is used in that module or re-exported
-through its __all__, and every name in its __all__ is bound. Parsed with ast,
-so no linter is needed."""
+through its __all__, every name in its __all__ is bound, and every import
+statement sits at module level. Parsed with ast, so no linter is needed."""
 import ast
 import importlib
 from pathlib import Path
@@ -47,3 +47,12 @@ def test_exported_names_are_bound(path):
     module = importlib.import_module(f"freshkit.{path.stem}")
     unbound = sorted(name for name in _exported_names(tree) if not hasattr(module, name))
     assert not unbound, f"{path.name}: __all__ names unbound: " + ", ".join(unbound)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_sit_at_module_level(path):
+    # a function-local import hides a dependency and runs again on every call
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nested = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+    assert not nested, "imports below module level: " + ", ".join(nested)
