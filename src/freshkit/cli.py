@@ -699,7 +699,10 @@ def build_parser() -> argparse.ArgumentParser:
     # a layer that numpy can size but memory cannot hold exits 3 with MemoryError
     p.add_argument("--hidden", type=_bounded(int, 0, 2 ** 40), default=8,
                    help="hidden width of the small classifier, below 2**40 (default 8)")
-    p.add_argument("--epochs", type=_bounded(int, 0), default=20)
+    # finite, so a mistyped count cannot train without end: 20 epochs of the
+    # nested search on 400 x 16 features take about 0.5 s, so 10**5 stay within an hour
+    p.add_argument("--epochs", type=_bounded(int, 0, 10 ** 5), default=20,
+                   help="SGD epochs per fit, below 10**5 (default 20)")
     p.add_argument("--batch-size", type=_bounded(int, 1), default=32)
     p.add_argument("--head-lrs", type=_bounded(_float_list, 0.0), default=(1e-3, 3e-3))
     p.add_argument("--weight-decays", type=_bounded(_float_list, 0.0), default=(1e-4, 1e-1))
@@ -717,8 +720,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR",
                    help="directory that receives the generated masks")
-    p.add_argument("--iters", type=_bounded(int, 0), default=5,
-                   help="refinement iterations (default 5)")
+    # an iteration on a 128 x 128 image takes about 0.1 s and the energy
+    # settles within a few dozen, so 10**4 is ample and stays finite
+    p.add_argument("--iters", type=_bounded(int, 0, 10 ** 4), default=5,
+                   help="refinement iterations, below 10**4 (default 5)")
     p.add_argument("--k", type=_bounded(int, 1), default=5,
                    help="mixture components per side (default 5)")
     p.add_argument("--lambda", dest="smoothness", type=_bounded(float, 0.0), default=50.0,

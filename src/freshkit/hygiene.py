@@ -24,6 +24,7 @@ import numpy as np
 from .data_model import RgbImage
 from .errors import (
     BadParameter,
+    DimensionMismatch,
     EmptyInput,
     InputFormatError,
     RowNotNormalized,
@@ -328,7 +329,11 @@ def audit_fold_plan(plan: FoldPlan, labels) -> dict[str, bool]:
     """Leakage audit: partition properties every conforming plan must satisfy.
 
     A sample whose outer fold index is out of range is in no outer test set.
+    labels must hold one label per sample of the plan (else DimensionMismatch).
     """
+    labels = np.asarray(labels)
+    if labels.shape != (plan.n_samples,):
+        raise DimensionMismatch(f"{labels.size} labels for a plan of {plan.n_samples} samples")
     held = plan.outer == np.arange(plan.n_outer)[:, None]
     placed = held.any(axis=0)
     in_inner = plan.inner >= 0
@@ -375,47 +380,84 @@ class SelectionResult:
     stage2: tuple[CandidateScore, ...]
 
 
-def _eval_configs(configs: list[TrainConfig], xs: np.ndarray, labels: np.ndarray,
-                  plan: FoldPlan, outer_index: int, hidden_dim: int,
-                  n_classes: int, stage: int, seed: int) -> list[float]:
-    """Mean inner-validation accuracy of each config on one outer fold.
+def _eval_configs(folds, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
+                  hidden_dim: int, n_classes: int, stage: int,
+                  seed: int) -> list[list[float]]:
+    """Mean inner-validation accuracy of each config, per (outer fold, configs) pair.
 
     Seeds depend on (outer fold, stage, inner fold) but never on a
     candidate's position in the grid, so on each inner fold every candidate
     trains from the same initialization on the same batches. Configs with
     identical effect then score identically and the tie rules actually
-    decide. That is also what lets the whole stage train in one stacked call:
-    one stream per inner fold and mixup alpha (the batch draws depend on
-    alpha). The streams share epochs, batch size and architecture; each has
-    its inner fold's rows, initialization and batch seed, and the folds may
-    differ in size. Trained slices are scored while stacked, and scores come
-    back in the order of configs.
+    decide. That is also what lets the stage of every listed outer fold
+    train in one stacked call: one stream per (outer fold, inner fold, mixup
+    alpha), since the batch draws depend on alpha; the streams of one inner
+    fold share its rows. The streams share epochs, batch size and
+    architecture; each has its inner fold's rows, initialization and batch
+    seed, and the folds may differ in size. In stage 1 no candidate moves
+    its backbone, so the stacked loop evaluates each stream's hidden layer
+    once for all its candidates. Trained slices are scored while stacked,
+    and scores come back per listed fold, in the order of its configs. The
+    loop's memory grows with outer folds x inner folds x candidates.
     """
-    groups = [[i for i, c in enumerate(configs) if c.mixup_alpha == alpha]
-              for alpha in dict.fromkeys(c.mixup_alpha for c in configs)]
     streams, owners = [], []
-    for fold in range(plan.n_inner):
-        fit_ids = plan.inner_fit(outer_index, fold)
-        val_ids = plan.inner_val(outer_index, fold)
-        run_seed = derive_seed(seed, outer_index, stage, fold)
-        model = init_model(xs.shape[1], hidden_dim, n_classes,
-                           seed=derive_seed(run_seed, 0))
-        batch_seed = derive_seed(run_seed, 1)
-        for members in groups:
-            streams.append(Stream(model, xs[fit_ids], labels[fit_ids],
-                                  [replace(configs[i], seed=batch_seed) for i in members]))
-            owners.append((members, val_ids))
-    accs: list[list[float]] = [[] for _ in configs]
-    for fitted, (members, val_ids) in zip(train_streams(streams), owners):
+    for slot, (outer, configs) in enumerate(folds):
+        groups = [[i for i, c in enumerate(configs) if c.mixup_alpha == alpha]
+                  for alpha in dict.fromkeys(c.mixup_alpha for c in configs)]
+        for fold in range(plan.n_inner):
+            fit_ids = plan.inner_fit(outer, fold)
+            val_ids = plan.inner_val(outer, fold)
+            run_seed = derive_seed(seed, outer, stage, fold)
+            model = init_model(xs.shape[1], hidden_dim, n_classes,
+                               seed=derive_seed(run_seed, 0))
+            batch_seed = derive_seed(run_seed, 1)
+            fit_xs, fit_labels = xs[fit_ids], labels[fit_ids]
+            for members in groups:
+                streams.append(Stream(model, fit_xs, fit_labels,
+                                      [replace(configs[i], seed=batch_seed) for i in members]))
+                owners.append((slot, members, val_ids))
+    accs = [[[] for _ in configs] for _, configs in folds]
+    for fitted, (slot, members, val_ids) in zip(train_streams(streams), owners):
         hits = forward_stack(fitted, xs[val_ids]).argmax(axis=2) == labels[val_ids]
         for i, acc in zip(members, hits.mean(axis=1)):
-            accs[i].append(float(acc))
-    return [float(np.mean(a)) for a in accs]
+            accs[slot][i].append(float(acc))
+    return [[float(np.mean(a)) for a in fold] for fold in accs]
 
 
 def _ranked(cands: list[CandidateScore]) -> list[CandidateScore]:
     # best first; ties: lower weight decay first, then enumeration order (stable sort)
     return sorted(cands, key=lambda c: (-c.mean_accuracy, c.config.weight_decay))
+
+
+def _select(grid: HyperGrid, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
+            outers: list[int], epochs: int, batch_size: int, hidden_dim: int,
+            seed: int) -> list[SelectionResult]:
+    """inner_select on each listed outer fold, each stage of all of them in
+    one stacked call; stage 2 of a fold still depends only on its stage 1."""
+    n_classes = int(labels.max()) + 1
+
+    def scored(stage: int, candidates: list[list[TrainConfig]]) -> list[list[CandidateScore]]:
+        scores = _eval_configs(list(zip(outers, candidates)), xs, labels, plan,
+                               hidden_dim, n_classes, stage, seed)
+        return [[CandidateScore(c, s) for c, s in zip(configs, fold)]
+                for configs, fold in zip(candidates, scores)]
+
+    configs1 = [
+        TrainConfig(epochs=epochs, batch_size=batch_size, head_lr=head_lr,
+                    backbone_lr=0.0, weight_decay=decay, label_smoothing=smoothing,
+                    mixup_alpha=0.0, seed=0)
+        for head_lr, decay, smoothing in itertools.product(
+            grid.head_lrs, grid.weight_decays, grid.label_smoothings)
+    ]
+    stage1 = scored(1, [configs1] * len(outers))
+    stage2 = scored(2, [
+        [replace(survivor.config, backbone_lr=backbone_lr, mixup_alpha=mixup_alpha)
+         for survivor, backbone_lr, mixup_alpha in itertools.product(
+             _ranked(fold)[:grid.top_k], grid.backbone_lrs, grid.mixup_alphas)]
+        for fold in stage1
+    ])
+    return [SelectionResult(_ranked(two)[0].config, tuple(one), tuple(two))
+            for one, two in zip(stage1, stage2)]
 
 
 def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
@@ -430,38 +472,16 @@ def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
 
     Every candidate of a stage shares its initialization and batch seed on
     each inner fold, so each stage trains in one stacked SGD loop of
-    streams, one per inner fold and distinct mixup alpha. The streams share
-    epochs, batch size and architecture; their rows, initializations, batch
-    seeds and mixup alpha differ. A candidate's score equals training it
-    alone.
+    streams, one per inner fold and distinct mixup alpha, and stage 1's
+    frozen backbone is evaluated once per stream, not per candidate. The
+    streams share epochs, batch size and architecture; their rows,
+    initializations, batch seeds and mixup alpha differ. A candidate's
+    score equals training it alone. This is the one-fold case of the search
+    nested_cv_run runs over all outer folds at once, whose peak memory grows
+    with n_outer x n_inner x grid size.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_classes = int(labels.max()) + 1
-
-    configs1 = [
-        TrainConfig(epochs=epochs, batch_size=batch_size, head_lr=head_lr,
-                    backbone_lr=0.0, weight_decay=decay, label_smoothing=smoothing,
-                    mixup_alpha=0.0, seed=0)
-        for head_lr, decay, smoothing in itertools.product(
-            grid.head_lrs, grid.weight_decays, grid.label_smoothings)
-    ]
-    scores1 = _eval_configs(configs1, xs, labels, plan, outer_index,
-                            hidden_dim, n_classes, 1, seed)
-    stage1 = [CandidateScore(c, s) for c, s in zip(configs1, scores1)]
-
-    survivors = _ranked(stage1)[:grid.top_k]
-
-    configs2 = [
-        replace(survivor.config, backbone_lr=backbone_lr, mixup_alpha=mixup_alpha)
-        for survivor, backbone_lr, mixup_alpha in itertools.product(
-            survivors, grid.backbone_lrs, grid.mixup_alphas)
-    ]
-    scores2 = _eval_configs(configs2, xs, labels, plan, outer_index,
-                            hidden_dim, n_classes, 2, seed)
-    stage2 = [CandidateScore(c, s) for c, s in zip(configs2, scores2)]
-
-    return SelectionResult(_ranked(stage2)[0].config, tuple(stage1), tuple(stage2))
+    return _select(grid, np.asarray(xs, dtype=np.float64), np.asarray(labels), plan,
+                   [outer_index], epochs, batch_size, hidden_dim, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -494,10 +514,17 @@ class NestedCvResult:
 def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 3,
                   *, epochs: int = 20, batch_size: int = 32, hidden_dim: int = 8,
                   seed: int = 42) -> NestedCvResult:
-    """Full nested CV: per outer fold, inner_select then retrain and test.
+    """Full nested CV: inner_select on every outer fold, then retrain and test.
 
     Reports one accuracy per outer fold, their mean, and the sample standard
     deviation (ddof 1). The audit block re-checks the fold plan for leakage.
+
+    Training takes three stacked SGD calls: stage 1 of every outer fold's
+    search, then stage 2 of every outer fold, then the final fits. Stage 1's
+    frozen backbone is evaluated once per (outer fold, inner fold) stream.
+    Each selection equals inner_select on its fold alone, but the search's
+    peak memory grows with n_outer x n_inner x grid size, and a diverging
+    candidate of any outer fold stops the run in its stage's call.
     """
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -505,9 +532,8 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
     audit = audit_fold_plan(plan, labels)
     n_classes = int(labels.max()) + 1
 
-    selections = [inner_select(grid, xs, labels, plan, k, epochs=epochs,
-                               batch_size=batch_size, hidden_dim=hidden_dim, seed=seed)
-                  for k in range(n_outer)]
+    selections = _select(grid, xs, labels, plan, list(range(n_outer)), epochs,
+                         batch_size, hidden_dim, seed)
     # the final fits train as one stacked call, one stream per outer fold
     finals = []
     for k, choice in enumerate(selections):

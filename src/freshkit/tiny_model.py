@@ -369,6 +369,19 @@ def _sgd(streams):
     length groups. numpy runs a stacked matmul as one 2-D product per slice,
     so each slice is bit-identical to training its stream alone.
 
+    Rows are stored once per distinct rows array and targets once per
+    distinct (labels array, label smoothing), so streams handed the same
+    arrays share one copy. Each step takes its batch per stream (targets per
+    stream and smoothing), mixes it, and only then repeats it per slice; no
+    array holds the rows once per slice. Every slice of a stream starts from
+    the stream's model and a zero backbone lr never moves the backbone, so
+    in a step where no slice moves its backbone (hidden_dim > 0) each slice
+    holds its stream's initial hidden layer: the step evaluates it once per
+    stream, the same 2-D product each slice would run, and repeats it per
+    slice. The nested search trains every (outer fold, inner fold, mixup
+    alpha) stream of a stage in one call, so its memory grows with
+    n_outer x n_inner x grid size.
+
     The first yield is the stacked list [w_in, b_in, w_out, b_out]; it is
     updated in place and yielded again after each epoch. Once training ends
     its slices are put in given order, and exhausting the generator raises
@@ -391,18 +404,28 @@ def _sgd(streams):
     n, dims = int(sizes[-1]), runs[0].model
     epochs, batch = configs[0].epochs, configs[0].batch_size
 
-    # rows and targets padded to the largest stream; no batch reaches the padding
-    xs = np.zeros((len(runs), n, dims.input_dim))
+    # rows and targets padded to the largest stream; no batch reaches the
+    # padding. Streams given one rows or labels array share one copy of it.
+    row_slots = {}
+    row_of = np.array([row_slots.setdefault(id(run.xs), len(row_slots)) for run in runs])
+    xs = np.zeros((len(row_slots), n, dims.input_dim))
     for r, run in enumerate(runs):
-        xs[r, :sizes[r]] = run.xs
-    targets = np.zeros((len(configs), n, dims.n_classes))
-    for g, config in enumerate(configs):
-        run = runs[run_of[g]]
-        targets[g, :run.labels.size] = _smoothed(run.labels, dims.n_classes,
-                                                 config.label_smoothing)
+        xs[row_of[r], :sizes[r]] = run.xs
+    kinds = {}  # (run, label smoothing) -> index; a run's slices share their kinds
+    target_of = np.array([kinds.setdefault((int(r), c.label_smoothing), len(kinds))
+                          for r, c in zip(run_of, configs)], dtype=np.intp)
+    target_run = np.array([r for r, _ in kinds], dtype=np.intp)
+    target_slots = {}
+    store_of = np.array([target_slots.setdefault((id(runs[r].labels), smoothing),
+                                                 len(target_slots)) for r, smoothing in kinds])
+    targets = np.zeros((len(target_slots), n, dims.n_classes))
+    for t, (r, smoothing) in zip(store_of, kinds):
+        targets[t, :sizes[r]] = _smoothed(runs[r].labels, dims.n_classes, smoothing)
     inits = [run.model for run in runs for _ in run.configs]
     params = [np.stack([m.w_in for m in inits]), np.stack([m.b_in[None] for m in inits]),
               np.stack([m.w_out for m in inits]), np.stack([m.b_out[None] for m in inits])]
+    backbones = (np.stack([run.model.w_in for run in runs]),
+                 np.stack([run.model.b_in[None] for run in runs]))
     head_lr = np.array([c.head_lr for c in configs])[:, None, None]
     backbone_lr = np.array([c.backbone_lr for c in configs])[:, None, None]
     decay = np.array([c.weight_decay for c in configs])[:, None, None]
@@ -415,24 +438,48 @@ def _sgd(streams):
             return None
         return lr[a:b], decay[a:b], _ALL if live.size == b - a else live
 
+    alphas = np.array([run.configs[0].mixup_alpha for run in runs])
+    every_run = np.arange(len(runs))
+
+    def entries(lo: int, hi: int, owner: np.ndarray) -> tuple[slice, np.ndarray]:
+        """(entries lo:hi, positions of those whose run mixes) of one step."""
+        return slice(lo, hi), np.flatnonzero(alphas[owner[lo:hi]] > 0.0)
+
     plan = []  # the steps of one epoch, the same in every epoch
     for lo in range(0, n, batch):
         lengths = np.clip(sizes - lo, 0, batch)
         for length in np.unique(lengths[lengths > 0]).tolist():
             members = np.flatnonzero(lengths == length)
-            a, b = int(ends[members[0]] - counts[members[0]]), int(ends[members[-1]])
+            first, last = int(members[0]), int(members[-1]) + 1
+            a, b = int(ends[first] - counts[first]), int(ends[last - 1])
             backbone = rates(backbone_lr, a, b) if dims.hidden_dim else None
             head = rates(head_lr, a, b)
             if backbone or head:  # a step that moves no slice changes nothing
-                plan.append((slice(a, b), slice(lo, lo + length), length,
-                             [p[a:b] for p in params], backbone, head))
+                frozen = ([p[first:last] for p in backbones]
+                          if dims.hidden_dim and backbone is None else None)
+                k0, k1 = int(target_of[a:b].min()), int(target_of[a:b].max()) + 1
+                plan.append((slice(lo, lo + length), length,
+                             entries(first, last, every_run), run_of[a:b] - first,
+                             entries(k0, k1, target_run), target_of[a:b] - k0,
+                             [p[a:b] for p in params], frozen, backbone, head))
+
+    # one flat row per (stored array, row), so a batch is one take
+    xs, targets = xs.reshape(-1, dims.input_dim), targets.reshape(-1, dims.n_classes)
+    x_base, t_base = row_of[:, None] * n, store_of[:, None] * n
+
+    def gather(values: np.ndarray, at, rows: slice, span: slice,
+               mixes: np.ndarray) -> np.ndarray:
+        """One batch of values for entries span from their epoch's (flat
+        rows, mixup partner rows, mixup weights); mixup pairs each row of a
+        mixing run with a row of the same batch."""
+        order, mates, weights = (v[span] for v in at)
+        out = values.take(order[:, rows], axis=0)
+        if mixes.size:
+            w = weights[mixes, rows]
+            out[mixes] = w * out[mixes] + (1.0 - w) * values.take(mates[mixes, rows], axis=0)
+        return out
 
     rngs = [np.random.default_rng(run.configs[0].seed) for run in runs]
-    alphas = [run.configs[0].mixup_alpha for run in runs]
-    mixing = np.flatnonzero(np.array(alphas) > 0.0)
-    mixed = np.flatnonzero(np.isin(run_of, mixing))  # the slices of mixing runs
-    all_runs = np.arange(len(runs))[:, None]
-    all_slices = np.arange(len(configs))[:, None]
     yield params
     for _ in range(epochs):
         local = np.tile(np.arange(n), (len(runs), 1))  # padding rows stay put
@@ -446,24 +493,22 @@ def _sgd(streams):
                     hi = min(lo + batch, size)
                     lam[r, lo:hi] = rng.beta(alphas[r], alphas[r])
                     mate[r, lo:hi] = lo + rng.permutation(hi - lo)
+        partner = np.take_along_axis(local, mate, axis=1)
+        # each run's rows and each kind's targets in epoch order
+        x_at = x_base + local, x_base + partner, lam
+        t_at = t_base + local[target_run], t_base + partner[target_run], lam[target_run]
         with np.errstate(over="ignore", invalid="ignore"):
-            # each stream's rows and targets in epoch order, gathered once so
-            # that every batch is a view; mixup pairs rows within a batch
-            x_epoch = xs[all_runs, local]
-            t_epoch = targets[all_slices, local[run_of]]
-            if mixing.size:
-                partner = np.take_along_axis(local, mate, axis=1)
-                w = lam[mixing]
-                x_epoch[mixing] = (w * x_epoch[mixing]
-                                   + (1.0 - w) * xs[mixing[:, None], partner[mixing]])
-                w = lam[run_of[mixed]]
-                t_epoch[mixed] = (w * t_epoch[mixed] + (1.0 - w)
-                                  * targets[mixed[:, None], partner[run_of[mixed]]])
-            x_epoch = x_epoch[run_of]
-            for slices, rows, length, group, backbone, head in plan:
-                xb = x_epoch[slices, rows]
-                hidden, logits = _forward(group, xb)
-                dlogits = (np.exp(_log_softmax(logits)) - t_epoch[slices, rows]) / length
+            # rows once per run and targets once per kind, then one per slice
+            for rows, length, x_in, pick, t_in, kind, group, frozen, backbone, head in plan:
+                xb = gather(xs, x_at, rows, *x_in)
+                if frozen is None:
+                    xb = xb[pick]
+                    hidden, logits = _forward(group, xb)
+                else:  # each slice's backbone is its run's initial one
+                    hidden = np.tanh(xb @ frozen[0].mT + frozen[1])[pick]
+                    logits = hidden @ group[2].mT + group[3]
+                dlogits = (np.exp(_log_softmax(logits))
+                           - gather(targets, t_at, rows, *t_in)[kind]) / length
                 # grads from the pre-step parameters: the backbone's uses w_out
                 if backbone is not None:
                     _step(group[0], group[1], *_layer_grads(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import freshkit
 from freshkit import errors
-from freshkit.cli import main, render_json
+from freshkit.cli import build_parser, main, render_json
 from freshkit.cls_eval import confusion, prf_report
 from freshkit.data_model import (
     BinaryMask,
@@ -723,6 +723,8 @@ def test_unknown_command_exits_1():
     ["--backbone-lrs", "inf"],
     ["--smoothings", "0.0,1.0"],
     ["--mixups", "-0.2"],
+    ["--epochs", "100000"],
+    ["--epochs", "1000000000000"],
 ])
 def test_bad_training_flags_fail_at_parse_time(tmp_path, capsys, flags):
     # the data file does not exist: reaching it would exit 2, not 1
@@ -777,6 +779,7 @@ def test_bad_numeric_flags_fail_at_parse_time(tmp_path, capsys, argv, flag):
     (["pseudomask", "--close", "-1"], "--close"),
     (["seg-eval", "--boot", "0"], "--boot"),
     (["seg-eval", "--boot", "-1"], "--boot"),
+    (["pseudomask", "--iters", "10000"], "--iters"),
 ])
 def test_bad_mask_flags_fail_at_parse_time(tmp_path, capsys, argv, flag):
     # real inputs, so only the parser stands between a bad flag and the
@@ -821,6 +824,29 @@ def test_replicate_count_past_2_pow_40_fails_at_parse_time(tmp_path, capsys, com
     assert re.fullmatch(rf"freshkit {command}: error: argument {flag}: "
                         r"values must lie in \[1, 1099511627776\), got '10{29}'\n", err)
     assert not report.exists()
+
+
+@pytest.mark.parametrize("command, flag, limit", [("nested-cv", "--epochs", 10 ** 5),
+                                                  ("pseudomask", "--iters", 10 ** 4)])
+def test_training_lengths_are_bounded_at_parse_time(tmp_path, capsys, command, flag, limit):
+    # unbounded, nested-cv --epochs 10**12 trained silently until killed
+    images = tmp_path / "images"
+    images.mkdir()
+    write_ppm(images / "a.ppm", RgbImage(np.full((16, 16, 3), 90, dtype=np.uint8)))
+    report = tmp_path / "report.json"
+    inputs = {"nested-cv": ["--data", str(tmp_path / "missing.csv"), "--out", str(report)],
+              "pseudomask": ["--in", str(images), "--out", str(tmp_path / "masks"),
+                             "--report", str(report)]}
+    assert getattr(build_parser().parse_args([command, *inputs[command], flag, str(limit - 1)]),
+                   flag[2:]) == limit - 1
+    with pytest.raises(SystemExit) as info:
+        main([command, *inputs[command], flag, str(limit)])
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"freshkit {command}: error: argument {flag}: "
+                   f"values must lie in [0, {limit}), got '{limit}'\n")
+    assert not report.exists() and not (tmp_path / "masks").exists()
 
 
 def test_help_exits_0():

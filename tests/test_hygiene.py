@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshkit import hygiene
+from freshkit import demo, hygiene
 from freshkit.data_model import RgbImage, grayscale_as_rgb
 from freshkit.demo import DEMO_GRID
 from freshkit.errors import (
     BadParameter,
+    DimensionMismatch,
     InputFormatError,
     RowNotNormalized,
     TooFewSamplesPerClass,
@@ -20,6 +21,7 @@ from freshkit.hygiene import (
     HyperGrid,
     NestedCvResult,
     _area_weights,
+    _ranked,
     audit_fold_plan,
     cluster_near_duplicates,
     hamming,
@@ -29,7 +31,7 @@ from freshkit.hygiene import (
     phash64,
     stratified_split,
 )
-from freshkit.tiny_model import derive_seed, forward, init_model, train
+from freshkit.tiny_model import derive_seed, forward, init_model, train, train_streams
 
 
 def _random_image(rng, h=48, w=64):
@@ -527,6 +529,14 @@ def test_audit_keeps_the_set_based_truth_table(sizes, n_outer, n_inner, seed, ed
     assert audit_fold_plan(edited, labels) == _reference_audit(labels, *_as_tuples(edited))
 
 
+@pytest.mark.parametrize("n_labels", [29, 31])
+def test_audit_rejects_labels_of_another_length(n_labels):
+    labels = np.arange(30) % 3
+    plan = nested_fold_plan(labels, 3, 2, seed=5)
+    with pytest.raises(DimensionMismatch, match=f"^{n_labels} labels for a plan of 30 samples$"):
+        audit_fold_plan(plan, np.arange(n_labels) % 3)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sizes=_class_sizes, weights=st.lists(st.integers(0, 9), min_size=1, max_size=5)
        .filter(any), seed=st.integers(0, 2**32 - 1))
@@ -658,11 +668,55 @@ def _stacked(models):
 
 def _per_candidate(monkeypatch):
     """Route the search and the final fits through one `train` per config."""
-    monkeypatch.setattr(hygiene, "_eval_configs",
-                        lambda configs, *args: [_eval_candidate(c, *args) for c in configs])
+    monkeypatch.setattr(hygiene, "_eval_configs", lambda folds, xs, labels, plan, *rest: [
+        [_eval_candidate(c, xs, labels, plan, outer, *rest) for c in configs]
+        for outer, configs in folds])
     monkeypatch.setattr(hygiene, "train_streams", lambda streams: tuple(
         _stacked([train(model, xs, labels, c)[0] for c in configs])
         for model, xs, labels, configs in streams))
+
+
+def _counted_calls(monkeypatch, *modules):
+    """The stream count of each train_streams call the modules make, in order."""
+    calls = []
+
+    def counted(streams):
+        calls.append(len(streams))
+        return train_streams(streams)
+
+    for module in modules:
+        monkeypatch.setattr(module, "train_streams", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_outer", [3, 5])
+def test_nested_search_trains_in_three_stacked_calls(monkeypatch, n_outer):
+    # stage 1 of every outer fold, stage 2 of every outer fold, the final fits
+    calls = _counted_calls(monkeypatch, hygiene)
+    labels = np.arange(40) % 2
+    xs = np.random.default_rng(3).normal(0.0, 1.0, (40, 3)) + labels[:, None]
+    nested_cv_run(HyperGrid(), xs, labels, n_outer, 3, epochs=2, hidden_dim=4, seed=3)
+    # streams: one per (outer, inner) fold, then per (outer, inner, mixup alpha), then per outer
+    assert calls == [n_outer * 3, n_outer * 3 * 2, n_outer]
+
+
+def test_stacked_search_selects_as_inner_select_on_each_fold():
+    # overlapping classes, so the stage-1 survivors differ between outer folds
+    rng = np.random.default_rng(30)
+    labels = np.arange(53) % 4
+    xs = rng.normal(0.0, 1.0, (53, 3))
+    xs[np.arange(53), labels % 3] += 1.5
+    kwargs = {"epochs": 3, "batch_size": 8, "hidden_dim": 4, "seed": 31}
+    plan = nested_fold_plan(labels, 3, 2, seed=31)
+    alone = tuple(inner_select(_SEARCH_GRID, xs, labels, plan, k, **kwargs) for k in range(3))
+    assert len({tuple(c.config for c in _ranked(s.stage1)[:2]) for s in alone}) > 1
+    assert nested_cv_run(_SEARCH_GRID, xs, labels, 3, 2, **kwargs).selections == alone
+
+
+def test_demo_trains_in_four_stacked_calls(monkeypatch):
+    calls = _counted_calls(monkeypatch, hygiene, demo)
+    demo.run_demo(seed=7)
+    assert calls == [15, 15, 5, 2]
 
 
 _SEARCH_GRID = HyperGrid(head_lrs=(0.0, 0.05, 0.3), weight_decays=(0.0, 0.1),

@@ -430,10 +430,10 @@ def test_zero_lr_group_stays_exact_under_non_finite_gradients():
 
 
 @st.composite
-def training_streams(draw):
+def training_streams(draw, min_hidden=0):
     """Streams for one stacked loop: shared epochs, batch size and
     architecture; each with its own init, rows, seed, mixup and configs."""
-    dim, hidden = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    dim, hidden = draw(st.integers(1, 5)), draw(st.integers(min_hidden, 6))
     n_classes = draw(st.integers(2, 4))
     epochs, batch_size = draw(st.integers(0, 3)), draw(st.integers(1, 12))
     base = draw(st.integers(1, 25))
@@ -473,6 +473,35 @@ def test_train_streams_equals_per_stream_train_group(streams):
         for a, b in zip(unstack(got), expected):
             for name in ("w_in", "b_in", "w_out", "b_out"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@st.composite
+def frozen_streams(draw):
+    """Streams of a hidden-layer model whose configs all keep the backbone
+    frozen; a stream may share the rows and labels of the one before it, and
+    its hidden biases are nonzero, so a frozen layer that drops them shows."""
+    streams = []
+    for stream in draw(training_streams(min_hidden=1)):
+        if streams and draw(st.booleans()):
+            stream = stream._replace(xs=streams[-1].xs, labels=streams[-1].labels)
+        model = stream.model
+        b_in = np.linspace(-1.0, 1.0, model.hidden_dim) + draw(st.sampled_from([0.0, 0.3]))
+        streams.append(stream._replace(
+            model=TinyClassifier(model.w_in, b_in, model.w_out, model.b_out),
+            configs=tuple(replace(c, backbone_lr=0.0) for c in stream.configs)))
+    return streams
+
+
+@PROPERTY
+@given(frozen_streams())
+def test_frozen_streams_train_as_one_config_at_a_time(streams):
+    # every step takes the frozen path, whose hidden layer is evaluated once
+    # per stream and shared by the stream's slices
+    for stream, got in zip(streams, train_streams(streams)):
+        for config, fitted in zip(stream.configs, unstack(got)):
+            expected, _ = _per_config_train(stream.model, stream.xs, stream.labels, config)
+            for name in ("w_in", "b_in", "w_out", "b_out"):
+                assert np.array_equal(getattr(fitted, name), getattr(expected, name))
 
 
 @st.composite
