@@ -12,7 +12,11 @@ Each phase's BFS expands the whole frontier at once and stops at the level
 of the sink, because no augmenting path runs through a node past it. The
 bottleneck arc of every augmenting path is zeroed by exact subtraction, so
 the algorithm terminates. Its last BFS, which never reaches the sink, is
-therefore complete and marks the source side of the min cut.
+therefore complete and marks the source side of the min cut. After each
+augmentation the search resumes at the tail of the path's first zeroed
+arc: a search restarted at the source would walk the path's prefix, whose
+arcs all keep capacity, and arrive at the same node with the same arcs
+left to try.
 """
 from __future__ import annotations
 
@@ -36,28 +40,35 @@ def _bfs_levels(start, order, to, cap, level, s, t):
         pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
         arcs = order[pos]
         heads = to[arcs[cap[arcs] > 0.0]]
-        frontier = np.unique(heads[level[heads] < 0])
         depth += 1
-        level[frontier] = depth
+        level[heads[level[heads] < 0]] = depth
+        # the new level, ascending; np.unique would also import numpy.ma
+        frontier = np.flatnonzero(level == depth)
     return level[t] >= 0
 
 
-def _augment_once(start, order, to, cap, level, iters, path, s, t):
-    """Push flow along one shortest augmenting path; 0.0 when none is left.
+def _blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
+    """Push flow along shortest augmenting paths until none is left; total plus it.
 
-    Every argument array is a memoryview. iters[u] is the position in order
-    of the next arc out of u to try; it counts down to start[u].
+    Every array argument is a memoryview. iters[u] is the position in order
+    of the next arc out of u to try; it counts down to start[u]. Each
+    bottleneck is added to total in turn.
     """
     depth = 0
     u = s
     while True:
         if u == t:
             arcs = path[:depth]
-            bottleneck = min([cap[e] for e in arcs])
+            caps = [cap[e] for e in arcs]
+            bottleneck = min(caps)
             for e in arcs:
                 cap[e] -= bottleneck
                 cap[e ^ 1] += bottleneck
-            return bottleneck
+            total += bottleneck
+            # x - b is exactly 0.0 only where x == b: the first zeroed arc
+            depth = caps.index(bottleneck)
+            u = to[path[depth] ^ 1]
+            continue
         i = iters[u]
         lo = start[u]
         next_level = level[u] + 1
@@ -74,7 +85,7 @@ def _augment_once(start, order, to, cap, level, iters, path, s, t):
         else:
             level[u] = -1
             if u == s:
-                return 0.0
+                return total
             depth -= 1
             u = to[path[depth] ^ 1]
             iters[u] -= 1
@@ -88,11 +99,7 @@ def _dinic(start, order, to, cap, level, s, t):
     total = 0.0
     while _bfs_levels(start, order, to, cap, level, s, t):
         iters[:] = start[1:] - 1
-        while True:
-            pushed = _augment_once(*views, s, t)
-            if pushed == 0.0:
-                break
-            total += pushed
+        total = _blocking_flow(*views, s, t, total)
     return total
 
 

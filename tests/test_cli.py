@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from freshkit.data_model import (
     write_ppm,
 )
 from freshkit.hygiene import CandidateScore, cluster_near_duplicates
-from freshkit.ood_eval import ScoredSample, ood_metrics, threshold_sweep
+from freshkit.ood_eval import DEFAULT_TAUS, ScoredSample, ood_metrics, threshold_sweep
 from freshkit.pseudomask import init_box
 from freshkit.seg_eval import METRIC_NAMES, dataset_summary, mask_metrics
 from freshkit.stats import PairedOutcome, mcnemar, paired_acc_diff_ci, percentile_bootstrap
@@ -225,6 +226,14 @@ def test_sweep_defaults_and_reference_point(tmp_path, capsys):
         ["sweep", "--scores", str(scores_csv), "--taus", "0.1,0.9"], capsys)
     assert code == 0
     assert [p["tau"] for p in json.loads(out)["report"]["points"]] == [0.1, 0.9]
+
+
+def test_sweep_help_lists_the_default_taus(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert re.search(r"thresholds \(default ([^)]*)\)", help_text).group(1) == \
+        ",".join(str(tau) for tau in DEFAULT_TAUS)
 
 
 def write_odin_inputs(tmp_path):
@@ -929,6 +938,106 @@ def test_pseudomask_failure_writes_nothing(tmp_path, capsys, bad, code):
     assert "Traceback" not in err
     assert not out_dir.exists()
     assert not report.exists()
+
+
+# --- pseudomask shares its trays among processes ------------------------------
+
+def _noisy_tray(rng, side, uniform=False):
+    img = np.full((side, side, 3), 40, dtype=np.int64)
+    if not uniform:
+        img[side // 4:3 * side // 4, side // 3:3 * side // 4] = (200, 60, 50)
+        img += rng.integers(-10, 11, size=img.shape)
+    return RgbImage(np.clip(img, 0, 255).astype(np.uint8))
+
+
+def _run_pseudomask(in_dir, out_dir, n_cpus, monkeypatch, capsys):
+    """Exit code, stdout, stderr, the written files, and the number of forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)  # counted in this process only
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    code, out, err = run_cli(["pseudomask", "--in", str(in_dir), "--out", str(out_dir),
+                              "--iters", "2", "--k", "2"], capsys)
+    with pytest.raises(ChildProcessError):  # every helper was reaped
+        os.waitpid(-1, os.WNOHANG)
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} if out_dir.exists() else {}
+    return code, out, err, files, len(forks)
+
+
+@pytest.fixture
+def five_trays(tmp_path):
+    rng = np.random.default_rng(17)
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for name, side, uniform in (("a", 20, False), ("b", 28, False), ("c", 16, True),
+                                ("d", 24, False), ("e", 20, False)):
+        write_ppm(in_dir / f"{name}.ppm", _noisy_tray(rng, side, uniform))
+    return in_dir
+
+
+def test_pseudomask_bytes_do_not_depend_on_the_cpu_count(tmp_path, five_trays, monkeypatch,
+                                                         capsys):
+    runs = {n: _run_pseudomask(five_trays, tmp_path / f"out{n}", n, monkeypatch, capsys)
+            for n in (1, 2, 4)}
+    code, out, err, files, forks = runs[1]
+    assert (code, err, forks) == (0, "", 0)
+    assert sorted(files) == ["a.pgm", "b.pgm", "c.pgm", "d.pgm", "e.pgm"]
+    assert [row["degenerate"] for row in json.loads(out)["report"]["images"]] == \
+        [False, False, True, False, False]
+    for n in (2, 4):
+        assert runs[n][:4] == runs[1][:4]
+        assert runs[n][4] == n - 1  # one helper per share but the caller's
+
+
+def test_pseudomask_raises_the_first_failing_tray_of_any_share(tmp_path, monkeypatch, capsys):
+    # b.ppm is the larger file, so with two CPUs this process takes it, and a
+    # helper takes a_small.ppm: the helper's failure still comes first
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_ppm(in_dir / "a_small.ppm", _tray(4))
+    write_ppm(in_dir / "b.ppm", _tray(24))
+    (in_dir / "b.ppm").write_bytes((in_dir / "b.ppm").read_bytes()[:-100])
+    runs = [_run_pseudomask(in_dir, tmp_path / "masks", n, monkeypatch, capsys) for n in (1, 2)]
+    assert runs[1][4] == 1
+    for code, out, err, files, _ in runs:
+        assert (code, out, files) == (3, "", {})
+        assert err.startswith("freshkit pseudomask: ") and err.count("\n") == 1
+    assert runs[0][2] == runs[1][2]
+
+
+@pytest.mark.parametrize("failure", ["fork", "exit"])
+def test_pseudomask_computes_an_undelivered_share_itself(tmp_path, five_trays, monkeypatch,
+                                                         capsys, failure):
+    expected = _run_pseudomask(five_trays, tmp_path / "serial", 1, monkeypatch, capsys)
+    if failure == "fork":
+        def fork():
+            raise OSError("no process")
+        monkeypatch.setattr(os, "fork", fork)
+    else:  # a helper dies before it sends; this process never calls dump
+        monkeypatch.setattr(pickle, "dump", lambda *args: os._exit(5))
+    got = _run_pseudomask(five_trays, tmp_path / "masks", 2, monkeypatch, capsys)
+    assert got[:4] == expected[:4]
+
+
+def test_pseudomask_forks_without_a_warning(tmp_path, five_trays):
+    # OpenBLAS stops its thread pool before a fork, so Python 3.12+ finds
+    # one thread and does not warn that forking a threaded process may deadlock
+    src = str(Path(freshkit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-m",
+                           "freshkit.cli", "pseudomask", "--in", str(five_trays),
+                           "--out", str(tmp_path / "masks"), "--iters", "1", "--k", "2",
+                           "--report", str(tmp_path / "report.json")],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(list((tmp_path / "masks").iterdir())) == 5
 
 
 def test_unrenderable_report_writes_no_scores(tmp_path, capsys):

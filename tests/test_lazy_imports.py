@@ -66,8 +66,7 @@ print(json.dumps({
 """, *sorted(_layer_modules()))
     seen = json.loads(out)
     assert sorted(seen["bound"]) == sorted(_layer_modules())
-    assert {"cli", "errors", "data_model"} <= set(seen["executed"])
-    assert set(seen["executed"]) <= {"cli", "errors", "data_model", "ood_eval"}
+    assert set(seen["executed"]) == {"cli", "errors", "data_model"}
 
 
 @pytest.fixture(scope="module")
@@ -104,31 +103,33 @@ def inputs(tmp_path_factory):
 
 SCREEN_SKIPS = {"pseudomask", "maxflow", "seg_eval", "demo"}
 NO_MODEL = {"hygiene", "tiny_model"}
+NO_OOD = {"ood_eval"}  # only ood-eval, sweep, score's odin grid and demo run it
 
 
 # argv, a module the command must run, modules it must not run
 CASES = [
-    (["dedup", "--images", "{d}/images"], "hygiene", SCREEN_SKIPS),
-    (["score", "--method", "msp", "--logits", "{d}/logits.csv"], "scoring", SCREEN_SKIPS),
+    (["dedup", "--images", "{d}/images"], "hygiene", SCREEN_SKIPS | NO_OOD),
+    (["score", "--method", "msp", "--logits", "{d}/logits.csv"], "scoring",
+     SCREEN_SKIPS | NO_OOD),
     (["score", "--method", "odin", "--logits", "{d}/labeled.csv", "--prefix", "x",
       "--model", "{d}/model.json", "--temperature", "10", "--epsilon", "0.001"],
      "scoring", SCREEN_SKIPS),
     (["ood-eval", "--scores", "{d}/scores.csv"], "ood_eval", SCREEN_SKIPS | NO_MODEL),
     (["sweep", "--scores", "{d}/scores.csv"], "ood_eval", SCREEN_SKIPS | NO_MODEL),
-    (["cls-eval", "--logits", "{d}/logits.csv"], "cls_eval", SCREEN_SKIPS),
+    (["cls-eval", "--logits", "{d}/logits.csv"], "cls_eval", SCREEN_SKIPS | NO_OOD),
     (["mcnemar", "--pred-a", "{d}/logits.csv", "--pred-b", "{d}/logits.csv"], "stats",
-     SCREEN_SKIPS | NO_MODEL),
+     SCREEN_SKIPS | NO_MODEL | NO_OOD),
     (["mcnemar", "--n11", "5", "--n10", "1", "--n01", "2", "--n00", "1"], "stats",
-     SCREEN_SKIPS | NO_MODEL),
+     SCREEN_SKIPS | NO_MODEL | NO_OOD),
     (["bootstrap", "--values", "{d}/values.txt", "--b", "50"], "stats",
-     SCREEN_SKIPS | NO_MODEL),
-    (["split", "--labels", "{d}/labeled.csv"], "hygiene", SCREEN_SKIPS),
+     SCREEN_SKIPS | NO_MODEL | NO_OOD),
+    (["split", "--labels", "{d}/labeled.csv"], "hygiene", SCREEN_SKIPS | NO_OOD),
     (["folds", "--labels", "{d}/labeled.csv", "--outer", "2", "--inner", "2"], "hygiene",
-     SCREEN_SKIPS),
+     SCREEN_SKIPS | NO_OOD),
     (["seg-eval", "--pred", "{d}/pred", "--gt", "{d}/gt", "--boot", "20"], "seg_eval",
-     NO_MODEL),
+     NO_MODEL | NO_OOD),
     (["nested-cv", "--data", "{d}/labeled.csv", "--outer", "2", "--inner", "2",
-      "--epochs", "1"], "hygiene", {"pseudomask", "maxflow"}),
+      "--epochs", "1"], "hygiene", {"pseudomask", "maxflow"} | NO_OOD),
 ]
 
 
@@ -145,6 +146,21 @@ print(json.dumps([code, executed()]))
     assert code == 0
     assert runs in executed
     assert not skips & set(executed), f"{argv[0]} executed {sorted(skips & set(executed))}"
+
+
+def test_pseudomask_executes_its_modules_and_not_numpy_ma(inputs, tmp_path):
+    out = _child(EXECUTED + """
+import json
+from freshkit.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, executed(), "numpy.ma" in sys.modules]))
+""", "pseudomask", "--in", f"{inputs}/images", "--out", str(tmp_path / "masks"),
+                 "--iters", "1", "--k", "2", "--report", str(tmp_path / "report.json"))
+    code, executed, numpy_ma = json.loads(out)
+    assert code == 0
+    assert {"pseudomask", "maxflow"} <= set(executed)
+    assert not {"demo", "seg_eval", "hygiene", "ood_eval"} & set(executed)
+    assert not numpy_ma
 
 
 HELP = """

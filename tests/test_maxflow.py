@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freshkit import maxflow, pseudomask
@@ -350,10 +350,17 @@ def test_levels_match_reference_phase_by_phase(network):
     _assert_same_phases(levels, expected_levels, t)
 
 
+# one push of 1.0, then a phase of two 1e-16 pushes: a running total stays 1.0,
+# but a per-phase sum would reach 1.0000000000000002
+TINY_SECOND_PHASE = (4, [np.array([0, 0, 1, 0, 2]), np.array([3, 1, 3, 2, 3]),
+                         np.array([1.0, 1e-16, 1e-16, 1e-16, 1e-16]), np.zeros(5)], [5], 0, 3)
+
+
 @PROPERTY
 @given(flow_networks())
+@example(TINY_SECOND_PHASE)
 def test_residual_capacities_match_reference_arc_by_arc(network):
-    # pins the float64 order of every bottleneck update, not just the flow
+    # pins the float64 order of every bottleneck update and flow addition
     *_, s, t = network
     graph, reference = _build_both(network)
     start, order, to, cap = graph._arrays()
