@@ -6,11 +6,15 @@ to stdout or to the --out path. The one exception is `pseudomask`, where
 report goes to stdout or --report. Subcommand modules execute on first
 use; importing freshkit.<module> as a library is unchanged.
 
-`pseudomask` spreads a directory's images over the usable CPUs: this
-process and one os.fork()ed helper per further CPU each segment a share of
-them, and the helpers pipe their results back. The masks and the report
-do not depend on how many CPUs there are. Helpers exit through os._exit,
-so inherited stdio buffers and atexit handlers never run twice.
+`pseudomask` and `dedup` spread a directory's files over the usable CPUs,
+and `nested-cv` and `demo` their outer folds' searches: this process and
+one os.fork()ed helper per further CPU each compute a share, and the
+helpers pipe their results back (freshkit.shares). The outputs do not
+depend on how many CPUs there are. A failing file raises as in a serial
+loop: the first in name order. A diverging search raises the divergence
+with the lowest (stage, outer fold), because a serial search trains stage
+1 of every fold before any stage 2. Helpers exit through os._exit, so
+inherited stdio buffers and atexit handlers never run twice.
 
 Exit codes: 0 success; 1 command line usage error; 2 malformed or empty
 input data (including files with zero data rows, reported as EmptyInput,
@@ -34,9 +38,6 @@ import importlib.util
 import itertools
 import json
 import math
-import os
-import pickle
-import signal
 import sys
 from dataclasses import asdict, fields, is_dataclass, replace
 from functools import partial
@@ -89,6 +90,7 @@ ood_eval = _lazy("ood_eval")
 pseudomask = _lazy("pseudomask")
 scoring = _lazy("scoring")
 seg_eval = _lazy("seg_eval")
+shares = _lazy("shares")
 stats = _lazy("stats")
 tiny_model = _lazy("tiny_model")
 
@@ -203,108 +205,6 @@ def _write_scores_csv(path: str, table: RecordTable, scores) -> None:
     write_logit_csv(path, replace(table, labels=np.full(len(table.ids), -1),
                                   values=np.reshape(scores, (-1, 1))),
                     column_prefix="score")
-
-
-# --- work shared among processes ----------------------------------------------
-
-def _deal(sizes: list[int], n_shares: int) -> list[list[int]]:
-    """Indices dealt largest first, each to the share with the least total size.
-
-    Ties go to the lower index, so share 0 holds the largest item. A share
-    that receives nothing is dropped.
-    """
-    loads = [0] * n_shares
-    shares: list[list[int]] = [[] for _ in range(n_shares)]
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        k = loads.index(min(loads))
-        shares[k].append(i)
-        loads[k] += sizes[i]
-    return [share for share in shares if share]
-
-
-def _outcomes(func, items: list, share: list[int]) -> list[tuple]:
-    """(index, func(item), or the Exception it raised) for each index in share."""
-    outcomes = []
-    for i in share:
-        try:
-            outcomes.append((i, func(items[i])))
-        except Exception as exc:  # raised later, in index order, by _map_shared
-            outcomes.append((i, exc))
-    return outcomes
-
-
-def _fork(func, items: list, share: list[int]):
-    """(pid, pipe read end) of a forked helper that pickles share's outcomes
-    into the pipe, or None if no helper could start."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(_outcomes(func, items, share), pipe)
-            code = 0
-        finally:
-            # never return into the caller, flush its inherited stdio buffers
-            # or run its atexit handlers a second time
-            os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _collect(pid: int, read_fd: int):
-    """A helper's outcomes, or None if it did not deliver them all."""
-    try:
-        with open(read_fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        return None
-    try:
-        return pickle.loads(data)  # bytes this program's own helper wrote
-    except Exception:  # an exception type that does not unpickle: recompute here
-        return None
-
-
-def _map_shared(func, paths: list[Path]) -> list:
-    """[func(p) for p in paths], computed by as many processes as usable CPUs.
-
-    The paths are dealt by file size into one share per process. This
-    process computes the share that holds the largest file, and one forked
-    helper each other share; the share of a helper that fails to deliver is
-    computed here. If a call raised, the exception of the first such path
-    in the list is raised, as a serial loop would raise it.
-    """
-    usable = (len(os.sched_getaffinity(0))
-              if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
-    shares = _deal([p.stat().st_size for p in paths], min(len(paths), usable))
-    helpers = [(share, _fork(func, paths, share)) for share in shares[1:]]
-    try:
-        outcomes = _outcomes(func, paths, shares[0])
-        while helpers:
-            share, helper = helpers.pop(0)
-            outcomes += (helper and _collect(*helper)) or _outcomes(func, paths, share)
-    finally:  # left over only when this process is interrupted
-        for _, helper in helpers:
-            if helper:
-                os.kill(helper[0], signal.SIGKILL)
-                os.close(helper[1])
-                os.waitpid(helper[0], 0)
-    results = [value for _, value in sorted(outcomes, key=lambda outcome: outcome[0])]
-    for value in results:
-        if isinstance(value, Exception):
-            raise value
-    return results
 
 
 # --- subcommands --------------------------------------------------------------
@@ -519,17 +419,20 @@ def _cmd_bootstrap(args):
     return {"statistic": args.stat, "n": len(values), **asdict(result)}, []
 
 
+def _hash_file(path: Path) -> int:
+    image = read_ppm(path) if path.suffix == ".ppm" else grayscale_as_rgb(read_pgm_values(path))
+    return hygiene.phash64(image)
+
+
 def _cmd_dedup(args):
     root = Path(args.images)
     files = sorted(p for p in root.iterdir()
                    if p.suffix in (".ppm", ".pgm") and p.is_file())
     if not files:
         raise EmptyInput(f"{root}: no .ppm or .pgm files")
-    hashes = {}
-    for p in files:
-        image = read_ppm(p) if p.suffix == ".ppm" else grayscale_as_rgb(read_pgm_values(p))
-        hashes[p.name] = hygiene.phash64(image)
-    return hygiene.cluster_near_duplicates(hashes, max_dist=args.max_dist), []
+    hashes = shares.map_items(_hash_file, files, [p.stat().st_size for p in files])
+    return hygiene.cluster_near_duplicates(dict(zip((p.name for p in files), hashes)),
+                                           max_dist=args.max_dist), []
 
 
 SPLIT_TAGS = ("train", "val", "test")
@@ -621,7 +524,8 @@ def _cmd_pseudomask(args):
     files = sorted(p for p in in_dir.glob("*.ppm") if p.is_file())
     if not files:
         raise EmptyInput(f"{in_dir}: no .ppm images")
-    results = _map_shared(partial(_mask_tray, args), files)
+    results = shares.map_items(partial(_mask_tray, args), files,
+                               [p.stat().st_size for p in files])
     writes = [partial(out_dir.mkdir, parents=True, exist_ok=True)]
     writes += [partial(write_pgm, out_dir / (p.stem + ".pgm"), mask)
                for p, (mask, _) in zip(files, results)]

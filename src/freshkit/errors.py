@@ -127,5 +127,9 @@ class DegenerateGraph(ComputeError):
     """Every capacity in the cut graph is zero."""
 
 
+class FlowStalled(ComputeError):
+    """An augmenting path carries no flow, so the max-flow search would not end."""
+
+
 class BadParameter(ComputeError):
     """A numeric parameter is outside its valid range."""

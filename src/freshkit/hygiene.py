@@ -11,6 +11,14 @@ generator family (numpy PCG64 via default_rng) like the rest of the package.
 Both deal each class, shuffled once, to parts in runs. A split is a part
 index per sample; a fold plan is an outer fold per sample, shape (n,), plus an
 inner fold per outer fold and sample, shape (n_outer, n), -1 where held out.
+
+nested_cv_run spreads its outer folds' searches over the usable CPUs
+(freshkit.shares): this process and one forked helper per further CPU each
+search a share of the folds, dealt by training-row count. Each fold's
+selection equals inner_select on that fold alone, so the report does not
+depend on how many CPUs there are. A diverging candidate stops the run with
+the TrainingDiverged of the lowest (stage, outer fold), the one a serial
+search meets first, since it trains stage 1 of every fold before stage 2.
 """
 from __future__ import annotations
 
@@ -29,7 +37,9 @@ from .errors import (
     InputFormatError,
     RowNotNormalized,
     TooFewSamplesPerClass,
+    TrainingDiverged,
 )
+from .shares import Failed, map_shares
 from .tiny_model import (
     Stream,
     TrainConfig,
@@ -398,7 +408,9 @@ def _eval_configs(folds, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
     its backbone, so the stacked loop evaluates each stream's hidden layer
     once for all its candidates. Trained slices are scored while stacked,
     and scores come back per listed fold, in the order of its configs. The
-    loop's memory grows with outer folds x inner folds x candidates.
+    loop's memory grows with outer folds x inner folds x candidates. A
+    diverging candidate raises Failed, keyed by (stage, outer fold), around
+    the TrainingDiverged that names it.
     """
     streams, owners = [], []
     for slot, (outer, configs) in enumerate(folds):
@@ -416,8 +428,14 @@ def _eval_configs(folds, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
                 streams.append(Stream(model, fit_xs, fit_labels,
                                       [replace(configs[i], seed=batch_seed) for i in members]))
                 owners.append((slot, members, val_ids))
+    try:
+        trained = train_streams(streams)
+    except TrainingDiverged as exc:
+        # a serial search trains stage 1 of every outer fold before stage 2,
+        # and within a stage meets the folds in order
+        raise Failed((stage, folds[owners[exc.stream][0]][0]), exc) from None
     accs = [[[] for _ in configs] for _, configs in folds]
-    for fitted, (slot, members, val_ids) in zip(train_streams(streams), owners):
+    for fitted, (slot, members, val_ids) in zip(trained, owners):
         hits = forward_stack(fitted, xs[val_ids]).argmax(axis=2) == labels[val_ids]
         for i, acc in zip(members, hits.mean(axis=1)):
             accs[slot][i].append(float(acc))
@@ -477,11 +495,14 @@ def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
     streams share epochs, batch size and architecture; their rows,
     initializations, batch seeds and mixup alpha differ. A candidate's
     score equals training it alone. This is the one-fold case of the search
-    nested_cv_run runs over all outer folds at once, whose peak memory grows
-    with n_outer x n_inner x grid size.
+    nested_cv_run runs over each share of the outer folds, whose peak memory
+    grows with the share's folds x n_inner x grid size.
     """
-    return _select(grid, np.asarray(xs, dtype=np.float64), np.asarray(labels), plan,
-                   [outer_index], epochs, batch_size, hidden_dim, seed)[0]
+    try:
+        return _select(grid, np.asarray(xs, dtype=np.float64), np.asarray(labels), plan,
+                       [outer_index], epochs, batch_size, hidden_dim, seed)[0]
+    except Failed as failed:  # one fold: its failure is the search's
+        raise failed.error from None
 
 
 @dataclass(frozen=True)
@@ -519,12 +540,18 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
     Reports one accuracy per outer fold, their mean, and the sample standard
     deviation (ddof 1). The audit block re-checks the fold plan for leakage.
 
-    Training takes three stacked SGD calls: stage 1 of every outer fold's
-    search, then stage 2 of every outer fold, then the final fits. Stage 1's
-    frozen backbone is evaluated once per (outer fold, inner fold) stream.
-    Each selection equals inner_select on its fold alone, but the search's
-    peak memory grows with n_outer x n_inner x grid size, and a diverging
-    candidate of any outer fold stops the run in its stage's call.
+    The outer folds are dealt by training-row count into one share per
+    usable CPU, min(n_outer, CPUs) shares. This process searches share 0 and
+    one forked helper each other share (freshkit.shares); a helper that
+    fails to deliver has its share searched here. Each share trains in two
+    stacked SGD calls, stage 1 of its folds and then stage 2, and the final
+    fits of every fold are one more stacked call here. Stage 1's frozen
+    backbone is evaluated once per (outer fold, inner fold) stream. Each
+    selection equals inner_select on its fold alone, so the result does not
+    depend on the CPU count. A share's peak memory grows with its folds x
+    n_inner x grid size. A diverging candidate stops the run: of the
+    divergences the shares meet, the one with the lowest (stage, outer
+    fold) is raised, which is the one a serial search meets first.
     """
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -532,8 +559,10 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
     audit = audit_fold_plan(plan, labels)
     n_classes = int(labels.max()) + 1
 
-    selections = _select(grid, xs, labels, plan, list(range(n_outer)), epochs,
-                         batch_size, hidden_dim, seed)
+    selections = map_shares(
+        lambda share: _select(grid, xs, labels, plan, share, epochs, batch_size,
+                              hidden_dim, seed),
+        [plan.outer_train(k).size for k in range(n_outer)])
     # the final fits train as one stacked call, one stream per outer fold
     finals = []
     for k, choice in enumerate(selections):

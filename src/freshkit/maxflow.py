@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, FlowStalled
 
 __all__ = ["FlowGraph"]
 
@@ -52,7 +52,8 @@ def _blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
 
     Every array argument is a memoryview. iters[u] is the position in order
     of the next arc out of u to try; it counts down to start[u]. Each
-    bottleneck is added to total in turn.
+    bottleneck is added to total in turn. Every arc on a path has positive
+    capacity, so a path whose bottleneck is not positive raises FlowStalled.
     """
     depth = 0
     u = s
@@ -61,6 +62,8 @@ def _blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
             arcs = path[:depth]
             caps = [cap[e] for e in arcs]
             bottleneck = min(caps)
+            if not bottleneck > 0.0:  # pushing it would find the same path forever
+                raise FlowStalled(f"a path of {depth} arcs has bottleneck {bottleneck!r}")
             for e in arcs:
                 cap[e] -= bottleneck
                 cap[e ^ 1] += bottleneck

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freshkit
-from freshkit import errors
+from freshkit import errors, hygiene
 from freshkit.cli import build_parser, main, render_json
 from freshkit.cls_eval import confusion, prf_report
 from freshkit.data_model import (
@@ -35,7 +35,8 @@ from freshkit.ood_eval import DEFAULT_TAUS, ScoredSample, ood_metrics, threshold
 from freshkit.pseudomask import init_box
 from freshkit.seg_eval import METRIC_NAMES, dataset_summary, mask_metrics
 from freshkit.stats import PairedOutcome, mcnemar, paired_acc_diff_ci, percentile_bootstrap
-from freshkit.tiny_model import TrainConfig, init_model, save_model, train
+from freshkit.tiny_model import (TrainConfig, derive_seed, init_model, save_model, train,
+                                 train_streams)
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
 
@@ -950,23 +951,31 @@ def _noisy_tray(rng, side, uniform=False):
     return RgbImage(np.clip(img, 0, 255).astype(np.uint8))
 
 
-def _run_pseudomask(in_dir, out_dir, n_cpus, monkeypatch, capsys):
-    """Exit code, stdout, stderr, the written files, and the number of forks."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
-    forks = []
-    fork = os.fork
+def _run_shared(argv, n_cpus, monkeypatch, capsys):
+    """Exit code, stdout, stderr and the number of forks of argv on n_cpus CPUs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        forks = []
+        fork = os.fork
 
-    def counting_fork():
-        forks.append(1)  # counted in this process only
-        return fork()
+        def counting_fork():
+            forks.append(1)  # counted in this process only
+            return fork()
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    code, out, err = run_cli(["pseudomask", "--in", str(in_dir), "--out", str(out_dir),
-                              "--iters", "2", "--k", "2"], capsys)
+        patch.setattr(os, "fork", counting_fork)
+        code, out, err = run_cli(argv, capsys)
     with pytest.raises(ChildProcessError):  # every helper was reaped
         os.waitpid(-1, os.WNOHANG)
+    return code, out, err, len(forks)
+
+
+def _run_pseudomask(in_dir, out_dir, n_cpus, monkeypatch, capsys):
+    """Exit code, stdout, stderr, the written files, and the number of forks."""
+    code, out, err, forks = _run_shared(["pseudomask", "--in", str(in_dir), "--out",
+                                         str(out_dir), "--iters", "2", "--k", "2"],
+                                        n_cpus, monkeypatch, capsys)
     files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} if out_dir.exists() else {}
-    return code, out, err, files, len(forks)
+    return code, out, err, files, forks
 
 
 @pytest.fixture
@@ -1024,20 +1033,143 @@ def test_pseudomask_computes_an_undelivered_share_itself(tmp_path, five_trays, m
     assert got[:4] == expected[:4]
 
 
-def test_pseudomask_forks_without_a_warning(tmp_path, five_trays):
+def test_pseudomask_forks_without_a_warning(tmp_path, five_trays, features):
     # OpenBLAS stops its thread pool before a fork, so Python 3.12+ finds
-    # one thread and does not warn that forking a threaded process may deadlock
+    # one thread and does not warn that forking a threaded process may deadlock;
+    # nested-cv forks the same way
     src = str(Path(freshkit.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-m",
-                           "freshkit.cli", "pseudomask", "--in", str(five_trays),
-                           "--out", str(tmp_path / "masks"), "--iters", "1", "--k", "2",
-                           "--report", str(tmp_path / "report.json")],
-                          capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    for command, *argv in (["pseudomask", "--in", str(five_trays), "--out",
+                            str(tmp_path / "masks"), "--iters", "1", "--k", "2", "--report"],
+                           ["nested-cv", "--data", str(features), "--epochs", "2", "--out"]):
+        report = tmp_path / f"{command}.json"
+        proc = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-m",
+                               "freshkit.cli", command, *argv, str(report)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(report.read_text())["command"] == command
     assert len(list((tmp_path / "masks").iterdir())) == 5
+
+
+# --- nested-cv and demo share their outer folds' searches among processes -------
+
+@pytest.fixture
+def features(tmp_path):
+    """90 rows of 6 features in 3 overlapping classes, so the searches differ by fold."""
+    rng = np.random.default_rng(1818)
+    labels = np.arange(90) % 3
+    xs = rng.normal(0.0, 1.0, (90, 6))
+    xs[np.arange(90), labels] += 1.5
+    path = tmp_path / "features.csv"
+    write_logit_csv(path, table([(f"s{i:03d}", Split.TRAIN, int(labels[i]), tuple(xs[i]))
+                                 for i in range(90)]), column_prefix="x")
+    return path
+
+
+@pytest.mark.parametrize("flags", [[], ["--hidden", "0"], ["--outer", "3", "--inner", "4"]],
+                         ids=["defaults", "hidden0", "outer3_inner4"])
+def test_nested_cv_bytes_do_not_depend_on_the_cpu_count(features, monkeypatch, capsys, flags):
+    argv = ["nested-cv", "--data", str(features), "--epochs", "4", *flags]
+    n_outer = int(flags[1]) if flags[:1] == ["--outer"] else 5
+    runs = {n: _run_shared(argv, n, monkeypatch, capsys) for n in (1, 2, 4)}
+    code, out, err, forks = runs[1]
+    assert (code, err, forks) == (0, "", 0)
+    assert len(json.loads(out)["report"]["fold_accuracies"]) == n_outer
+    for n in (2, 4):
+        assert runs[n][:3] == runs[1][:3]
+        assert runs[n][3] == min(n, n_outer) - 1  # one helper per share but the caller's
+
+
+def test_demo_bytes_do_not_depend_on_the_cpu_count(monkeypatch, capsys):
+    runs = {n: _run_shared(["demo", "--seed", "3"], n, monkeypatch, capsys) for n in (1, 2, 4)}
+    assert runs[1][0] == 0 and runs[1][2] == ""
+    for n in (2, 4):
+        assert runs[n][:3] == runs[1][:3]
+    assert [runs[n][3] for n in (1, 2, 4)] == [0, 1, 3]
+
+
+@pytest.mark.parametrize("failure", ["fork", "exit"])
+def test_nested_cv_computes_an_undelivered_share_itself(features, monkeypatch, capsys,
+                                                        failure):
+    argv = ["nested-cv", "--data", str(features), "--epochs", "4"]
+    expected = _run_shared(argv, 1, monkeypatch, capsys)
+    if failure == "fork":
+        def fork():
+            raise OSError("no process")
+        monkeypatch.setattr(os, "fork", fork)
+    else:  # a helper dies before it sends; this process never calls dump
+        monkeypatch.setattr(pickle, "dump", lambda *args: os._exit(5))
+    got = _run_shared(argv, 4, monkeypatch, capsys)
+    assert got[:3] == expected[:3]
+
+
+@pytest.mark.parametrize("poisoned, first", [
+    # a serial search trains stage 1 of every outer fold before any stage 2
+    ({(2, 0), (1, 3)}, (1, 3)),
+    ({(1, 4), (1, 1)}, (1, 1)),
+    ({(2, 2), (2, 1), (2, 4)}, (2, 1)),
+    ({(2, 0)}, (2, 0)),
+], ids=["stage1_before_stage2", "lower_fold", "stage2_lower_fold", "caller_share"])
+def test_nested_cv_divergence_is_the_one_a_serial_search_meets(features, monkeypatch, capsys,
+                                                                poisoned, first):
+    # the streams of each poisoned (stage, outer fold) train on NaN rows
+    batch_seed = {derive_seed(derive_seed(42, outer, stage, fold), 1): (stage, outer)
+                  for stage in (1, 2) for outer in range(5) for fold in range(3)}
+
+    def poisoning(streams):
+        return train_streams([
+            s._replace(xs=np.full_like(s.xs, np.nan))
+            if batch_seed.get(s.configs[0].seed) in poisoned else s for s in streams])
+
+    monkeypatch.setattr(hygiene, "train_streams", poisoning)
+    runs = [_run_shared(["nested-cv", "--data", str(features), "--epochs", "2"], n,
+                        monkeypatch, capsys) for n in (1, 2, 4)]
+    code, out, err, _ = runs[0]
+    assert (code, out) == (3, "")
+    # the first config named is on inner fold 0 of the first (stage, outer fold)
+    stage, outer = first
+    assert err.startswith("freshkit nested-cv: TrainingDiverged: ") and err.count("\n") == 1
+    assert f"seed={derive_seed(derive_seed(42, outer, stage, 0), 1)})" in err
+    assert [run[:3] for run in runs[1:]] == [runs[0][:3]] * 2
+    assert [run[3] for run in runs] == [0, 1, 3]
+
+
+# --- dedup shares its files among processes --------------------------------------
+
+def test_dedup_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
+    # four noise images of four sizes, two with a brighter copy, and one mask
+    rng = np.random.default_rng(19)
+    for name, side in (("a", 24), ("b", 40), ("c", 32), ("d", 16)):
+        pixels = rng.integers(0, 200, (side, side, 3), dtype=np.uint8)
+        write_ppm(tmp_path / f"{name}.ppm", RgbImage(pixels))
+        if name in "ab":
+            write_ppm(tmp_path / f"{name}_bright.ppm", RgbImage(pixels + 40))
+    write_pgm(tmp_path / "e.pgm", BinaryMask(np.arange(28 * 20).reshape(28, 20) % 7 < 3))
+    runs = {n: _run_shared(["dedup", "--images", str(tmp_path)], n, monkeypatch, capsys)
+            for n in (1, 2, 4)}
+    assert runs[1][0] == 0 and runs[1][2] == "" and runs[1][3] == 0
+    assert json.loads(runs[1][1])["report"]["clusters"] == [
+        ["a.ppm", "a_bright.ppm"], ["b.ppm", "b_bright.ppm"], ["c.ppm"], ["d.ppm"], ["e.pgm"]]
+    for n in (2, 4):
+        assert runs[n][:3] == runs[1][:3]
+        assert runs[n][3] == n - 1
+
+
+def test_dedup_raises_the_first_failing_file_of_any_share(tmp_path, monkeypatch, capsys):
+    # b.ppm is the larger file, so with two CPUs this process hashes it, and a
+    # helper hashes a_small.ppm: the helper's failure still comes first
+    (tmp_path / "a_small.ppm").write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+    write_ppm(tmp_path / "b.ppm", _tray(24))
+    (tmp_path / "b.ppm").write_bytes((tmp_path / "b.ppm").read_bytes()[:-100])
+    runs = [_run_shared(["dedup", "--images", str(tmp_path)], n, monkeypatch, capsys)
+            for n in (1, 2)]
+    assert runs[1][3] == 1
+    for code, out, err, _ in runs:
+        assert (code, out) == (2, "")
+        assert err.startswith("freshkit dedup: BadMagic: ") and err.count("\n") == 1
+    assert runs[0][2] == runs[1][2]
 
 
 def test_unrenderable_report_writes_no_scores(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -689,15 +690,25 @@ def _counted_calls(monkeypatch, *modules):
     return calls
 
 
-@pytest.mark.parametrize("n_outer", [3, 5])
-def test_nested_search_trains_in_three_stacked_calls(monkeypatch, n_outer):
-    # stage 1 of every outer fold, stage 2 of every outer fold, the final fits
-    calls = _counted_calls(monkeypatch, hygiene)
+def _cpus(monkeypatch, n_cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+
+
+# with two CPUs this process searches the share holding the most training rows:
+# fold 2 of 3 (28 rows against 26 and 26), or folds 0, 2 and 4 of 5 (32 rows each)
+@pytest.mark.parametrize("n_outer, n_cpus, searched_here", [
+    pytest.param(3, 1, 3, id="3"), pytest.param(5, 1, 5, id="5"),
+    pytest.param(3, 2, 1, id="3-two_cpus"), pytest.param(5, 2, 3, id="5-two_cpus")])
+def test_nested_search_trains_in_three_stacked_calls(monkeypatch, n_outer, n_cpus,
+                                                     searched_here):
+    # stage 1 of the folds searched here, stage 2 of them, the final fits of all
+    _cpus(monkeypatch, n_cpus)
+    calls = _counted_calls(monkeypatch, hygiene)  # in this process only
     labels = np.arange(40) % 2
     xs = np.random.default_rng(3).normal(0.0, 1.0, (40, 3)) + labels[:, None]
     nested_cv_run(HyperGrid(), xs, labels, n_outer, 3, epochs=2, hidden_dim=4, seed=3)
     # streams: one per (outer, inner) fold, then per (outer, inner, mixup alpha), then per outer
-    assert calls == [n_outer * 3, n_outer * 3 * 2, n_outer]
+    assert calls == [searched_here * 3, searched_here * 3 * 2, n_outer]
 
 
 def test_stacked_search_selects_as_inner_select_on_each_fold():
@@ -714,9 +725,13 @@ def test_stacked_search_selects_as_inner_select_on_each_fold():
 
 
 def test_demo_trains_in_four_stacked_calls(monkeypatch):
-    calls = _counted_calls(monkeypatch, hygiene, demo)
-    demo.run_demo(seed=7)
-    assert calls == [15, 15, 5, 2]
+    # counted in this process only, which searches 3 of the 5 outer folds on two CPUs
+    for n_cpus, expected in ((1, [15, 15, 5, 2]), (2, [9, 9, 5, 2])):
+        with monkeypatch.context() as patch:
+            _cpus(patch, n_cpus)
+            calls = _counted_calls(patch, hygiene, demo)
+            demo.run_demo(seed=7)
+        assert calls == expected
 
 
 _SEARCH_GRID = HyperGrid(head_lrs=(0.0, 0.05, 0.3), weight_decays=(0.0, 0.1),

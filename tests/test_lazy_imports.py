@@ -104,32 +104,36 @@ def inputs(tmp_path_factory):
 SCREEN_SKIPS = {"pseudomask", "maxflow", "seg_eval", "demo"}
 NO_MODEL = {"hygiene", "tiny_model"}
 NO_OOD = {"ood_eval"}  # only ood-eval, sweep, score's odin grid and demo run it
+NO_SHARES = {"shares"}  # only pseudomask and hygiene's users run it
 
 
-# argv, a module the command must run, modules it must not run
+# argv, modules the command must run, modules it must not run
 CASES = [
-    (["dedup", "--images", "{d}/images"], "hygiene", SCREEN_SKIPS | NO_OOD),
-    (["score", "--method", "msp", "--logits", "{d}/logits.csv"], "scoring",
-     SCREEN_SKIPS | NO_OOD),
+    (["dedup", "--images", "{d}/images"], {"hygiene", "shares"}, SCREEN_SKIPS | NO_OOD),
+    (["score", "--method", "msp", "--logits", "{d}/logits.csv"], {"scoring"},
+     SCREEN_SKIPS | NO_OOD | NO_SHARES),
     (["score", "--method", "odin", "--logits", "{d}/labeled.csv", "--prefix", "x",
       "--model", "{d}/model.json", "--temperature", "10", "--epsilon", "0.001"],
-     "scoring", SCREEN_SKIPS),
-    (["ood-eval", "--scores", "{d}/scores.csv"], "ood_eval", SCREEN_SKIPS | NO_MODEL),
-    (["sweep", "--scores", "{d}/scores.csv"], "ood_eval", SCREEN_SKIPS | NO_MODEL),
-    (["cls-eval", "--logits", "{d}/logits.csv"], "cls_eval", SCREEN_SKIPS | NO_OOD),
-    (["mcnemar", "--pred-a", "{d}/logits.csv", "--pred-b", "{d}/logits.csv"], "stats",
-     SCREEN_SKIPS | NO_MODEL | NO_OOD),
-    (["mcnemar", "--n11", "5", "--n10", "1", "--n01", "2", "--n00", "1"], "stats",
-     SCREEN_SKIPS | NO_MODEL | NO_OOD),
-    (["bootstrap", "--values", "{d}/values.txt", "--b", "50"], "stats",
-     SCREEN_SKIPS | NO_MODEL | NO_OOD),
-    (["split", "--labels", "{d}/labeled.csv"], "hygiene", SCREEN_SKIPS | NO_OOD),
-    (["folds", "--labels", "{d}/labeled.csv", "--outer", "2", "--inner", "2"], "hygiene",
+     {"scoring"}, SCREEN_SKIPS | NO_SHARES),
+    (["ood-eval", "--scores", "{d}/scores.csv"], {"ood_eval"},
+     SCREEN_SKIPS | NO_MODEL | NO_SHARES),
+    (["sweep", "--scores", "{d}/scores.csv"], {"ood_eval"}, SCREEN_SKIPS | NO_MODEL | NO_SHARES),
+    (["cls-eval", "--logits", "{d}/logits.csv"], {"cls_eval"},
+     SCREEN_SKIPS | NO_OOD | NO_SHARES),
+    (["mcnemar", "--pred-a", "{d}/logits.csv", "--pred-b", "{d}/logits.csv"], {"stats"},
+     SCREEN_SKIPS | NO_MODEL | NO_OOD | NO_SHARES),
+    (["mcnemar", "--n11", "5", "--n10", "1", "--n01", "2", "--n00", "1"], {"stats"},
+     SCREEN_SKIPS | NO_MODEL | NO_OOD | NO_SHARES),
+    (["bootstrap", "--values", "{d}/values.txt", "--b", "50"], {"stats"},
+     SCREEN_SKIPS | NO_MODEL | NO_OOD | NO_SHARES),
+    (["split", "--labels", "{d}/labeled.csv"], {"hygiene"}, SCREEN_SKIPS | NO_OOD),
+    (["folds", "--labels", "{d}/labeled.csv", "--outer", "2", "--inner", "2"], {"hygiene"},
      SCREEN_SKIPS | NO_OOD),
-    (["seg-eval", "--pred", "{d}/pred", "--gt", "{d}/gt", "--boot", "20"], "seg_eval",
-     NO_MODEL | NO_OOD),
+    (["seg-eval", "--pred", "{d}/pred", "--gt", "{d}/gt", "--boot", "20"], {"seg_eval"},
+     NO_MODEL | NO_OOD | NO_SHARES),
     (["nested-cv", "--data", "{d}/labeled.csv", "--outer", "2", "--inner", "2",
-      "--epochs", "1"], "hygiene", {"pseudomask", "maxflow"} | NO_OOD),
+      "--epochs", "1"], {"hygiene", "shares"}, {"pseudomask", "maxflow"} | NO_OOD),
+    (["demo"], {"demo", "hygiene", "shares"}, {"pseudomask", "maxflow", "seg_eval"}),
 ]
 
 
@@ -144,7 +148,7 @@ print(json.dumps([code, executed()]))
 """, *[a.format(d=inputs) for a in argv], "--out", str(tmp_path / "report.json"))
     code, executed = json.loads(out)
     assert code == 0
-    assert runs in executed
+    assert runs <= set(executed), f"{argv[0]} did not execute {sorted(runs - set(executed))}"
     assert not skips & set(executed), f"{argv[0]} executed {sorted(skips & set(executed))}"
 
 
@@ -158,7 +162,7 @@ print(json.dumps([code, executed(), "numpy.ma" in sys.modules]))
                  "--iters", "1", "--k", "2", "--report", str(tmp_path / "report.json"))
     code, executed, numpy_ma = json.loads(out)
     assert code == 0
-    assert {"pseudomask", "maxflow"} <= set(executed)
+    assert {"pseudomask", "maxflow", "shares"} <= set(executed)
     assert not {"demo", "seg_eval", "hygiene", "ood_eval"} & set(executed)
     assert not numpy_ma
 
