@@ -10,10 +10,9 @@ use; importing freshkit.<module> as a library is unchanged.
 and `nested-cv` and `demo` their outer folds' searches: this process and
 one os.fork()ed helper per further CPU each compute a share, and the
 helpers pipe their results back (freshkit.shares). The outputs do not
-depend on how many CPUs there are. A failing file raises as in a serial
-loop: the first in name order. A diverging search raises the divergence
-with the lowest (stage, outer fold), because a serial search trains stage
-1 of every fold before any stage 2. Helpers exit through os._exit, so
+depend on how many CPUs there are. A failing run raises what a run on one
+CPU raises, after at most one extra one-CPU pass: when a share fails, this
+process computes every share itself. Helpers exit through os._exit, so
 inherited stdio buffers and atexit handlers never run twice.
 
 Exit codes: 0 success; 1 command line usage error; 2 malformed or empty

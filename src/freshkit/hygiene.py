@@ -16,9 +16,8 @@ nested_cv_run spreads its outer folds' searches over the usable CPUs
 (freshkit.shares): this process and one forked helper per further CPU each
 search a share of the folds, dealt by training-row count. Each fold's
 selection equals inner_select on that fold alone, so the report does not
-depend on how many CPUs there are. A diverging candidate stops the run with
-the TrainingDiverged of the lowest (stage, outer fold), the one a serial
-search meets first, since it trains stage 1 of every fold before stage 2.
+depend on how many CPUs there are, and a failing search raises what it
+raises on one CPU.
 """
 from __future__ import annotations
 
@@ -37,9 +36,8 @@ from .errors import (
     InputFormatError,
     RowNotNormalized,
     TooFewSamplesPerClass,
-    TrainingDiverged,
 )
-from .shares import Failed, map_shares
+from .shares import map_shares
 from .tiny_model import (
     Stream,
     TrainConfig,
@@ -408,9 +406,7 @@ def _eval_configs(folds, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
     its backbone, so the stacked loop evaluates each stream's hidden layer
     once for all its candidates. Trained slices are scored while stacked,
     and scores come back per listed fold, in the order of its configs. The
-    loop's memory grows with outer folds x inner folds x candidates. A
-    diverging candidate raises Failed, keyed by (stage, outer fold), around
-    the TrainingDiverged that names it.
+    loop's memory grows with outer folds x inner folds x candidates.
     """
     streams, owners = [], []
     for slot, (outer, configs) in enumerate(folds):
@@ -428,14 +424,8 @@ def _eval_configs(folds, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
                 streams.append(Stream(model, fit_xs, fit_labels,
                                       [replace(configs[i], seed=batch_seed) for i in members]))
                 owners.append((slot, members, val_ids))
-    try:
-        trained = train_streams(streams)
-    except TrainingDiverged as exc:
-        # a serial search trains stage 1 of every outer fold before stage 2,
-        # and within a stage meets the folds in order
-        raise Failed((stage, folds[owners[exc.stream][0]][0]), exc) from None
     accs = [[[] for _ in configs] for _, configs in folds]
-    for fitted, (slot, members, val_ids) in zip(trained, owners):
+    for fitted, (slot, members, val_ids) in zip(train_streams(streams), owners):
         hits = forward_stack(fitted, xs[val_ids]).argmax(axis=2) == labels[val_ids]
         for i, acc in zip(members, hits.mean(axis=1)):
             accs[slot][i].append(float(acc))
@@ -498,11 +488,8 @@ def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
     nested_cv_run runs over each share of the outer folds, whose peak memory
     grows with the share's folds x n_inner x grid size.
     """
-    try:
-        return _select(grid, np.asarray(xs, dtype=np.float64), np.asarray(labels), plan,
-                       [outer_index], epochs, batch_size, hidden_dim, seed)[0]
-    except Failed as failed:  # one fold: its failure is the search's
-        raise failed.error from None
+    return _select(grid, np.asarray(xs, dtype=np.float64), np.asarray(labels), plan,
+                   [outer_index], epochs, batch_size, hidden_dim, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -542,16 +529,15 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
 
     The outer folds are dealt by training-row count into one share per
     usable CPU, min(n_outer, CPUs) shares. This process searches share 0 and
-    one forked helper each other share (freshkit.shares); a helper that
-    fails to deliver has its share searched here. Each share trains in two
-    stacked SGD calls, stage 1 of its folds and then stage 2, and the final
-    fits of every fold are one more stacked call here. Stage 1's frozen
-    backbone is evaluated once per (outer fold, inner fold) stream. Each
-    selection equals inner_select on its fold alone, so the result does not
-    depend on the CPU count. A share's peak memory grows with its folds x
-    n_inner x grid size. A diverging candidate stops the run: of the
-    divergences the shares meet, the one with the lowest (stage, outer
-    fold) is raised, which is the one a serial search meets first.
+    one forked helper each other share (freshkit.shares). Each share trains
+    in two stacked SGD calls, stage 1 of its folds and then stage 2, and
+    the final fits of every fold are one more stacked call here. Stage 1's
+    frozen backbone is evaluated once per (outer fold, inner fold) stream.
+    Each selection equals inner_select on its fold alone, so the result does
+    not depend on the CPU count. A share's peak memory grows with its folds
+    x n_inner x grid size. If a share fails, this process searches every
+    fold itself, so a diverging candidate raises the TrainingDiverged a run
+    on one CPU raises.
     """
     xs = np.asarray(xs, dtype=np.float64)
     labels = np.asarray(labels)

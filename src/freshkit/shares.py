@@ -2,13 +2,18 @@
 
 The indices of the work are dealt by size into min(n, usable CPUs) shares.
 This process computes share 0, which holds the largest item, and one
-os.fork()ed helper computes each other share and pickles its outcome into
+os.fork()ed helper computes each other share and pickles its values into
 a pipe. A helper leaves through os._exit, so inherited stdio buffers and
-atexit handlers never run twice. The share of a helper that cannot start,
-exits nonzero, or sends bytes that do not unpickle is computed by this
-process; if this process is interrupted, it kills and reaps the helpers it
-has not collected. Without os.fork or os.sched_getaffinity, or with one
-usable CPU, this process computes every share through the same code.
+atexit handlers never run twice. Without os.fork or os.sched_getaffinity,
+or with one usable CPU, this process computes the one share there is.
+
+One rule covers every failure: if a helper cannot start, exits nonzero
+(as it does when func raises) or sends bytes that do not unpickle, or if
+func raises an Exception here, this process kills and reaps the helpers it
+has not collected and computes every index itself in one share, as on one
+CPU. So a failing run raises what a run on one CPU raises, after at most
+one extra one-CPU pass. Any other BaseException, such as
+KeyboardInterrupt, propagates at once, after the same kill and reap.
 
 Each helper keeps to a usable CPU other than the one this process runs
 on, so that every share has a CPU of its own: a kernel that balances no
@@ -28,18 +33,7 @@ import os
 import pickle
 import signal
 
-__all__ = ["Failed", "map_shares", "map_items"]
-
-
-class Failed(Exception):
-    """error, met by a share at key. Of the shares that fail, map_shares
-    raises the error with the smallest key, so keys that follow the order
-    of a serial run make it raise what a serial run raises."""
-
-    def __init__(self, key, error: Exception):
-        super().__init__(key, error)
-        self.key = key
-        self.error = error
+__all__ = ["map_shares", "map_items"]
 
 
 def _deal(sizes: list[int], n_shares: int) -> list[list[int]]:
@@ -69,27 +63,16 @@ def _helper_cpus(usable: set[int]) -> list[int]:
     return sorted(usable, key=lambda cpu: (cpu == here, cpu))
 
 
-def _outcome(func, share: list[int]):
-    """func(share), or the Failed it raised."""
-    try:
-        return func(share)
-    except Failed as failed:
-        return failed
-
-
-def _fork(func, share: list[int], cpu: int):
-    """(pid, pipe read end) of a forked helper on cpu that pickles share's
-    outcome into the pipe, or None if no helper could start."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
+def _fork(func, share: list[int], cpu: int) -> tuple[int, int]:
+    """(pid, pipe read end) of a forked helper on cpu that pickles
+    func(share) into the pipe; OSError if no helper could start."""
+    read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return None
+        raise
     if pid == 0:
         code = 1
         try:
@@ -99,7 +82,7 @@ def _fork(func, share: list[int], cpu: int):
             except OSError:  # the CPU left this process's set: run where the kernel puts it
                 pass
             with open(write_fd, "wb") as pipe:
-                pickle.dump(_outcome(func, share), pipe)
+                pickle.dump(func(share), pipe)
             code = 0
         finally:
             # never return into the caller, flush its inherited stdio buffers
@@ -109,19 +92,16 @@ def _fork(func, share: list[int], cpu: int):
     return pid, read_fd
 
 
-def _collect(pid: int, read_fd: int):
-    """A helper's outcome, or None if it did not deliver it."""
+def _collect(pid: int, read_fd: int) -> list:
+    """A helper's values; ChildProcessError if it exited nonzero."""
     try:
         with open(read_fd, "rb") as pipe:
             data = pipe.read()
     finally:
         status = os.waitpid(pid, 0)[1]
     if status != 0:
-        return None
-    try:
-        return pickle.loads(data)  # bytes this program's own helper wrote
-    except Exception:  # an exception type that does not unpickle: recompute here
-        return None
+        raise ChildProcessError(f"helper {pid} ended with wait status {status}")
+    return pickle.loads(data)  # bytes this program's own helper wrote
 
 
 def map_shares(func, sizes: list[int]) -> list:
@@ -129,51 +109,35 @@ def map_shares(func, sizes: list[int]) -> list:
 
     The indices are dealt by size into one share per usable CPU, and
     func(share) takes one share's indices, ascending, and returns one value
-    per index. A share that fails raises Failed from func; once every share
-    is in, the error of the Failed with the smallest key is raised. Any
-    other exception func raises in this process propagates at once; in a
-    helper it leaves that share to be computed here.
+    per index. If any share fails, func(every index) runs here instead, so
+    the run raises what a run on one CPU raises.
     """
     usable = (os.sched_getaffinity(0)
               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else {0})
     shares = _deal(sizes, min(len(sizes), len(usable)))
-    helpers = [(share, _fork(func, share, cpu))
-               for share, cpu in zip(shares[1:], _helper_cpus(usable))]
-    try:
-        outcomes = [(shares[0], _outcome(func, shares[0]))]
-        while helpers:
-            share, helper = helpers.pop(0)
-            outcome = _collect(*helper) if helper else None
-            outcomes.append((share, _outcome(func, share) if outcome is None else outcome))
-    finally:  # helpers are left over only when this process raised or was interrupted
-        for _, helper in helpers:
-            if helper:
-                os.kill(helper[0], signal.SIGKILL)
-                os.close(helper[1])
-                os.waitpid(helper[0], 0)
-    failures = [outcome for _, outcome in outcomes if isinstance(outcome, Failed)]
-    if failures:
-        raise min(failures, key=lambda failed: failed.key).error
-    values = [None] * len(sizes)
-    for share, outcome in outcomes:
-        for i, value in zip(share, outcome):
-            values[i] = value
-    return values
+    if len(shares) > 1:
+        helpers = []
+        try:
+            for share, cpu in zip(shares[1:], _helper_cpus(usable)):
+                helpers.append(_fork(func, share, cpu))
+            outcomes = [func(shares[0])]
+            while helpers:
+                outcomes.append(_collect(*helpers.pop(0)))
+            values = [None] * len(sizes)
+            for share, outcome in zip(shares, outcomes):
+                for i, value in zip(share, outcome):
+                    values[i] = value
+            return values
+        except Exception:  # a share failed: the one-CPU run below raises what it raises
+            pass
+        finally:  # helpers are left over only when a share failed or this process was interrupted
+            for pid, read_fd in helpers:
+                os.kill(pid, signal.SIGKILL)
+                os.close(read_fd)
+                os.waitpid(pid, 0)
+    return func(list(range(len(sizes))))
 
 
 def map_items(func, items: list, sizes: list[int]) -> list:
-    """[func(item) for item in items], shared as map_shares shares them.
-
-    If a call raised, the exception of the first such item in the list is
-    raised, as a serial loop would raise it.
-    """
-    def each(share: list[int]) -> list:
-        values = []
-        for i in share:
-            try:
-                values.append(func(items[i]))
-            except Exception as exc:  # raised later, in item order, by map_shares
-                raise Failed(i, exc)
-        return values
-
-    return map_shares(each, sizes)
+    """[func(item) for item in items], shared as map_shares shares them."""
+    return map_shares(lambda share: [func(items[i]) for i in share], sizes)

@@ -386,8 +386,7 @@ def _sgd(streams):
     updated in place and yielded again after each epoch. Once training ends
     its slices are put in given order, and exhausting the generator raises
     TrainingDiverged, naming the first config in that order whose
-    parameters are not all finite; its stream attribute is the index of
-    that config's stream in the given list.
+    parameters are not all finite.
     """
     given = [_checked(s) for s in streams]
     if not given:
@@ -524,11 +523,8 @@ def _sgd(streams):
         params[:] = [p[slots] for p in params]
     finite = np.logical_and.reduce([np.isfinite(p).all(axis=(1, 2)) for p in params])
     if not finite.all():
-        stream, bad = [(s, c) for s, run in enumerate(given)
-                       for c in run.configs][int(np.argmin(finite))]
-        error = TrainingDiverged(f"parameters are not all finite after training with {bad}")
-        error.stream = stream
-        raise error
+        bad = [c for run in given for c in run.configs][int(np.argmin(finite))]
+        raise TrainingDiverged(f"parameters are not all finite after training with {bad}")
 
 
 def _step(w: np.ndarray, b: np.ndarray, gw: np.ndarray, gb: np.ndarray,
@@ -575,8 +571,7 @@ def train_streams(streams) -> tuple[list[np.ndarray], ...]:
     its config g. The streams must share epochs, batch_size and architecture
     (otherwise BadTrainConfig); their models, rows, seeds and mixup_alpha
     may differ. No per-epoch trace is computed. TrainingDiverged names the
-    first config, in the given order, whose parameters are not all finite,
-    and its stream attribute is that config's stream's index.
+    first config, in the given order, whose parameters are not all finite.
     """
     streams = [Stream(*s[:3], tuple(s[3])) for s in streams]
     *_, params = _sgd(streams)  # the last yield, put in given order once training ends

@@ -1011,12 +1011,13 @@ def test_pseudomask_raises_the_first_failing_tray_of_any_share(tmp_path, monkeyp
     write_ppm(in_dir / "a_small.ppm", _tray(4))
     write_ppm(in_dir / "b.ppm", _tray(24))
     (in_dir / "b.ppm").write_bytes((in_dir / "b.ppm").read_bytes()[:-100])
-    runs = [_run_pseudomask(in_dir, tmp_path / "masks", n, monkeypatch, capsys) for n in (1, 2)]
-    assert runs[1][4] == 1
+    runs = [_run_pseudomask(in_dir, tmp_path / "masks", n, monkeypatch, capsys)
+            for n in (1, 2, 4)]
+    assert [run[4] for run in runs] == [0, 1, 1]
     for code, out, err, files, _ in runs:
         assert (code, out, files) == (3, "", {})
         assert err.startswith("freshkit pseudomask: ") and err.count("\n") == 1
-    assert runs[0][2] == runs[1][2]
+    assert runs[1][2] == runs[2][2] == runs[0][2]
 
 
 @pytest.mark.parametrize("failure", ["fork", "exit"])
@@ -1164,12 +1165,12 @@ def test_dedup_raises_the_first_failing_file_of_any_share(tmp_path, monkeypatch,
     write_ppm(tmp_path / "b.ppm", _tray(24))
     (tmp_path / "b.ppm").write_bytes((tmp_path / "b.ppm").read_bytes()[:-100])
     runs = [_run_shared(["dedup", "--images", str(tmp_path)], n, monkeypatch, capsys)
-            for n in (1, 2)]
-    assert runs[1][3] == 1
+            for n in (1, 2, 4)]
+    assert [run[3] for run in runs] == [0, 1, 1]
     for code, out, err, _ in runs:
         assert (code, out) == (2, "")
         assert err.startswith("freshkit dedup: BadMagic: ") and err.count("\n") == 1
-    assert runs[0][2] == runs[1][2]
+    assert runs[1][2] == runs[2][2] == runs[0][2]
 
 
 def test_unrenderable_report_writes_no_scores(tmp_path, capsys):
