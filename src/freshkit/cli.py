@@ -61,6 +61,7 @@ from .errors import (
     BadLabelIndex,
     ComputeError,
     EmptyInput,
+    ImageTooSmall,
     InconsistentWidth,
     InputFormatError,
     MissingClass,
@@ -499,8 +500,11 @@ def _cmd_nested_cv(args):
 
 def _mask_tray(args, path: Path):
     """Read one tray, segment it and clean the mask: (mask, report row)."""
-    result = pseudomask.grabcut(read_ppm(path), seed=args.seed, n_iter=args.iters,
-                                n_components=args.k, smoothness=args.smoothness)
+    try:
+        result = pseudomask.grabcut(read_ppm(path), seed=args.seed, n_iter=args.iters,
+                                    n_components=args.k, smoothness=args.smoothness)
+    except ImageTooSmall as error:
+        raise ImageTooSmall(f"{path}: {error}") from None
     mask = result.mask
     ops = [(pseudomask.morph_close, args.close), (pseudomask.morph_open, args.open)]
     for op, radius in ops if args.close_first else reversed(ops):

@@ -12,7 +12,14 @@ Each phase's BFS expands the whole frontier at once and stops at the level
 of the sink, because no augmenting path runs through a node past it. The
 bottleneck arc of every augmenting path is zeroed by exact subtraction, so
 the algorithm terminates. Its last BFS, which never reaches the sink, is
-therefore complete and marks the source side of the min cut. After each
+therefore complete and marks the source side of the min cut.
+
+Each phase's search walks only the level graph: the arcs that had positive
+capacity and ran one level deeper when the phase began, picked out with
+numpy and kept in the order of their CSR ranges. Within a phase arcs only
+leave that set, because a push raises only reverse arcs, which run one
+level up, and a level only changes to -1. So the search meets the same
+arcs in the same order as a walk over every arc would. After each
 augmentation the search resumes at the tail of the path's first zeroed
 arc: a search restarted at the source would walk the path's prefix, whose
 arcs all keep capacity, and arrive at the same node with the same arcs
@@ -94,15 +101,31 @@ def _blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
             iters[u] -= 1
 
 
+def _level_graph(start, order, to, cap, level):
+    """The arcs the phase's search may take, as CSR: each arc that has
+    positive capacity and runs from a labeled node one level deeper."""
+    # per added arc u -> v (arc 2k) and its reverse (2k + 1): the levels of v
+    # and u, as int32 to keep the per-arc temporaries small
+    ends = level.astype(np.int32)[to].reshape(-1, 2)
+    rise = ends[:, 0] - ends[:, 1]
+    keep = (cap > 0.0).reshape(-1, 2)
+    keep[:, 0] &= (rise == 1) & (ends[:, 1] >= 0)
+    keep[:, 1] &= (rise == -1) & (ends[:, 0] >= 0)
+    kept = np.flatnonzero(keep.ravel()[order])
+    return np.searchsorted(kept, start), order[kept]
+
+
 def _dinic(start, order, to, cap, level, s, t):
     n = start.size - 1
     iters = np.empty(n, np.int64)
     path = np.empty(n, np.int64)
-    views = [memoryview(a) for a in (start, order, to, cap, level, iters, path)]
+    views = [memoryview(a) for a in (to, cap, level, iters, path)]
     total = 0.0
     while _bfs_levels(start, order, to, cap, level, s, t):
-        iters[:] = start[1:] - 1
-        total = _blocking_flow(*views, s, t, total)
+        level_start, level_order = _level_graph(start, order, to, cap, level)
+        iters[:] = level_start[1:] - 1
+        total = _blocking_flow(memoryview(level_start), memoryview(level_order), *views,
+                               s, t, total)
     return total
 
 

@@ -53,6 +53,11 @@ __all__ = [
 
 _LOCK_CAP = 1e30
 _COV_FLOOR = 1e-6
+_TINY = np.finfo(np.float64).tiny
+# EM steps per warm refit. On the 128^2 masks tray (1 CPU, in process),
+# GrabCut took 0.273 s with one step, 0.284 s with two and 0.328 s with
+# three, against 0.432 s for ten steps from a fresh start, at the same IoU.
+_WARM_STEPS = 1
 
 
 # --- initialization box -----------------------------------------------------
@@ -131,95 +136,118 @@ class GmmModel:
 
 
 def _floor_covariance(cov: np.ndarray) -> np.ndarray:
+    """Floor the eigenvalues of one (3, 3) covariance or a (K, 3, 3) stack."""
     values, vectors = np.linalg.eigh(cov)
     values = np.maximum(values, _COV_FLOOR)
-    return (vectors * values) @ vectors.T
+    return (vectors * values[..., None, :]) @ np.swapaxes(vectors, -1, -2)
 
 
-def _mixture_log_matrix(points, weights, means, covs) -> np.ndarray:
-    """log(w_k) + log N(x | mu_k, S_k) as an (n, K) matrix.
-
-    With S_k = L_k L_k^T, the Mahalanobis term is ||L_k^-1 (x - mu_k)||^2
-    and log det S_k = 2 * sum(log diag L_k), for all K components at once.
-    """
-    chol = np.linalg.cholesky(covs)
-    # contiguous, so that the stacked matmul runs on BLAS
-    whiten = np.ascontiguousarray(np.linalg.inv(chol).transpose(0, 2, 1))
-    y = (points - means[:, None, :]) @ whiten
-    y *= y
-    # rounds as y.sum(axis=2) does, without its slow reduction over 3 items
-    quad = y[..., 0] + y[..., 1] + y[..., 2]
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    log_gauss = -0.5 * (3 * math.log(2.0 * math.pi) + logdet[:, None] + quad)
-    return (np.log(weights)[:, None] + log_gauss).T
-
-
-def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = [points[rng.integers(points.shape[0])]]
-    for _ in range(k - 1):
-        d2 = np.min(
-            [((points - c) ** 2).sum(axis=1) for c in centers], axis=0,
-        )
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(points.shape[0]))
-        else:
-            idx = int(rng.choice(points.shape[0], p=d2 / total))
-        centers.append(points[idx])
-    return np.stack(centers)
-
-
-def fit_gmm(pixels, n_components: int = 5, n_iter: int = 10, seed: int = 42) -> GmmModel:
-    """Seeded k-means++ init followed by a fixed number of EM updates.
-
-    The trace holds the total data log-likelihood at the start of each EM
-    iteration; with the eigenvalue floor acting as a constrained M-step the
-    trace is non-decreasing. Needs at least n_components pixels.
-    """
+def _as_pixels(pixels) -> np.ndarray:
     points = np.asarray(pixels, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise DimensionMismatch(f"expected (n, 3) pixels, got shape {points.shape}")
+    return points
+
+
+def _mixture_log_matrix(cols, weights, means, covs) -> np.ndarray:
+    """log(w_k) + log N(x | mu_k, S_k) as a (K, n) matrix, for pixels cols as (3, n).
+
+    With S_k = L_k L_k^T, the Mahalanobis term is ||L_k^-1 (x - mu_k)||^2
+    and log det S_k = 2 * sum(log diag L_k), for all K components at once.
+    Each channel is a row, so every elementwise step runs along n.
+    """
+    chol = np.linalg.cholesky(covs)
+    y = np.linalg.inv(chol) @ (cols - means[:, :, None])
+    y *= y
+    # rounds as a sum over the channel axis does
+    quad = y[:, 0] + y[:, 1] + y[:, 2]
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    log_gauss = -0.5 * (3 * math.log(2.0 * math.pi) + logdet[:, None] + quad)
+    return np.log(weights)[:, None] + log_gauss
+
+
+def _kmeanspp(cols: np.ndarray, k: int, rng: np.random.Generator):
+    """k-means++ centers (k, 3), and how many points lie nearest each one."""
+    n = cols.shape[1]
+    centers = [cols[:, rng.integers(n)]]
+    dist: list[np.ndarray] = []
+    nearest = np.full(n, np.inf)
+    while True:
+        d = cols - centers[-1][:, None]
+        d *= d
+        dist.append(d[0] + d[1] + d[2])
+        if len(centers) == k:
+            return np.stack(centers), np.bincount(np.argmin(dist, axis=0), minlength=k)
+        nearest = np.minimum(nearest, dist[-1])
+        total = nearest.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=nearest / total))
+        centers.append(cols[:, idx])
+
+
+def fit_gmm(pixels, n_components: int = 5, n_iter: int = 10, seed: int = 42, *,
+            init: GmmModel | None = None) -> GmmModel:
+    """A fixed number of EM updates from a seeded k-means++ start, or from init.
+
+    The trace holds the total data log-likelihood at the start of each EM
+    iteration; with the eigenvalue floor acting as a constrained M-step the
+    trace is non-decreasing. A warm start (init given) takes its components
+    from init and ignores seed; its ll_trace[0] is init's log-likelihood
+    over these pixels, and fit_gmm(x, init=m, n_iter=a + b) equals
+    fit_gmm(x, init=fit_gmm(x, init=m, n_iter=a), n_iter=b). Needs at least
+    n_components pixels.
+    """
+    points = _as_pixels(pixels)
+    if init is not None and init.n_components != n_components:
+        raise BadParameter(f"init has {init.n_components} components, not {n_components}")
     if n_components < 1:
         raise BadParameter(f"n_components must be >= 1, got {n_components}")
     n = points.shape[0]
     if n < n_components:
         raise TooFewPixels(f"{n} pixels cannot support {n_components} components")
-    rng = np.random.default_rng(seed)
+    cols = np.ascontiguousarray(points.T)
 
-    centers = _kmeanspp_centers(points, n_components, rng)
-    assign = np.argmin(
-        ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1,
-    )
-    counts = np.bincount(assign, minlength=n_components).astype(np.float64)
-    weights = np.maximum(counts, 1e-12)
-    weights = weights / weights.sum()
-    means = centers.copy()
-    global_cov = _floor_covariance(np.cov(points.T) if n > 1 else np.eye(3))
-    covs = np.stack([global_cov] * n_components)
+    if init is None:
+        means, counts = _kmeanspp(cols, n_components, np.random.default_rng(seed))
+        weights = np.maximum(counts.astype(np.float64), 1e-12)
+        weights = weights / weights.sum()
+        global_cov = _floor_covariance(np.cov(points.T) if n > 1 else np.eye(3))
+        covs = np.stack([global_cov] * n_components)
+    else:
+        weights, means, covs = init.weights, init.means, init.covariances
 
     trace: list[float] = []
+    scatter = np.empty((n_components, 3, 3))
     for _ in range(n_iter):
-        log_terms = _mixture_log_matrix(points, weights, means, covs)
-        log_norm = stable_logsumexp(log_terms)
+        log_terms = _mixture_log_matrix(cols, weights, means, covs)
+        log_norm = stable_logsumexp(log_terms.T)
         trace.append(float(log_norm.sum()))
-        resp = np.exp(log_terms - log_norm[:, None])
-        bulk = resp.sum(axis=0)
+        resp = np.exp(log_terms - log_norm)
+        # a warm start can leave a component with no pixel's support, whose
+        # responsibilities all underflow to 0; it collapses to a floored
+        # covariance at the origin with a weight near 0, not to NaN
+        bulk = np.maximum(resp.sum(axis=1), _TINY)
         weights = bulk / n
-        means = (resp.T @ points) / bulk[:, None]
+        means = (resp @ points) / bulk[:, None]
+        # the scatter operands stay (n, 3), so each product runs the gemm of
+        # a plain (r * d).T @ d; a transposed layout rounds differently
+        d = np.empty((n, 3))
+        rd = np.empty((n, 3))
         for comp in range(n_components):
-            d = points - means[comp]
-            cov = (resp[:, comp][:, None] * d).T @ d / bulk[comp]
-            covs[comp] = _floor_covariance(cov)
+            np.subtract(cols, means[comp][:, None], out=d.T)
+            np.multiply(d.T, resp[comp], out=rd.T)
+            scatter[comp] = rd.T @ d / bulk[comp]
+        covs = _floor_covariance(scatter)
     return GmmModel(weights, means, covs, tuple(trace))
 
 
 def gmm_nll(model: GmmModel, pixels) -> np.ndarray:
     """Per-pixel negative log-likelihood under the full mixture."""
-    points = np.asarray(pixels, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise DimensionMismatch(f"expected (n, 3) pixels, got shape {points.shape}")
-    log_terms = _mixture_log_matrix(points, model.weights, model.means, model.covariances)
-    return -stable_logsumexp(log_terms)
+    cols = np.ascontiguousarray(_as_pixels(pixels).T)
+    log_terms = _mixture_log_matrix(cols, model.weights, model.means, model.covariances)
+    return -stable_logsumexp(log_terms.T)
 
 
 # --- the cut ------------------------------------------------------------------
@@ -333,41 +361,53 @@ class GrabCutResult:
     energies: tuple[float, ...]
 
 
+def _refit(model: GmmModel, pixels: np.ndarray) -> tuple[GmmModel, bool]:
+    """One warm EM step from model, kept only if it does not worsen the data term."""
+    new = fit_gmm(pixels, model.n_components, _WARM_STEPS, init=model)
+    # ll_trace[0] is model's log-likelihood over pixels, from the same kernel
+    # on the same inputs as gmm_nll(model, pixels), so it is that sum negated
+    if gmm_nll(new, pixels).sum() <= -new.ll_trace[0]:
+        return new, True
+    return model, False
+
+
 def grabcut(image: RgbImage, seed: int = 42, n_iter: int = 5,
             n_components: int = 5, smoothness: float = 50.0) -> GrabCutResult:
     """Box init, then alternate mixture refits with exact min-cuts.
 
     If the foreground empties at any point (a uniform image does this on the
     first cut) the box interior is returned with the degenerate flag set.
-    A refit is only accepted when it does not worsen the data term of the
+    The first iteration fits both mixtures from a seeded k-means++ start.
+    Each later one refits each mixture by one EM step started from the
+    mixture it would replace, as Rother, Kolmogorov & Blake (2004) do. A
+    refit is only accepted when it does not worsen the data term of the
     current assignment, so the energy trace never increases.
 
-    The Lab pixels and the n-links are computed once per image. A cut
-    repeated after two rejected refits is reused, not re-solved: its
-    problem is the last one.
+    The Lab pixels and the n-links are computed once per image. When both
+    refits are rejected, the pixels and mixtures stay as they were, so
+    every later iteration would repeat this one: its energy is repeated to
+    the end instead.
     """
     box = init_box(image.width, image.height, seed)
     locked = ~box.interior_mask(image.height, image.width)
     terms = _image_terms(image, smoothness)
     lab = terms[0]
     fg_mask = ~locked
-    fg_gmm = bg_gmm = None
     energies: list[float] = []
     for iteration in range(n_iter):
         fg_px = lab[fg_mask.ravel()]
         bg_px = lab[~fg_mask.ravel()]
         if fg_px.shape[0] < n_components or bg_px.shape[0] < n_components:
             return GrabCutResult(BinaryMask(~locked), box, True, tuple(energies))
-        new_fg = fit_gmm(fg_px, n_components, seed=derive_seed(seed, iteration, 0))
-        new_bg = fit_gmm(bg_px, n_components, seed=derive_seed(seed, iteration, 1))
-        refit = False
-        if fg_gmm is None or gmm_nll(new_fg, fg_px).sum() <= gmm_nll(fg_gmm, fg_px).sum():
-            fg_gmm, refit = new_fg, True
-        if bg_gmm is None or gmm_nll(new_bg, bg_px).sum() <= gmm_nll(bg_gmm, bg_px).sum():
-            bg_gmm, refit = new_bg, True
-        if not refit:
-            energies.append(energies[-1])
-            continue
+        if iteration == 0:
+            fg_gmm = fit_gmm(fg_px, n_components, seed=derive_seed(seed, 0, 0))
+            bg_gmm = fit_gmm(bg_px, n_components, seed=derive_seed(seed, 0, 1))
+        else:
+            fg_gmm, fg_refit = _refit(fg_gmm, fg_px)
+            bg_gmm, bg_refit = _refit(bg_gmm, bg_px)
+            if not (fg_refit or bg_refit):
+                energies += [energies[-1]] * (n_iter - iteration)
+                break
         problem = build_cut_problem(image, fg_gmm, bg_gmm, smoothness, locked, terms=terms)
         labels = solve_cut(problem)
         energies.append(cut_energy(problem, labels))

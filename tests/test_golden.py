@@ -76,9 +76,9 @@ def _outputs_sha256(argv, out_dir, capsys) -> str:
 
 
 @pytest.mark.parametrize("flags, sha256", [
-    ([], "64625a821b5119747dddcd8e06a830f26f333a2cd88be173b4bf6ff72b1453dc"),
+    ([], "ebd2a724c03fa31b1bac952ffc268b75a9a2605cf133b59126efedc9ff6fac13"),
     (["--open", "3", "--close", "5", "--close-first"],
-     "5cb6bdd47c1f86a2bdf348beb01ddd2e3e01e763d064c2f3968387fef436258f"),
+     "f2f81381c4deb4cfb7fe972cd419b58d03d8cfceff27d1649d812498c49a6ca8"),
 ], ids=["defaults", "open3_close5_close_first"])
 def test_pseudomask_output_bytes(tmp_path, capsys, flags, sha256):
     # noisy trays of three sizes with an off-centre item, and one uniform tray
@@ -236,12 +236,13 @@ def _tray(path, side, cut=0):
 
 
 def test_pseudomask_failure_bytes(tmp_path, capsys):
-    # a 4x4 tray is too small to mask, and it sorts ahead of a truncated tray
+    # a 4x4 tray is too small to mask, and it sorts ahead of a truncated tray;
+    # the ImageTooSmall line names it
     _tray(tmp_path / "a_small.ppm", 4)
     _tray(tmp_path / "b.ppm", 24, cut=100)
     argv = ["pseudomask", "--in", str(tmp_path), "--out", str(tmp_path / "masks")]
     assert _failure_sha256(argv, tmp_path, capsys) == (
-        3, "4a9bf9f1519dd6d235567780c311b097495915ccc624ff03e32ed3232b8d872e")
+        3, "f7cb584a714190a82fb871dacb6d2c566d8117f28de1b7c1a8bfbd02c00396fa")
     assert not (tmp_path / "masks").exists()
 
 

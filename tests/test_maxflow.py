@@ -371,6 +371,89 @@ def test_residual_capacities_match_reference_arc_by_arc(network):
     assert cap.tolist() == ref_cap.tolist()
 
 
+# --- the unpruned CSR walk ---------------------------------------------------------------
+# Dinic whose search scans every arc of each node's CSR range, before each phase
+# picked out its level graph.
+
+def _unpruned_blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
+    depth = 0
+    u = s
+    while True:
+        if u == t:
+            arcs = path[:depth]
+            caps = [cap[e] for e in arcs]
+            bottleneck = min(caps)
+            for e in arcs:
+                cap[e] -= bottleneck
+                cap[e ^ 1] += bottleneck
+            total += bottleneck
+            depth = caps.index(bottleneck)
+            u = to[path[depth] ^ 1]
+            continue
+        i = iters[u]
+        lo = start[u]
+        next_level = level[u] + 1
+        while i >= lo:
+            e = order[i]
+            if cap[e] > 0.0 and level[to[e]] == next_level:
+                break
+            i -= 1
+        iters[u] = i
+        if i >= lo:
+            path[depth] = e
+            depth += 1
+            u = to[e]
+        else:
+            level[u] = -1
+            if u == s:
+                return total
+            depth -= 1
+            u = to[path[depth] ^ 1]
+            iters[u] -= 1
+
+
+def _unpruned_dinic(start, order, to, cap, level, s, t):
+    n = start.size - 1
+    iters = np.empty(n, np.int64)
+    path = np.empty(n, np.int64)
+    views = [memoryview(a) for a in (start, order, to, cap, level, iters, path)]
+    total = 0.0
+    while maxflow._bfs_levels(start, order, to, cap, level, s, t):
+        iters[:] = start[1:] - 1
+        total = _unpruned_blocking_flow(*views, s, t, total)
+    return total
+
+
+def _random_graph(rng):
+    n = int(rng.integers(2, 60))
+    m = int(rng.integers(1, 6 * n))
+    u = rng.integers(0, n, size=m)
+    v = (u + rng.integers(1, n, size=m)) % n  # never a self-loop
+    # small integers make equal bottlenecks and exactly zeroed arcs common
+    if rng.random() < 0.5:
+        caps = rng.integers(0, 4, size=(2, m)).astype(np.float64)
+    else:
+        caps = rng.uniform(0.0, 5.0, size=(2, m)) * (rng.random((2, m)) < 0.7)
+    graph = FlowGraph(n)
+    graph.add_edge(u, v, caps[0], caps[1])
+    s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+    return graph, s, t
+
+
+def test_level_graph_walk_matches_the_unpruned_walk_on_random_graphs():
+    rng = np.random.default_rng(2004)
+    for trial in range(200):
+        graph, s, t = _random_graph(rng)
+        start, order, to, cap = graph._arrays()
+        ref_cap, ref_level = cap.copy(), np.empty(graph.n_nodes, np.int64)
+        expected = _unpruned_dinic(start, order, to, ref_cap, ref_level, s, t)
+        assert graph.max_flow(s, t) == expected, trial
+        assert np.array_equal(graph.source_side(), ref_level >= 0), trial
+        level = np.empty(graph.n_nodes, np.int64)
+        assert maxflow._dinic(start, order, to, cap, level, s, t) == expected
+        assert cap.tolist() == ref_cap.tolist(), trial
+
+
 # --- add_edge checks ------------------------------------------------------------------
 
 def test_scalar_arcs_still_solve():

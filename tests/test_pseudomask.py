@@ -208,11 +208,16 @@ def _mixture_case(name):
     return points, rng.dirichlet(np.ones(k)), means, covs
 
 
+def _columns_kernel(kernel):
+    """A kernel over (n, 3) points returning (n, K), called as the (3, n) -> (K, n) one."""
+    return lambda cols, weights, means, covs: kernel(cols.T, weights, means, covs).T
+
+
 @pytest.mark.parametrize("name", ["k1", "k5", "floored", "one pixel"])
 def test_mixture_kernel_matches_per_component_reference(name):
     points, weights, means, covs = _mixture_case(name)
     expected = _reference_mixture_log_matrix(points, weights, means, covs)
-    got = _mixture_log_matrix(points, weights, means, covs)
+    got = _mixture_log_matrix(np.ascontiguousarray(points.T), weights, means, covs).T
     assert got.shape == expected.shape == (points.shape[0], weights.shape[0])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
     model = GmmModel(weights, means, covs, ())
@@ -226,6 +231,139 @@ def test_fitted_mixture_nll_matches_per_component_reference(points):
     expected = -stable_logsumexp(_reference_mixture_log_matrix(
         points, model.weights, model.means, model.covariances))
     np.testing.assert_allclose(gmm_nll(model, points), expected, rtol=1e-12, atol=0.0)
+
+
+def _row_mixture_log_matrix(points, weights, means, covs):
+    """The batched Cholesky kernel over (n, 3) points, before it took (3, n)."""
+    chol = np.linalg.cholesky(covs)
+    whiten = np.ascontiguousarray(np.linalg.inv(chol).transpose(0, 2, 1))
+    y = (points - means[:, None, :]) @ whiten
+    y *= y
+    quad = y[..., 0] + y[..., 1] + y[..., 2]
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    log_gauss = -0.5 * (3 * math.log(2.0 * math.pi) + logdet[:, None] + quad)
+    return (np.log(weights)[:, None] + log_gauss).T
+
+
+def _row_floor_covariance(cov):
+    values, vectors = np.linalg.eigh(cov)
+    values = np.maximum(values, 1e-6)
+    return (vectors * values) @ vectors.T
+
+
+def _row_fit_gmm(points, n_components, n_iter=10, seed=42):
+    """fit_gmm over (n, 3) points before the warm start: k-means++ recomputing
+    every center's distances, a per-component floor."""
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = [points[rng.integers(n)]]
+    for _ in range(n_components - 1):
+        d2 = np.min([((points - c) ** 2).sum(axis=1) for c in centers], axis=0)
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        centers.append(points[idx])
+    centers = np.stack(centers)
+    assign = np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+    counts = np.bincount(assign, minlength=n_components).astype(np.float64)
+    weights = np.maximum(counts, 1e-12)
+    weights = weights / weights.sum()
+    means = centers.copy()
+    covs = np.stack([_row_floor_covariance(np.cov(points.T) if n > 1 else np.eye(3))]
+                    * n_components)
+    trace = []
+    for _ in range(n_iter):
+        log_terms = _row_mixture_log_matrix(points, weights, means, covs)
+        log_norm = stable_logsumexp(log_terms)
+        trace.append(float(log_norm.sum()))
+        resp = np.exp(log_terms - log_norm[:, None])
+        bulk = resp.sum(axis=0)
+        weights = bulk / n
+        means = (resp.T @ points) / bulk[:, None]
+        for comp in range(n_components):
+            d = points - means[comp]
+            covs[comp] = _row_floor_covariance((resp[:, comp][:, None] * d).T @ d / bulk[comp])
+    return GmmModel(weights, means, covs, tuple(trace))
+
+
+_CLOUDS = ("spread", "duplicates", "plane", "line", "single")
+
+
+def _point_cloud(rng, kind, n):
+    if kind == "spread":
+        return rng.normal(50.0, 30.0, size=(n, 3))
+    if kind == "duplicates":
+        distinct = max(1, n // 4)
+        return rng.normal(50.0, 30.0, size=(distinct, 3))[rng.integers(distinct, size=n)]
+    if kind == "plane":
+        return rng.normal(0.0, 10.0, size=(n, 2)) @ rng.normal(0.0, 1.0, size=(2, 3)) + 40.0
+    if kind == "line":
+        return rng.normal(0.0, 10.0, size=(n, 1)) * rng.normal(0.0, 1.0, size=(1, 3)) + 40.0
+    return np.repeat(rng.normal(50.0, 30.0, size=(1, 3)), n, axis=0)  # one point, n times
+
+
+def _same_mixture(a, b):
+    return (np.array_equal(a.weights, b.weights) and np.array_equal(a.means, b.means)
+            and np.array_equal(a.covariances, b.covariances))
+
+
+def _same_model(a, b):
+    return _same_mixture(a, b) and a.ll_trace == b.ll_trace
+
+
+@pytest.mark.parametrize("kind", _CLOUDS)
+def test_fresh_fit_is_bit_identical_to_the_row_kernel(kind):
+    rng = np.random.default_rng(_CLOUDS.index(kind))
+    for trial in range(12):
+        k = int(rng.integers(1, 6))
+        # n < 8 runs numpy's unrolled sums; n in the thousands its pairwise ones
+        n = int(rng.integers(k, 8)) if trial % 3 == 0 else int(rng.integers(k, 3000))
+        points = _point_cloud(rng, kind, n)
+        seed = int(rng.integers(2 ** 31))
+        n_iter = int(rng.integers(0, 11))
+        expected = _row_fit_gmm(points, k, n_iter, seed)
+        assert _same_model(fit_gmm(points, k, n_iter, seed), expected), (kind, trial, n, k)
+
+
+@pytest.mark.parametrize("a, b", [(0, 3), (1, 1), (2, 5), (4, 0)])
+def test_warm_fit_chains(a, b):
+    points = _two_blobs(120, seed=40 + a)
+    start = fit_gmm(points[::2], n_components=3, n_iter=2, seed=41)
+    whole = fit_gmm(points, n_components=3, n_iter=a + b, init=start)
+    first = fit_gmm(points, n_components=3, n_iter=a, init=start)
+    chained = fit_gmm(points, n_components=3, n_iter=b, init=first)
+    assert _same_mixture(whole, chained)
+    assert whole.ll_trace == first.ll_trace + chained.ll_trace
+    # the seed plays no part in a warm fit
+    assert _same_model(whole, fit_gmm(points, 3, a + b, seed=99, init=start))
+
+
+def test_warm_fit_trace_starts_at_the_old_mixture_log_likelihood():
+    rng = np.random.default_rng(42)
+    for trial in range(40):
+        k = int(rng.integers(1, 6))
+        old = fit_gmm(_point_cloud(rng, "spread", 200), k, n_iter=3, seed=trial)
+        points = _point_cloud(rng, ["spread", "duplicates", "plane"][trial % 3],
+                              int(rng.integers(k, 500)))
+        warm = fit_gmm(points, k, n_iter=1, init=old)
+        assert -warm.ll_trace[0] == gmm_nll(old, points).sum()
+
+
+def test_warm_fit_needs_a_matching_mixture():
+    old = fit_gmm(_two_blobs(30, seed=43), n_components=2, seed=1)
+    with pytest.raises(BadParameter):
+        fit_gmm(_two_blobs(30, seed=44), n_components=3, init=old)
+
+
+def test_warm_fit_survives_a_component_without_support():
+    # the second component sits far from every pixel, so its responsibilities
+    # underflow to 0; the step still gives a finite mixture
+    points = _two_blobs(50, seed=45)
+    old = GmmModel(np.array([0.5, 0.5]), np.array([[0.0, 0.0, 0.0], [1e4, 1e4, 1e4]]),
+                   np.stack([np.eye(3)] * 2), ())
+    new = fit_gmm(points, n_components=2, n_iter=2, init=old)
+    assert np.isfinite(new.means).all() and np.isfinite(new.covariances).all()
+    assert new.ll_trace[1] >= new.ll_trace[0]
+    assert np.isfinite(gmm_nll(new, points)).all()
 
 
 # --- exact min-cut ----------------------------------------------------------------
@@ -398,7 +536,8 @@ def test_grabcut_uniform_image_degenerates_to_box():
 
 
 def _reference_grabcut(image, seed=42, n_iter=5, n_components=5, smoothness=50.0):
-    """grabcut before it reused its Lab pixels, n-links and repeated cuts."""
+    """grabcut before it reused its Lab pixels, n-links and repeated cuts, and
+    before its refit test read the old mixture's data term from the trace."""
     box = init_box(image.width, image.height, seed)
     locked = ~box.interior_mask(image.height, image.width)
     lab = rgb_to_lab(image.pixels).reshape(-1, 3)
@@ -410,12 +549,16 @@ def _reference_grabcut(image, seed=42, n_iter=5, n_components=5, smoothness=50.0
         bg_px = lab[~fg_mask.ravel()]
         if fg_px.shape[0] < n_components or bg_px.shape[0] < n_components:
             return GrabCutResult(BinaryMask(~locked), box, True, tuple(energies))
-        new_fg = fit_gmm(fg_px, n_components, seed=derive_seed(seed, iteration, 0))
-        new_bg = fit_gmm(bg_px, n_components, seed=derive_seed(seed, iteration, 1))
-        if fg_gmm is None or gmm_nll(new_fg, fg_px).sum() <= gmm_nll(fg_gmm, fg_px).sum():
-            fg_gmm = new_fg
-        if bg_gmm is None or gmm_nll(new_bg, bg_px).sum() <= gmm_nll(bg_gmm, bg_px).sum():
-            bg_gmm = new_bg
+        if iteration == 0:
+            fg_gmm = fit_gmm(fg_px, n_components, seed=derive_seed(seed, 0, 0))
+            bg_gmm = fit_gmm(bg_px, n_components, seed=derive_seed(seed, 0, 1))
+        else:
+            new_fg = fit_gmm(fg_px, n_components, n_iter=1, init=fg_gmm)
+            new_bg = fit_gmm(bg_px, n_components, n_iter=1, init=bg_gmm)
+            if gmm_nll(new_fg, fg_px).sum() <= gmm_nll(fg_gmm, fg_px).sum():
+                fg_gmm = new_fg
+            if gmm_nll(new_bg, bg_px).sum() <= gmm_nll(bg_gmm, bg_px).sum():
+                bg_gmm = new_bg
         problem = build_cut_problem(image, fg_gmm, bg_gmm, smoothness, locked)
         labels = solve_cut(problem)
         energies.append(cut_energy(problem, labels))
@@ -441,12 +584,12 @@ def _noisy_ellipse(size, seed):
     return RgbImage(np.clip(image.pixels + noise, 0, 255).astype(np.uint8))
 
 
-@pytest.mark.parametrize("image, seed, skips", [
-    pytest.param(_ellipse_image(128, 128, seed=5)[0], 42, 1, id="criterion07-ellipse"),
-    pytest.param(_noisy_ellipse(64, seed=23), 7, 2, id="noisy-ellipse"),
-    pytest.param(_textured_image(64, seed=24), 42, 1, id="textured"),
+@pytest.mark.parametrize("image, seed", [
+    pytest.param(_ellipse_image(128, 128, seed=5)[0], 42, id="criterion07-ellipse"),
+    pytest.param(_noisy_ellipse(64, seed=23), 7, id="noisy-ellipse"),
+    pytest.param(_textured_image(64, seed=24), 42, id="textured"),
 ])
-def test_grabcut_matches_reference_without_repeated_work(image, seed, skips):
+def test_grabcut_matches_reference_without_repeated_work(image, seed):
     expected = _reference_grabcut(image, seed=seed)
     calls = {"solve_cut": 0, "rgb_to_lab": 0}
 
@@ -463,13 +606,68 @@ def test_grabcut_matches_reference_without_repeated_work(image, seed, skips):
     assert result.energies == expected.energies
     assert not result.degenerate and not expected.degenerate
     assert calls["rgb_to_lab"] == 1
-    # each cut left out repeats the one before it, after both refits were rejected
-    assert len(result.energies) - calls["solve_cut"] == skips
+    # every warm refit here improves its mixture, so every iteration cuts
+    assert calls["solve_cut"] == len(result.energies) == 5
     # and the per-component kernel the batched one replaced gives the same masks
-    with mock.patch.object(pseudomask, "_mixture_log_matrix", _reference_mixture_log_matrix):
+    with mock.patch.object(pseudomask, "_mixture_log_matrix",
+                           _columns_kernel(_reference_mixture_log_matrix)):
         old_kernel = _reference_grabcut(image, seed=seed)
     assert result.mask == old_kernel.mask
     np.testing.assert_allclose(result.energies, old_kernel.energies, rtol=1e-12, atol=0.0)
+
+
+def test_grabcut_stops_cutting_once_both_refits_are_rejected():
+    image, _ = _ellipse_image(32, 32, seed=25)
+    first = grabcut(image, seed=3, n_iter=1)
+    cuts = []
+
+    def counting(problem):
+        cuts.append(problem)
+        return solve_cut(problem)
+
+    with mock.patch.object(pseudomask, "_refit", lambda model, pixels: (model, False)), \
+            mock.patch.object(pseudomask, "solve_cut", counting):
+        result = grabcut(image, seed=3, n_iter=4)
+    # nothing changes after the first cut, so its energy stands for the rest
+    assert len(cuts) == 1
+    assert result.energies == first.energies * 4
+    assert result.mask == first.mask
+
+
+def test_refit_keeps_the_old_mixture_when_a_step_worsens_the_data_term():
+    points = _two_blobs(80, seed=26)
+    old = fit_gmm(points, n_components=2, seed=27)
+    step = fit_gmm(points, 2, n_iter=1, init=old)
+    worse = GmmModel(step.weights, step.means + 3.0, step.covariances, step.ll_trace)
+    with mock.patch.object(pseudomask, "fit_gmm", lambda *args, **kwargs: worse):
+        assert pseudomask._refit(old, points) == (old, False)
+    kept, accepted = pseudomask._refit(old, points)
+    assert accepted and _same_model(kept, step)
+
+
+def _random_scene(rng):
+    """An ellipse of one random colour on another, under random noise."""
+    h, w = (int(v) for v in rng.integers(12, 28, size=2))
+    yy, xx = np.mgrid[0:h, 0:w]
+    cy, cx = rng.uniform(0.35, 0.65) * h, rng.uniform(0.35, 0.65) * w
+    ry, rx = rng.uniform(0.15, 0.35) * h, rng.uniform(0.15, 0.35) * w
+    inside = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+    fg, bg = rng.integers(0, 256, size=(2, 3))
+    noise = int(rng.integers(0, 60))
+    pixels = np.where(inside[..., None], fg, bg) + rng.integers(-noise, noise + 1, size=(h, w, 3))
+    return RgbImage(np.clip(pixels, 0, 255).astype(np.uint8))
+
+
+def test_grabcut_energy_never_increases_on_random_images():
+    rng = np.random.default_rng(28)
+    cut_again = 0
+    for trial in range(40):
+        result = grabcut(_random_scene(rng), seed=trial, n_iter=int(rng.integers(2, 8)),
+                         n_components=int(rng.integers(1, 6)))
+        for earlier, later in zip(result.energies, result.energies[1:]):
+            assert later <= earlier, (trial, result.energies)
+        cut_again += len(result.energies) > 1
+    assert cut_again >= 30  # most scenes keep a foreground past the first cut
 
 
 # --- cleanup -------------------------------------------------------------------
