@@ -13,7 +13,9 @@ helpers pipe their results back (freshkit.shares). The outputs do not
 depend on how many CPUs there are. A failing run raises what a run on one
 CPU raises, after at most one extra one-CPU pass: when a share fails, this
 process computes every share itself. Helpers exit through os._exit, so
-inherited stdio buffers and atexit handlers never run twice.
+inherited stdio buffers and atexit handlers never run twice. Before it
+forks, a subcommand reads the functions its shares call, so that their
+modules execute once, in this process, and not again in every helper.
 
 Exit codes: 0 success; 1 command line usage error; 2 malformed or empty
 input data (including files with zero data rows, reported as EmptyInput,
@@ -419,9 +421,9 @@ def _cmd_bootstrap(args):
     return {"statistic": args.stat, "n": len(values), **asdict(result)}, []
 
 
-def _hash_file(path: Path) -> int:
+def _hash_file(phash64, path: Path) -> int:
     image = read_ppm(path) if path.suffix == ".ppm" else grayscale_as_rgb(read_pgm_values(path))
-    return hygiene.phash64(image)
+    return phash64(image)
 
 
 def _cmd_dedup(args):
@@ -430,7 +432,8 @@ def _cmd_dedup(args):
                    if p.suffix in (".ppm", ".pgm") and p.is_file())
     if not files:
         raise EmptyInput(f"{root}: no .ppm or .pgm files")
-    hashes = shares.map_items(_hash_file, files, [p.stat().st_size for p in files])
+    hashes = shares.map_items(partial(_hash_file, hygiene.phash64), files,
+                              [p.stat().st_size for p in files])
     return hygiene.cluster_near_duplicates(dict(zip((p.name for p in files), hashes)),
                                            max_dist=args.max_dist), []
 
@@ -498,11 +501,11 @@ def _cmd_nested_cv(args):
     return result.to_dict(), []
 
 
-def _mask_tray(args, path: Path):
-    """Read one tray, segment it and clean the mask: (mask, report row)."""
+def _mask_tray(args, grabcut, path: Path):
+    """Read one tray, segment it with grabcut and clean the mask: (mask, report row)."""
     try:
-        result = pseudomask.grabcut(read_ppm(path), seed=args.seed, n_iter=args.iters,
-                                    n_components=args.k, smoothness=args.smoothness)
+        result = grabcut(read_ppm(path), seed=args.seed, n_iter=args.iters,
+                         n_components=args.k, smoothness=args.smoothness)
     except ImageTooSmall as error:
         raise ImageTooSmall(f"{path}: {error}") from None
     mask = result.mask
@@ -527,7 +530,7 @@ def _cmd_pseudomask(args):
     files = sorted(p for p in in_dir.glob("*.ppm") if p.is_file())
     if not files:
         raise EmptyInput(f"{in_dir}: no .ppm images")
-    results = shares.map_items(partial(_mask_tray, args), files,
+    results = shares.map_items(partial(_mask_tray, args, pseudomask.grabcut), files,
                                [p.stat().st_size for p in files])
     writes = [partial(out_dir.mkdir, parents=True, exist_ok=True)]
     writes += [partial(write_pgm, out_dir / (p.stem + ".pgm"), mask)

@@ -11,6 +11,9 @@ numeric columns as an (n, C) float64 matrix.
 Value types are immutable: dataclasses are frozen and array-backed types
 expose read-only numpy arrays, so instances can be shared across workers
 without copying.
+
+It also holds the numeric helpers that several stages use, so that a
+stage needing only these does not execute another stage's module.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from .errors import (
     BadMagic,
     BadSplitTag,
     DimensionMismatch,
+    EmptyVector,
     InconsistentWidth,
     InputFormatError,
     MalformedHeader,
@@ -50,6 +54,9 @@ __all__ = [
     "read_ppm",
     "write_ppm",
     "grayscale_as_rgb",
+    "derive_seed",
+    "as_rows",
+    "stable_logsumexp",
 ]
 
 
@@ -326,3 +333,30 @@ def grayscale_as_rgb(values: np.ndarray) -> RgbImage:
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected 2-D gray values, got shape {arr.shape}")
     return RgbImage(np.stack([arr, arr, arr], axis=2))
+
+
+def derive_seed(*parts: int) -> int:
+    """Fold integer parts into one 64-bit seed, stable across runs.
+
+    The part count is mixed in first: SeedSequence pads entropy with zeros,
+    so without it (1,) and (1, 0) would collide.
+    """
+    state = np.random.SeedSequence([len(parts), *parts]).generate_state(2, dtype=np.uint32)
+    return int(state[0]) << 32 | int(state[1])
+
+
+def as_rows(values) -> np.ndarray:
+    """values as a nonempty (C,) or (N, C) float64 array; EmptyVector otherwise."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise EmptyVector(f"expected a nonempty (C,) or (N, C) array, got shape {arr.shape}")
+    return arr
+
+
+def stable_logsumexp(values) -> float | np.ndarray:
+    """log(sum(exp(v))) over the last axis with the max shifted out, exact
+    for single elements. (C,) gives a float, (N, C) an (N,) array."""
+    arr = as_rows(values)
+    m = arr.max(axis=-1, keepdims=True)
+    out = (m + np.log(np.exp(arr - m).sum(axis=-1, keepdims=True)))[..., 0]
+    return float(out) if arr.ndim == 1 else out

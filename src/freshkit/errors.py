@@ -128,7 +128,7 @@ class DegenerateGraph(ComputeError):
 
 
 class FlowStalled(ComputeError):
-    """An augmenting path carries no flow, so the max-flow search would not end."""
+    """An augmenting path or a phase carries no flow, so the max-flow search would not end."""
 
 
 class BadParameter(ComputeError):

@@ -14,12 +14,13 @@ bottleneck arc of every augmenting path is zeroed by exact subtraction, so
 the algorithm terminates. Its last BFS, which never reaches the sink, is
 therefore complete and marks the source side of the min cut.
 
-Each phase's search walks only the level graph: the arcs that had positive
-capacity and ran one level deeper when the phase began, picked out with
-numpy and kept in the order of their CSR ranges. Within a phase arcs only
-leave that set, because a push raises only reverse arcs, which run one
-level up, and a level only changes to -1. So the search meets the same
-arcs in the same order as a walk over every arc would. After each
+Each phase's search walks only the arcs that lead on to the sink: live
+when the phase began, one level deeper, and on a level-graph path to the
+sink, found by walking the BFS's arcs back from it. A walk over every arc
+would also enter each node without such a path, set its level to -1 and
+back out, touching no capacity, so both meet the same paths in the same
+order. Within a phase arcs only leave the set: a push raises only reverse
+arcs, which run one level up, and a level only changes to -1. After each
 augmentation the search resumes at the tail of the path's first zeroed
 arc: a search restarted at the source would walk the path's prefix, whose
 arcs all keep capacity, and arrive at the same node with the same arcs
@@ -35,23 +36,37 @@ __all__ = ["FlowGraph"]
 
 
 def _bfs_levels(start, order, to, cap, level, s, t):
-    """Label residual distances from s, up to the sink's level; True if t is reached."""
+    """Label residual distances from s, up to the sink's level. None if t is
+    not reached (level then marks all s reaches); else the positions in
+    order, ascending, of each live arc one level deeper whose head has a
+    level-graph path on to t: the arcs the phase's search may take."""
     level[:] = -1
     level[s] = 0
     frontier = np.array([s])
     depth = 0
+    deeper = []  # per depth: positions of the live arcs that run one level deeper
     while frontier.size and level[t] < 0:
         lo = start[frontier]
         counts = start[frontier + 1] - lo
         # positions of every frontier node's CSR range, concatenated
         pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-        arcs = order[pos]
-        heads = to[arcs[cap[arcs] > 0.0]]
+        pos = pos[cap[order[pos]] > 0.0]
+        heads = to[order[pos]]
         depth += 1
         level[heads[level[heads] < 0]] = depth
+        deeper.append(pos[level[heads] == depth])
         # the new level, ascending; np.unique would also import numpy.ma
         frontier = np.flatnonzero(level == depth)
-    return level[t] >= 0
+    if level[t] < 0:
+        return None
+    # from the sink's level up: keep the arcs whose head reaches t, mark their tails
+    reaches = np.zeros(level.size, np.bool_)
+    reaches[t] = True
+    for d in reversed(range(depth)):
+        pos = deeper[d]
+        pos = deeper[d] = pos[reaches[to[order[pos]]]]
+        reaches[to[order[pos] ^ 1]] = True
+    return np.sort(np.concatenate(deeper))
 
 
 def _blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
@@ -61,9 +76,11 @@ def _blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
     of the next arc out of u to try; it counts down to start[u]. Each
     bottleneck is added to total in turn. Every arc on a path has positive
     capacity, so a path whose bottleneck is not positive raises FlowStalled.
+    The phase's arcs hold a path to t, so a phase that finds none raises it too.
     """
     depth = 0
     u = s
+    paths = 0
     while True:
         if u == t:
             arcs = path[:depth]
@@ -75,6 +92,7 @@ def _blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
                 cap[e] -= bottleneck
                 cap[e ^ 1] += bottleneck
             total += bottleneck
+            paths += 1
             # x - b is exactly 0.0 only where x == b: the first zeroed arc
             depth = caps.index(bottleneck)
             u = to[path[depth] ^ 1]
@@ -95,24 +113,12 @@ def _blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
         else:
             level[u] = -1
             if u == s:
+                if not paths:  # the next BFS would find the same levels, forever
+                    raise FlowStalled(f"a phase to the sink's level {level[t]} found no path")
                 return total
             depth -= 1
             u = to[path[depth] ^ 1]
             iters[u] -= 1
-
-
-def _level_graph(start, order, to, cap, level):
-    """The arcs the phase's search may take, as CSR: each arc that has
-    positive capacity and runs from a labeled node one level deeper."""
-    # per added arc u -> v (arc 2k) and its reverse (2k + 1): the levels of v
-    # and u, as int32 to keep the per-arc temporaries small
-    ends = level.astype(np.int32)[to].reshape(-1, 2)
-    rise = ends[:, 0] - ends[:, 1]
-    keep = (cap > 0.0).reshape(-1, 2)
-    keep[:, 0] &= (rise == 1) & (ends[:, 1] >= 0)
-    keep[:, 1] &= (rise == -1) & (ends[:, 0] >= 0)
-    kept = np.flatnonzero(keep.ravel()[order])
-    return np.searchsorted(kept, start), order[kept]
 
 
 def _dinic(start, order, to, cap, level, s, t):
@@ -121,10 +127,10 @@ def _dinic(start, order, to, cap, level, s, t):
     path = np.empty(n, np.int64)
     views = [memoryview(a) for a in (to, cap, level, iters, path)]
     total = 0.0
-    while _bfs_levels(start, order, to, cap, level, s, t):
-        level_start, level_order = _level_graph(start, order, to, cap, level)
+    while (kept := _bfs_levels(start, order, to, cap, level, s, t)) is not None:
+        level_start = np.searchsorted(kept, start)
         iters[:] = level_start[1:] - 1
-        total = _blocking_flow(memoryview(level_start), memoryview(level_order), *views,
+        total = _blocking_flow(memoryview(level_start), memoryview(order[kept]), *views,
                                s, t, total)
     return total
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import BinaryMask, RgbImage
+from .data_model import BinaryMask, RgbImage, derive_seed, stable_logsumexp
 from .errors import (
     BadParameter,
     DegenerateGraph,
@@ -31,8 +31,6 @@ from .errors import (
     TooFewPixels,
 )
 from .maxflow import FlowGraph
-from .scoring import stable_logsumexp
-from .tiny_model import derive_seed
 
 __all__ = [
     "Box",

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyVector, NonPositiveTemperature
-from .tiny_model import TinyClassifier, forward_rows, nll_input_gradient
+from . import tiny_model  # only odin_score reads it, so only odin runs execute it
+from .data_model import as_rows, stable_logsumexp
+from .errors import NonPositiveTemperature
 
 __all__ = [
     "stable_logsumexp",
@@ -26,28 +27,12 @@ __all__ = [
 ]
 
 
-def _as_rows(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim not in (1, 2) or arr.size == 0:
-        raise EmptyVector(f"expected a nonempty (C,) or (N, C) array, got shape {arr.shape}")
-    return arr
-
-
-def stable_logsumexp(values) -> float | np.ndarray:
-    """log(sum(exp(v))) over the last axis with the max shifted out, exact
-    for single elements. (C,) gives a float, (N, C) an (N,) array."""
-    arr = _as_rows(values)
-    m = arr.max(axis=-1, keepdims=True)
-    out = (m + np.log(np.exp(arr - m).sum(axis=-1, keepdims=True)))[..., 0]
-    return float(out) if arr.ndim == 1 else out
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """softmax(logits / T) over the last axis; strictly positive, rows sum to 1."""
     if temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature {temperature} must be > 0")
-    arr = _as_rows(logits) / temperature
+    arr = as_rows(logits) / temperature
     shifted = np.exp(arr - arr.max(axis=-1, keepdims=True))
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
@@ -66,7 +51,7 @@ def energy_score(logits, temperature: float = 1.0) -> float | np.ndarray:
     """
     if temperature <= 0.0:
         raise NonPositiveTemperature(f"temperature {temperature} must be > 0")
-    return -temperature * stable_logsumexp(_as_rows(logits) / temperature)
+    return -temperature * stable_logsumexp(as_rows(logits) / temperature)
 
 
 @dataclass(frozen=True)
@@ -82,7 +67,7 @@ class OdinConfig:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def odin_score(model: TinyClassifier, x, config: OdinConfig) -> float | np.ndarray:
+def odin_score(model: tiny_model.TinyClassifier, x, config: OdinConfig) -> float | np.ndarray:
     """Max temperature-scaled softmax after nudging x toward higher confidence.
 
     The input moves one signed step of size epsilon against the gradient of
@@ -94,9 +79,9 @@ def odin_score(model: TinyClassifier, x, config: OdinConfig) -> float | np.ndarr
     one-sample score of row i.
     """
     xs = np.asarray(x, dtype=np.float64)
-    logits = forward_rows(model, xs)
+    logits = tiny_model.forward_rows(model, xs)
     if config.epsilon != 0.0:
-        grad = nll_input_gradient(model, xs, logits.argmax(axis=1), config.temperature)
-        logits = forward_rows(model, xs - config.epsilon * np.sign(grad))
+        grad = tiny_model.nll_input_gradient(model, xs, logits.argmax(axis=1), config.temperature)
+        logits = tiny_model.forward_rows(model, xs - config.epsilon * np.sign(grad))
     scores = softmax(logits, config.temperature).max(axis=-1)
     return float(scores[0]) if xs.ndim == 1 else scores

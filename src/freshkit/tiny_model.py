@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_model import read_utf8
+from .data_model import derive_seed, read_utf8
 from .errors import (
     BadLabelIndex,
     BadTrainConfig,
@@ -132,16 +132,6 @@ class TrainConfig:
                 or not all(math.isfinite(r) and r >= 0.0 for r in rates)):
             raise BadTrainConfig(f"need epochs >= 0, batch_size >= 1, finite rates >= 0 "
                                  f"and label_smoothing in [0, 1); got {self}")
-
-
-def derive_seed(*parts: int) -> int:
-    """Fold integer parts into one 64-bit seed, stable across runs.
-
-    The part count is mixed in first: SeedSequence pads entropy with zeros,
-    so without it (1,) and (1, 0) would collide.
-    """
-    state = np.random.SeedSequence([len(parts), *parts]).generate_state(2, dtype=np.uint32)
-    return int(state[0]) << 32 | int(state[1])
 
 
 def init_model(input_dim: int, hidden_dim: int, n_classes: int, seed: int) -> TinyClassifier:

@@ -111,10 +111,10 @@ NO_SHARES = {"shares"}  # only pseudomask and hygiene's users run it
 CASES = [
     (["dedup", "--images", "{d}/images"], {"hygiene", "shares"}, SCREEN_SKIPS | NO_OOD),
     (["score", "--method", "msp", "--logits", "{d}/logits.csv"], {"scoring"},
-     SCREEN_SKIPS | NO_OOD | NO_SHARES),
+     SCREEN_SKIPS | NO_MODEL | NO_OOD | NO_SHARES),
     (["score", "--method", "odin", "--logits", "{d}/labeled.csv", "--prefix", "x",
       "--model", "{d}/model.json", "--temperature", "10", "--epsilon", "0.001"],
-     {"scoring"}, SCREEN_SKIPS | NO_SHARES),
+     {"scoring", "tiny_model"}, SCREEN_SKIPS | NO_SHARES),
     (["ood-eval", "--scores", "{d}/scores.csv"], {"ood_eval"},
      SCREEN_SKIPS | NO_MODEL | NO_SHARES),
     (["sweep", "--scores", "{d}/scores.csv"], {"ood_eval"}, SCREEN_SKIPS | NO_MODEL | NO_SHARES),
@@ -163,8 +163,47 @@ print(json.dumps([code, executed(), "numpy.ma" in sys.modules]))
     code, executed, numpy_ma = json.loads(out)
     assert code == 0
     assert {"pseudomask", "maxflow", "shares"} <= set(executed)
-    assert not {"demo", "seg_eval", "hygiene", "ood_eval"} & set(executed)
+    assert not {"demo", "seg_eval", "hygiene", "ood_eval", "tiny_model", "scoring"} & set(executed)
     assert not numpy_ma
+
+
+SPY = EXECUTED + """
+import json, os
+os.sched_getaffinity = lambda pid: {0, 1}
+from freshkit import shares
+from freshkit.cli import main
+fork = shares.map_shares
+seen = []
+
+def spy(func, sizes):
+    seen.append(executed())
+    return fork(func, sizes)
+
+shares.map_shares = spy  # hygiene binds it when it executes, after this
+code = main(sys.argv[1:])
+print(json.dumps([code, seen]))
+"""
+
+# argv, modules that must have executed before every fork
+FORKS = [
+    (["pseudomask", "--in", "{d}/images", "--out", "{tmp}/masks", "--iters", "1", "--k", "2",
+      "--report", "{tmp}/report.json"], {"pseudomask", "maxflow"}),
+    (["dedup", "--images", "{d}/images", "--out", "{tmp}/report.json"], {"hygiene"}),
+    (["nested-cv", "--data", "{d}/labeled.csv", "--outer", "2", "--inner", "2", "--epochs", "1",
+      "--out", "{tmp}/report.json"], {"hygiene", "tiny_model"}),
+    (["demo", "--out", "{tmp}/report.json"], {"hygiene", "tiny_model"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", FORKS, ids=[argv[0] for argv, _ in FORKS])
+def test_modules_execute_before_the_fork(inputs, tmp_path, argv, modules):
+    # two usable CPUs, so every call shares its work with one forked helper
+    out = _child(SPY, *[a.format(d=inputs, tmp=tmp_path) for a in argv])
+    code, seen = json.loads(out)
+    assert code == 0 and seen
+    for executed in seen:
+        missing = sorted(modules - set(executed))
+        assert not missing, f"{argv[0]} forked before executing {missing}"
 
 
 HELP = """

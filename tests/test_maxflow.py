@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freshkit import maxflow, pseudomask
-from freshkit.errors import DegenerateGraph, DimensionMismatch
+from freshkit.data_model import RgbImage
+from freshkit.errors import DegenerateGraph, DimensionMismatch, FlowStalled
 from freshkit.maxflow import FlowGraph
 from freshkit.pseudomask import _LOCK_CAP, CutProblem, _grid_pairs, cut_energy, solve_cut
 
@@ -372,8 +373,26 @@ def test_residual_capacities_match_reference_arc_by_arc(network):
 
 
 # --- the unpruned CSR walk ---------------------------------------------------------------
-# Dinic whose search scans every arc of each node's CSR range, before each phase
-# picked out its level graph.
+# Dinic whose BFS only labels levels and whose search scans every arc of each
+# node's CSR range, before each phase picked out the arcs that lead on to the
+# sink.
+
+def _unpruned_bfs_levels(start, order, to, cap, level, s, t):
+    level[:] = -1
+    level[s] = 0
+    frontier = np.array([s])
+    depth = 0
+    while frontier.size and level[t] < 0:
+        lo = start[frontier]
+        counts = start[frontier + 1] - lo
+        pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        arcs = order[pos]
+        heads = to[arcs[cap[arcs] > 0.0]]
+        depth += 1
+        level[heads[level[heads] < 0]] = depth
+        frontier = np.flatnonzero(level == depth)
+    return level[t] >= 0
+
 
 def _unpruned_blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
     depth = 0
@@ -418,10 +437,30 @@ def _unpruned_dinic(start, order, to, cap, level, s, t):
     path = np.empty(n, np.int64)
     views = [memoryview(a) for a in (start, order, to, cap, level, iters, path)]
     total = 0.0
-    while maxflow._bfs_levels(start, order, to, cap, level, s, t):
+    while _unpruned_bfs_levels(start, order, to, cap, level, s, t):
         iters[:] = start[1:] - 1
         total = _unpruned_blocking_flow(*views, s, t, total)
     return total
+
+
+def _assert_walks_agree(graph, s, t):
+    """Flow, cut and every residual capacity equal the unpruned walk's."""
+    start, order, to, cap = graph._arrays()
+    ref_cap, ref_level = cap.copy(), np.empty(graph.n_nodes, np.int64)
+    expected = _unpruned_dinic(start, order, to, ref_cap, ref_level, s, t)
+    assert graph.max_flow(s, t) == expected
+    assert np.array_equal(graph.source_side(), ref_level >= 0)
+    level = np.empty(graph.n_nodes, np.int64)
+    assert maxflow._dinic(start, order, to, cap, level, s, t) == expected
+    assert np.array_equal(level, ref_level)
+    assert cap.tolist() == ref_cap.tolist()
+
+
+def _random_caps(rng, m):
+    # small integers make equal bottlenecks and exactly zeroed arcs common
+    if rng.random() < 0.5:
+        return rng.integers(0, 4, size=(2, m)).astype(np.float64)
+    return rng.uniform(0.0, 5.0, size=(2, m)) * (rng.random((2, m)) < 0.7)
 
 
 def _random_graph(rng):
@@ -429,13 +468,8 @@ def _random_graph(rng):
     m = int(rng.integers(1, 6 * n))
     u = rng.integers(0, n, size=m)
     v = (u + rng.integers(1, n, size=m)) % n  # never a self-loop
-    # small integers make equal bottlenecks and exactly zeroed arcs common
-    if rng.random() < 0.5:
-        caps = rng.integers(0, 4, size=(2, m)).astype(np.float64)
-    else:
-        caps = rng.uniform(0.0, 5.0, size=(2, m)) * (rng.random((2, m)) < 0.7)
     graph = FlowGraph(n)
-    graph.add_edge(u, v, caps[0], caps[1])
+    graph.add_edge(u, v, *_random_caps(rng, m))
     s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
     return graph, s, t
 
@@ -444,14 +478,119 @@ def test_level_graph_walk_matches_the_unpruned_walk_on_random_graphs():
     rng = np.random.default_rng(2004)
     for trial in range(200):
         graph, s, t = _random_graph(rng)
-        start, order, to, cap = graph._arrays()
-        ref_cap, ref_level = cap.copy(), np.empty(graph.n_nodes, np.int64)
-        expected = _unpruned_dinic(start, order, to, ref_cap, ref_level, s, t)
-        assert graph.max_flow(s, t) == expected, trial
-        assert np.array_equal(graph.source_side(), ref_level >= 0), trial
-        level = np.empty(graph.n_nodes, np.int64)
-        assert maxflow._dinic(start, order, to, cap, level, s, t) == expected
-        assert cap.tolist() == ref_cap.tolist(), trial
+        try:
+            _assert_walks_agree(graph, s, t)
+        except AssertionError as error:
+            raise AssertionError(f"trial {trial}") from error
+
+
+def _dead_end_graph(rng):
+    """(graph, s, t, first dead node): layers of nodes between s = 0 and t = 1,
+    and off s and every layer node a branch of one to three dead nodes.
+
+    A branch's nodes have arcs in from their root and each other only, and
+    arcs out to those and to s, so every residual path from them to t runs
+    through a node at a lower level: none of them lies on a level-graph path.
+    """
+    n_layers, width = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+    layers = np.arange(2, 2 + n_layers * width).reshape(n_layers, width)
+    arcs = [(0, v) for v in layers[0]] + [(u, 1) for u in layers[-1]]
+    for here, there in zip(layers[:-1], layers[1:]):
+        arcs += [(u, int(rng.choice(there))) for u in here]  # each node leads on
+        arcs += [(int(rng.choice(here)), int(rng.choice(there))) for _ in range(width)]
+    arcs += [tuple(int(x) for x in rng.choice(layers.ravel(), size=2, replace=False))
+             for _ in range(width)]  # across and back up the layers
+    first_dead = n = 2 + layers.size
+    to_source = []
+    for root in [0, *layers.ravel().tolist()]:
+        branch = list(range(n, n + int(rng.integers(1, 4))))
+        n += len(branch)
+        arcs += list(zip([root, *branch[:-1]], branch)) + [(d, root) for d in branch[1:]]
+        to_source += [(d, 0) for d in branch]
+    u, v = (np.array(col) for col in zip(*arcs))
+    caps = _random_caps(rng, len(arcs))
+    caps[0] += caps[0] == 0.0  # every forward arc carries something
+    graph = FlowGraph(n)
+    graph.add_edge(u, v, *caps)
+    su, sv = (np.array(col) for col in zip(*to_source))
+    graph.add_edge(su, sv, _random_caps(rng, len(to_source))[0])  # nothing back into them
+    return graph, 0, 1, first_dead
+
+
+def test_pruned_walk_matches_the_unpruned_walk_on_dead_end_graphs():
+    rng = np.random.default_rng(1970)
+    bfs = maxflow._bfs_levels
+    into_dead = []
+
+    def recording(start, order, to, cap, level, s, t):
+        kept = bfs(start, order, to, cap, level, s, t)
+        if kept is not None:
+            into_dead.append(int((to[order[kept]] >= first_dead).sum()))
+        return kept
+
+    with mock.patch.object(maxflow, "_bfs_levels", recording):
+        for trial in range(100):
+            graph, s, t, first_dead = _dead_end_graph(rng)
+            try:
+                _assert_walks_agree(graph, s, t)
+            except AssertionError as error:
+                raise AssertionError(f"trial {trial}") from error
+    assert len(into_dead) >= 200 and not any(into_dead)
+
+
+def _grabcut_graphs(seed: int) -> list:
+    """(graph, s, t) of every cut GrabCut solves on a random image with a
+    brighter block in it."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(x) for x in rng.integers(8, 25, size=2))
+    pixels = rng.integers(0, 160, size=(h, w, 3))
+    pixels[h // 4:h - h // 4, w // 4:w - w // 4] += rng.integers(0, 96, size=3)
+    graphs = []
+
+    class Recording(FlowGraph):
+        def max_flow(self, s, t):
+            copy = FlowGraph(self.n_nodes)
+            copy._tail, copy._cap = list(self._tail), list(self._cap)
+            graphs.append((copy, s, t))
+            return super().max_flow(s, t)
+
+    with mock.patch.object(pseudomask, "FlowGraph", Recording):
+        pseudomask.grabcut(RgbImage(pixels.astype(np.uint8)), seed=seed, n_iter=3,
+                           n_components=3)
+    return graphs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pruned_walk_matches_the_unpruned_walk_on_grabcut_graphs(seed):
+    graphs = _grabcut_graphs(seed)
+    assert graphs
+    for graph, s, t in graphs:
+        _assert_walks_agree(graph, s, t)
+
+
+def _reverse_arc_graph() -> FlowGraph:
+    """Its first phase pushes 1 along s a b t; the second phase's only path,
+    s c b a d t, takes b -> a, the reverse of a -> b."""
+    s, a, b, c, d, t = range(6)
+    graph = FlowGraph(6)
+    # s's and a's ranges are walked from their ends: s -> a and a -> b come first
+    graph.add_edge(np.array([s, s, a, a, b, c, d]), np.array([c, a, d, b, t, b, t]), 1.0)
+    return graph
+
+
+def test_a_phase_that_pushes_nothing_raises_flow_stalled():
+    _, levels = _levels(lambda: _reverse_arc_graph().max_flow(0, 5))
+    assert [level[5] for level in levels] == [3, 5, -1]
+    bfs = maxflow._bfs_levels
+
+    def without_reverse_arcs(start, order, to, cap, level, s, t):
+        kept = bfs(start, order, to, cap, level, s, t)
+        return None if kept is None else kept[order[kept] % 2 == 0]
+
+    graph = _reverse_arc_graph()
+    with mock.patch.object(maxflow, "_bfs_levels", without_reverse_arcs):
+        with pytest.raises(FlowStalled, match="found no path"):
+            graph.max_flow(0, 5)
 
 
 # --- add_edge checks ------------------------------------------------------------------
