@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data_model import RgbImage
+from . import shares, tiny_model  # bound unexecuted under the cli: split and folds run neither
+from .data_model import RgbImage, derive_seed
 from .errors import (
     BadParameter,
     DimensionMismatch,
@@ -36,15 +37,6 @@ from .errors import (
     InputFormatError,
     RowNotNormalized,
     TooFewSamplesPerClass,
-)
-from .shares import map_shares
-from .tiny_model import (
-    Stream,
-    TrainConfig,
-    derive_seed,
-    forward_stack,
-    init_model,
-    train_streams,
 )
 
 __all__ = [
@@ -377,13 +369,13 @@ class HyperGrid:
 
 @dataclass(frozen=True)
 class CandidateScore:
-    config: TrainConfig
+    config: tiny_model.TrainConfig
     mean_accuracy: float
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    best: TrainConfig
+    best: tiny_model.TrainConfig
     stage1: tuple[CandidateScore, ...]
     stage2: tuple[CandidateScore, ...]
 
@@ -416,17 +408,18 @@ def _eval_configs(folds, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
             fit_ids = plan.inner_fit(outer, fold)
             val_ids = plan.inner_val(outer, fold)
             run_seed = derive_seed(seed, outer, stage, fold)
-            model = init_model(xs.shape[1], hidden_dim, n_classes,
-                               seed=derive_seed(run_seed, 0))
+            model = tiny_model.init_model(xs.shape[1], hidden_dim, n_classes,
+                                          seed=derive_seed(run_seed, 0))
             batch_seed = derive_seed(run_seed, 1)
             fit_xs, fit_labels = xs[fit_ids], labels[fit_ids]
             for members in groups:
-                streams.append(Stream(model, fit_xs, fit_labels,
-                                      [replace(configs[i], seed=batch_seed) for i in members]))
+                streams.append(tiny_model.Stream(
+                    model, fit_xs, fit_labels,
+                    [replace(configs[i], seed=batch_seed) for i in members]))
                 owners.append((slot, members, val_ids))
     accs = [[[] for _ in configs] for _, configs in folds]
-    for fitted, (slot, members, val_ids) in zip(train_streams(streams), owners):
-        hits = forward_stack(fitted, xs[val_ids]).argmax(axis=2) == labels[val_ids]
+    for fitted, (slot, members, val_ids) in zip(tiny_model.train_streams(streams), owners):
+        hits = tiny_model.forward_stack(fitted, xs[val_ids]).argmax(axis=2) == labels[val_ids]
         for i, acc in zip(members, hits.mean(axis=1)):
             accs[slot][i].append(float(acc))
     return [[float(np.mean(a)) for a in fold] for fold in accs]
@@ -444,16 +437,17 @@ def _select(grid: HyperGrid, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
     one stacked call; stage 2 of a fold still depends only on its stage 1."""
     n_classes = int(labels.max()) + 1
 
-    def scored(stage: int, candidates: list[list[TrainConfig]]) -> list[list[CandidateScore]]:
+    def scored(stage: int,
+               candidates: list[list[tiny_model.TrainConfig]]) -> list[list[CandidateScore]]:
         scores = _eval_configs(list(zip(outers, candidates)), xs, labels, plan,
                                hidden_dim, n_classes, stage, seed)
         return [[CandidateScore(c, s) for c, s in zip(configs, fold)]
                 for configs, fold in zip(candidates, scores)]
 
     configs1 = [
-        TrainConfig(epochs=epochs, batch_size=batch_size, head_lr=head_lr,
-                    backbone_lr=0.0, weight_decay=decay, label_smoothing=smoothing,
-                    mixup_alpha=0.0, seed=0)
+        tiny_model.TrainConfig(epochs=epochs, batch_size=batch_size, head_lr=head_lr,
+                               backbone_lr=0.0, weight_decay=decay,
+                               label_smoothing=smoothing, mixup_alpha=0.0, seed=0)
         for head_lr, decay, smoothing in itertools.product(
             grid.head_lrs, grid.weight_decays, grid.label_smoothings)
     ]
@@ -501,7 +495,7 @@ class NestedCvResult:
     audit: dict[str, bool]
 
     @property
-    def selected(self) -> tuple[TrainConfig, ...]:
+    def selected(self) -> tuple[tiny_model.TrainConfig, ...]:
         return tuple(choice.best for choice in self.selections)
 
     @property
@@ -545,7 +539,9 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
     audit = audit_fold_plan(plan, labels)
     n_classes = int(labels.max()) + 1
 
-    selections = map_shares(
+    # read before the fork, so tiny_model executes once, here, not in each helper
+    train_streams = tiny_model.train_streams
+    selections = shares.map_shares(
         lambda share: _select(grid, xs, labels, plan, share, epochs, batch_size,
                               hidden_dim, seed),
         [plan.outer_train(k).size for k in range(n_outer)])
@@ -554,14 +550,14 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
     for k, choice in enumerate(selections):
         train_ids = plan.outer_train(k)
         run_seed = derive_seed(seed, k, 3)
-        model = init_model(xs.shape[1], hidden_dim, n_classes,
-                           seed=derive_seed(run_seed, 0))
-        finals.append(Stream(model, xs[train_ids], labels[train_ids],
-                             [replace(choice.best, seed=derive_seed(run_seed, 1))]))
+        model = tiny_model.init_model(xs.shape[1], hidden_dim, n_classes,
+                                      seed=derive_seed(run_seed, 0))
+        finals.append(tiny_model.Stream(model, xs[train_ids], labels[train_ids],
+                                        [replace(choice.best, seed=derive_seed(run_seed, 1))]))
     accuracies = []
     for k, fitted in enumerate(train_streams(finals)):
         test_ids = plan.outer_test(k)
-        pred = forward_stack(fitted, xs[test_ids])[0].argmax(axis=1)
+        pred = tiny_model.forward_stack(fitted, xs[test_ids])[0].argmax(axis=1)
         accuracies.append(float((pred == labels[test_ids]).mean()))
 
     mean = float(np.mean(accuracies))

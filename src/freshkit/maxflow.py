@@ -25,6 +25,29 @@ augmentation the search resumes at the tail of the path's first zeroed
 arc: a search restarted at the source would walk the path's prefix, whose
 arcs all keep capacity, and arrive at the same node with the same arcs
 left to try.
+
+The first max_flow, flow or set_capacities call fixes the arcs: add_edge
+raises from then on, the batches go, and the graph keeps the sparse rows
+(node ids and positions as int32), each arc's capacity and residual, and the
+flow its solves pushed. set_capacities gives arcs new capacities and keeps
+their flow, so each residual becomes the new capacity less the flow, which
+must stay >= 0. flow reads an edge's flow off its reverse arc: for a zero
+reverse capacity that residual is the sum of the pushes along the edge, so
+two links that carried the same pushes read the same flow.
+
+max_flow continues from the flow the graph holds. Dinic needs only a
+feasible flow to start from, and the argument above still holds: its last
+BFS misses the sink and marks every node the residual graph reaches from
+the source. That set is the minimal source side of a minimum cut for the
+current capacities, whichever maximum flow reached it, so a continued solve
+reads the cut a solve from zero flow reads. To lower a link below its flow,
+a caller first adds one constant to both links of the node, the source's
+and the sink's (Kohli & Torr, ICCV 2005): every source-sink cut pays exactly
+one of them, so every cut moves by the constant and no minimum cut moves.
+With the smallest constant that keeps both residuals >= 0, the tighter link's
+residual is exactly 0.0. pseudomask.solve_cut does this. (In float64, a tie
+between two cuts met with a held flow that carries rounding may fall either
+way.)
 """
 from __future__ import annotations
 
@@ -135,24 +158,47 @@ def _dinic(start, order, to, cap, level, s, t):
     return total
 
 
+_INDEX = np.int32  # node ids and arc positions, so the held arrays stay compact
+
+
+def _capacity_rows(cap_uv, cap_vu) -> np.ndarray:
+    """(m, 2) float64 rows of two capacity columns, each finite and >= 0."""
+    rows = np.stack([cap_uv, cap_vu], axis=1).astype(np.float64, copy=False)
+    bad = ~(np.isfinite(rows) & (rows >= 0.0)).all(axis=1)
+    if bad.any():
+        k = np.argmax(bad)
+        raise DimensionMismatch(f"capacities must be finite and >= 0, got {rows[k].tolist()}")
+    return rows
+
+
 class FlowGraph:
-    """Flow network built from arc arrays; nodes are 0..n_nodes-1."""
+    """Flow network built from arc arrays; nodes are 0..n_nodes-1.
+
+    The first max_flow, flow or set_capacities call fixes the arcs. From
+    then on the graph holds a flow, which each max_flow continues.
+    """
 
     def __init__(self, n_nodes: int):
-        if n_nodes < 2:
-            raise DimensionMismatch("a flow network needs at least two nodes")
+        if not 2 <= n_nodes <= np.iinfo(_INDEX).max:
+            raise DimensionMismatch(f"a flow network needs 2 to 2**31 - 1 nodes, got {n_nodes}")
         self.n_nodes = n_nodes
         # per add_edge call: tails and capacities of arcs 2k, 2k+1
-        self._tail = [np.empty(0, np.int64)]
+        self._tail = [np.empty(0, _INDEX)]
         self._cap = [np.empty(0, np.float64)]
+        self._fixed: tuple[np.ndarray, ...] | None = None  # start, order, to, capacity, residual
+        self._value = 0.0
+        self._terminals: tuple[int, int] | None = None
         self._level: np.ndarray | None = None
 
     def add_edge(self, u, v, cap_uv, cap_vu=0.0) -> None:
         """Add the arcs u->v (and their reverses) with nonnegative finite capacity.
 
         Each argument is a scalar or a 1-D array; arrays must share one
-        length, and scalars repeat along it. Arcs are appended in order.
+        length, and scalars repeat along it. Arcs are appended in order: the
+        k-th arc added is edge k of flow and set_capacities.
         """
+        if self._fixed is not None:
+            raise DimensionMismatch("the arcs are fixed once the graph is solved")
         try:
             u, v, cap_uv, cap_vu = map(np.atleast_1d, np.broadcast_arrays(u, v, cap_uv, cap_vu))
         except ValueError:
@@ -164,30 +210,82 @@ class FlowGraph:
         if bad.any():
             k = np.argmax(bad)
             raise DimensionMismatch(f"bad arc ({u[k]}, {v[k]}) in a {self.n_nodes}-node graph")
-        caps = np.stack([cap_uv, cap_vu], axis=1).astype(np.float64)
-        bad = ~(np.isfinite(caps) & (caps >= 0.0)).all(axis=1)
-        if bad.any():
-            k = np.argmax(bad)
-            raise DimensionMismatch(f"capacities must be finite and >= 0, got {caps[k].tolist()}")
-        self._tail.append(np.stack([u, v], axis=1).astype(np.int64).ravel())
+        caps = _capacity_rows(cap_uv, cap_vu)
+        self._tail.append(np.stack([u, v], axis=1).astype(_INDEX).ravel())
         self._cap.append(caps.ravel())
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """start, order, to and cap of every arc added so far."""
         tail = np.concatenate(self._tail)
-        order = np.argsort(tail, kind="stable")
+        if tail.size > np.iinfo(_INDEX).max:
+            raise DimensionMismatch("a flow network holds at most 2**31 - 1 arcs")
+        order = np.argsort(tail, kind="stable").astype(_INDEX)
         start = np.searchsorted(tail[order], np.arange(self.n_nodes + 1))
         to = tail.reshape(-1, 2)[:, ::-1].ravel()  # arc e ends where arc e ^ 1 starts
         return start, order, to, np.concatenate(self._cap)
 
+    def _fix(self) -> tuple[np.ndarray, ...]:
+        """start, order, to, capacity and residual, made on first use, when
+        the add_edge batches go."""
+        if self._fixed is None:
+            start, order, to, cap = self._arrays()
+            self._tail = self._cap = None
+            self._fixed = start, order, to, cap, cap.copy()
+        return self._fixed
+
+    def _rows(self, edges: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Capacity and residual of the edges a slice selects, as views of
+        (u->v, v->u) rows."""
+        if not isinstance(edges, slice):
+            raise DimensionMismatch(f"edges must be a slice of edge numbers, got {edges!r}")
+        *_, capacity, residual = self._fix()
+        return capacity.reshape(-1, 2)[edges], residual.reshape(-1, 2)[edges]
+
+    def flow(self, edges: slice) -> np.ndarray:
+        """The flow held on the arc u->v of each edge in the slice edges (edge
+        k is the k-th arc add_edge added), read off its reverse arc v->u."""
+        capacity, residual = self._rows(edges)
+        return residual[:, 1] - capacity[:, 1]
+
+    def set_capacities(self, edges: slice, cap_uv, cap_vu=0.0) -> None:
+        """New capacities for the arcs u->v and v->u of each edge in the slice
+        edges, checked as add_edge checks them; their flow is kept.
+
+        Each arc's residual becomes its new capacity less its flow, and a flow
+        above its new capacity raises DimensionMismatch. The cut is read
+        again after the next max_flow.
+        """
+        capacity, residual = self._rows(edges)
+        held = self.flow(edges)
+        try:
+            caps = _capacity_rows(np.broadcast_to(cap_uv, held.shape),
+                                  np.broadcast_to(cap_vu, held.shape))
+        except ValueError:
+            raise DimensionMismatch(f"capacities must broadcast to {len(held)} edges") from None
+        left = caps + held[:, None] * [-1.0, 1.0]  # u->v less the flow, v->u plus it
+        if (left < 0.0).any():
+            k = np.argmax((left < 0.0).any(axis=1))
+            edge = range(self._fixed[3].size // 2)[edges][k]
+            raise DimensionMismatch(f"edge {edge} holds more flow than its new capacities "
+                                    f"{caps[k].tolist()}")
+        capacity[:] = caps
+        residual[:] = left
+        self._level = None
+
     def max_flow(self, s: int, t: int) -> float:
-        """Run Dinic; afterwards source_side() reads the min cut."""
+        """Run Dinic from the flow the graph holds, and return the flow from s
+        to t; afterwards source_side() reads the min cut."""
         if not (0 <= s < self.n_nodes and 0 <= t < self.n_nodes and s != t):
             raise DimensionMismatch(f"bad terminals ({s}, {t}) in a {self.n_nodes}-node graph")
+        if self._terminals not in (None, (s, t)):
+            raise DimensionMismatch(f"the graph holds a flow from {self._terminals[0]} to "
+                                    f"{self._terminals[1]}, not from {s} to {t}")
+        start, order, to, _, residual = self._fix()
         level = np.empty(self.n_nodes, np.int64)
-        flow = float(_dinic(*self._arrays(), level, s, t))
+        self._value += float(_dinic(start, order, to, residual, level, s, t))
+        self._terminals = s, t
         self._level = level
-        return flow
+        return self._value
 
     def source_side(self) -> np.ndarray:
         """Nodes still reachable from the source in the residual graph."""

@@ -155,13 +155,19 @@ def _mixture_log_matrix(cols, weights, means, covs) -> np.ndarray:
     Each channel is a row, so every elementwise step runs along n.
     """
     chol = np.linalg.cholesky(covs)
-    y = np.linalg.inv(chol) @ (cols - means[:, :, None])
-    y *= y
-    # rounds as a sum over the channel axis does
-    quad = y[:, 0] + y[:, 1] + y[:, 2]
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    log_gauss = -0.5 * (3 * math.log(2.0 * math.pi) + logdet[:, None] + quad)
-    return np.log(weights)[:, None] + log_gauss
+    out = np.empty((means.shape[0], cols.shape[1]))
+    # one component at a time, so only (3, n) temporaries are alive; each
+    # product rounds as a slice of a stacked (K, 3, 3) @ (K, 3, n) does
+    for quad, whiten, mean in zip(out, np.linalg.inv(chol), means):
+        y = whiten @ (cols - mean[:, None])
+        y *= y
+        np.add(y[0] + y[1], y[2], out=quad)  # rounds as a sum over the channel axis does
+    # in place, in the order of log(w) + -0.5 * (3 log(2 pi) + log det + quad)
+    out += (3 * math.log(2.0 * math.pi) + logdet)[:, None]
+    out *= -0.5
+    out += np.log(weights)[:, None]
+    return out
 
 
 def _kmeanspp(cols: np.ndarray, k: int, rng: np.random.Generator):
@@ -255,7 +261,9 @@ class CutProblem:
     """Energy terms over h*w pixels in row-major order."""
 
     shape: tuple[int, int]
-    d_fg: np.ndarray      # (n,) cost of labeling each pixel foreground
+    d_fg: np.ndarray      # (n,) cost of labeling each pixel foreground; from
+    #                       build_cut_problem, +inf on locked pixels, which no
+    #                       labeling of finite energy puts there
     d_bg: np.ndarray      # (n,)
     pairs: np.ndarray     # (m, 2) 4-neighbor index pairs
     pair_w: np.ndarray    # (m,) nonnegative cut penalties
@@ -284,12 +292,15 @@ def _image_terms(image: RgbImage, smoothness: float):
 
 def build_cut_problem(image: RgbImage, fg_gmm: GmmModel, bg_gmm: GmmModel,
                       smoothness: float = 50.0, locked_bg=None, *,
-                      terms=None) -> CutProblem:
+                      terms=None, nll=None) -> CutProblem:
     """Assemble data and smoothness terms from an image and two mixtures.
 
     smoothness must be finite and >= 0: a negative weight makes the energy
-    non-submodular, which an exact min-cut cannot minimize. terms, when
-    given, is _image_terms(image, smoothness) computed once by the caller.
+    non-submodular, which an exact min-cut cannot minimize. The foreground
+    mixture scores only the pixels that are not locked; d_fg is +inf on the
+    others. terms, when given, is _image_terms(image, smoothness) computed
+    once by the caller, and nll the two mixtures' gmm_nll over those
+    unlocked pixels and over every pixel.
     """
     z, pairs, pair_w = _image_terms(image, smoothness) if terms is None else terms
     height, width = image.height, image.width
@@ -302,8 +313,11 @@ def build_cut_problem(image: RgbImage, fg_gmm: GmmModel, bg_gmm: GmmModel,
                 f"locked_bg shape {locked.shape} does not match image {(height, width)}"
             )
         locked = locked.ravel()
-    return CutProblem((height, width), gmm_nll(fg_gmm, z), gmm_nll(bg_gmm, z),
-                      pairs, pair_w, locked)
+    if nll is None:
+        nll = gmm_nll(fg_gmm, z[~locked]), gmm_nll(bg_gmm, z)
+    d_fg = np.full(height * width, np.inf)
+    d_fg[~locked] = nll[0]
+    return CutProblem((height, width), d_fg, nll[1], pairs, pair_w, locked)
 
 
 def cut_energy(problem: CutProblem, labels) -> float:
@@ -318,34 +332,56 @@ def cut_energy(problem: CutProblem, labels) -> float:
     return float(data + problem.pair_w[cut].sum())
 
 
-def solve_cut(problem: CutProblem) -> np.ndarray:
+def _cut_network(n: int, pairs: np.ndarray, pair_w: np.ndarray) -> FlowGraph:
+    """The flow network of a cut over n pixels, source n and sink n + 1: edges
+    2i and 2i + 1 are pixel i's source and sink links, at zero capacity, and
+    then come the 4-neighbor links of positive weight."""
+    source, sink = n, n + 1
+    graph = FlowGraph(n + 2)
+    pixel = np.repeat(np.arange(n), 2)
+    to_sink = np.tile([False, True], n)
+    graph.add_edge(np.where(to_sink, pixel, source), np.where(to_sink, sink, pixel), 0.0)
+    keep = pair_w > 0.0
+    graph.add_edge(pairs[keep, 0], pairs[keep, 1], pair_w[keep], pair_w[keep])
+    return graph
+
+
+def solve_cut(problem: CutProblem, graph: FlowGraph | None = None) -> np.ndarray:
     """Exact minimizer of cut_energy as a flat boolean labeling.
 
     Both t-links of a pixel are shifted down by their minimum, which changes
     every labeling's cut capacity by the same constant and keeps all
     capacities nonnegative even when a mixture density exceeds 1. Locked
     pixels get one huge (finite) sink link.
+
+    graph, when given, is the _cut_network of problem's pairs and pair_w,
+    which earlier calls may have left holding a flow; the cut continues from
+    it. Each pixel's two t-links get their new capacities plus the smallest
+    constant that keeps both at or above the flow they hold (Kohli & Torr,
+    2005). That too changes every labeling's cut by the same constant, so
+    the minimal source side, which is what this returns, is the one a solve
+    from zero flow reads.
     """
     n = problem.d_fg.size
-    source, sink = n, n + 1
-    graph = FlowGraph(n + 2)
     shift = np.minimum(problem.d_fg, problem.d_bg)
     locked = problem.locked_bg
     # per pixel: the source link (paid when the pixel ends up background),
     # then the sink link (paid when it ends up foreground)
     t_cap = np.stack([np.where(locked, 0.0, problem.d_bg - shift),
-                      np.where(locked, _LOCK_CAP, problem.d_fg - shift)], axis=1).ravel()
-    pixel = np.repeat(np.arange(n), 2)
-    to_sink = np.tile([False, True], n)
-    t_keep = t_cap > 0.0
-    graph.add_edge(np.where(to_sink, pixel, source)[t_keep],
-                   np.where(to_sink, sink, pixel)[t_keep], t_cap[t_keep])
-    n_keep = problem.pair_w > 0.0
-    w = problem.pair_w[n_keep]
-    graph.add_edge(problem.pairs[n_keep, 0], problem.pairs[n_keep, 1], w, w)
-    if not (t_keep.any() or n_keep.any()):
+                      np.where(locked, _LOCK_CAP, problem.d_fg - shift)], axis=1)
+    if not ((t_cap > 0.0).any() or (problem.pair_w > 0.0).any()):
         raise DegenerateGraph("every capacity is zero; the labeling is unconstrained")
-    graph.max_flow(source, sink)
+    if graph is None:
+        graph = _cut_network(n, problem.pairs, problem.pair_w)
+    t_links = slice(0, 2 * n)
+    held = graph.flow(t_links).reshape(n, 2)
+    t_cap -= held  # the slack, below 0 where a new capacity is under its flow
+    # the pair's smaller slack, when below 0, becomes exactly 0.0, and so does
+    # that link's new residual
+    t_cap -= np.minimum(t_cap.min(axis=1), 0.0)[:, None]
+    t_cap += held
+    graph.set_capacities(t_links, t_cap.ravel())
+    graph.max_flow(n, n + 1)
     return graph.source_side()[:n]
 
 
@@ -359,14 +395,23 @@ class GrabCutResult:
     energies: tuple[float, ...]
 
 
-def _refit(model: GmmModel, pixels: np.ndarray) -> tuple[GmmModel, bool]:
-    """One warm EM step from model, kept only if it does not worsen the data term."""
-    new = fit_gmm(pixels, model.n_components, _WARM_STEPS, init=model)
-    # ll_trace[0] is model's log-likelihood over pixels, from the same kernel
-    # on the same inputs as gmm_nll(model, pixels), so it is that sum negated
-    if gmm_nll(new, pixels).sum() <= -new.ll_trace[0]:
-        return new, True
-    return model, False
+def _refit(model: GmmModel, nll: np.ndarray, domain: np.ndarray,
+           select: np.ndarray) -> tuple[GmmModel, np.ndarray, bool]:
+    """One warm EM step from model on the pixels domain[select], kept only if
+    it does not worsen their data term.
+
+    nll is model's gmm_nll over domain. Returns the kept mixture, its
+    gmm_nll over domain, and whether the step was kept. Both data terms are
+    read off scores over all of domain. Scored among any two or more pixels,
+    a pixel gets the same NLL, so each sum is the one gmm_nll over
+    domain[select] gives, unless select holds a lone pixel: numpy multiplies
+    a single column by BLAS's gemv, which rounds otherwise.
+    """
+    new = fit_gmm(domain[select], model.n_components, _WARM_STEPS, init=model)
+    new_nll = gmm_nll(new, domain)
+    if new_nll[select].sum() <= nll[select].sum():
+        return new, new_nll, True
+    return model, nll, False
 
 
 def grabcut(image: RgbImage, seed: int = 42, n_iter: int = 5,
@@ -381,38 +426,47 @@ def grabcut(image: RgbImage, seed: int = 42, n_iter: int = 5,
     refit is only accepted when it does not worsen the data term of the
     current assignment, so the energy trace never increases.
 
-    The Lab pixels and the n-links are computed once per image. When both
-    refits are rejected, the pixels and mixtures stay as they were, so
-    every later iteration would repeat this one: its energy is repeated to
-    the end instead.
+    Once per image: the Lab pixels, the n-links, and the flow network, on
+    which every cut continues from the flow of the one before (solve_cut).
+    Once per fit: its score, gmm_nll over the box interior for the
+    foreground mixture (the locked pixels' d_fg is +inf) and over every
+    pixel for the background one. That score decides the refit, gives the
+    data terms, and stands for a later iteration whose refit is rejected.
+    When both refits are rejected, the pixels and mixtures stay as they
+    were, so every later iteration would repeat this one: its energy is
+    repeated to the end instead.
     """
     box = init_box(image.width, image.height, seed)
     locked = ~box.interior_mask(image.height, image.width)
-    terms = _image_terms(image, smoothness)
-    lab = terms[0]
-    fg_mask = ~locked
+    terms = lab, pairs, pair_w = _image_terms(image, smoothness)
+    inside = ~locked.ravel()
+    lab_inside = lab[inside]  # a contiguous copy in pixel order
+    fg = inside
     energies: list[float] = []
     for iteration in range(n_iter):
-        fg_px = lab[fg_mask.ravel()]
-        bg_px = lab[~fg_mask.ravel()]
-        if fg_px.shape[0] < n_components or bg_px.shape[0] < n_components:
+        n_fg = int(fg.sum())
+        if n_fg < n_components or fg.size - n_fg < n_components:
             return GrabCutResult(BinaryMask(~locked), box, True, tuple(energies))
         if iteration == 0:
-            fg_gmm = fit_gmm(fg_px, n_components, seed=derive_seed(seed, 0, 0))
-            bg_gmm = fit_gmm(bg_px, n_components, seed=derive_seed(seed, 0, 1))
+            fg_gmm = fit_gmm(lab[fg], n_components, seed=derive_seed(seed, 0, 0))
+            bg_gmm = fit_gmm(lab[~fg], n_components, seed=derive_seed(seed, 0, 1))
+            fg_nll, bg_nll = gmm_nll(fg_gmm, lab_inside), gmm_nll(bg_gmm, lab)
+            # after the fresh fits, whose temporaries then need no room beside it
+            graph = _cut_network(lab.shape[0], pairs, pair_w)
         else:
-            fg_gmm, fg_refit = _refit(fg_gmm, fg_px)
-            bg_gmm, bg_refit = _refit(bg_gmm, bg_px)
+            fg_gmm, fg_nll, fg_refit = _refit(fg_gmm, fg_nll, lab_inside, fg[inside])
+            bg_gmm, bg_nll, bg_refit = _refit(bg_gmm, bg_nll, lab, ~fg)
             if not (fg_refit or bg_refit):
                 energies += [energies[-1]] * (n_iter - iteration)
                 break
-        problem = build_cut_problem(image, fg_gmm, bg_gmm, smoothness, locked, terms=terms)
-        labels = solve_cut(problem)
-        energies.append(cut_energy(problem, labels))
-        if not labels.any():
+        problem = build_cut_problem(image, fg_gmm, bg_gmm, smoothness, locked, terms=terms,
+                                    nll=(fg_nll, bg_nll))
+        fg = solve_cut(problem, graph)
+        energies.append(cut_energy(problem, fg))
+        if not fg.any():
             return GrabCutResult(BinaryMask(~locked), box, True, tuple(energies))
-        fg_mask = labels.reshape(image.height, image.width)
-    return GrabCutResult(BinaryMask(fg_mask), box, False, tuple(energies))
+    return GrabCutResult(BinaryMask(fg.reshape(image.height, image.width)), box, False,
+                         tuple(energies))
 
 
 # --- cleanup -----------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freshkit
-from freshkit import errors, hygiene
+from freshkit import errors, tiny_model
 from freshkit.cli import build_parser, main, render_json
 from freshkit.cls_eval import confusion, prf_report
 from freshkit.data_model import (
@@ -1124,7 +1124,7 @@ def test_nested_cv_divergence_is_the_one_a_serial_search_meets(features, monkeyp
             s._replace(xs=np.full_like(s.xs, np.nan))
             if batch_seed.get(s.configs[0].seed) in poisoned else s for s in streams])
 
-    monkeypatch.setattr(hygiene, "train_streams", poisoning)
+    monkeypatch.setattr(tiny_model, "train_streams", poisoning)
     runs = [_run_shared(["nested-cv", "--data", str(features), "--epochs", "2"], n,
                         monkeypatch, capsys) for n in (1, 2, 4)]
     code, out, err, _ = runs[0]

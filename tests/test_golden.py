@@ -7,7 +7,9 @@ of those can disagree without any change to freshkit.
 The inputs come from generators in this file. The runs use the machine's
 usable CPUs, so nested-cv, demo, pseudomask and dedup pin the bytes of the
 paths that share work among processes. A failing run pins its exit code and
-its stderr line, with the test's directory spelled <tmp>.
+its stderr line, with the test's directory spelled <tmp>. A usage error pins
+only its exit code and last stderr line: argparse's usage text above that
+line differs across Python versions.
 """
 import hashlib
 import json
@@ -259,3 +261,17 @@ def test_nested_cv_failure_bytes(tmp_path, capsys):
     argv = ["nested-cv", "--data", str(_features(tmp_path)), "--head-lrs", "1e308"]
     assert _failure_sha256(argv, tmp_path, capsys) == (
         3, "8d7c209ec0f57ea1737d9d96d156ae02d0a196cbe87c174e0becc252088ce1e2")
+
+
+def test_usage_error_exit_code_and_last_line(tmp_path, capsys):
+    # argparse's usage text differs across Python versions, so only the exit
+    # code and the last stderr line are pinned
+    argv = ["pseudomask", "--in", str(tmp_path), "--out", str(tmp_path / "masks"),
+            "--iters", "10000"]
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out) == (1, "")
+    assert err.splitlines()[-1] == ("freshkit pseudomask: error: argument --iters: "
+                                    "values must lie in [0, 10000), got '10000'")
+    assert not (tmp_path / "masks").exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshkit import demo, hygiene
+from freshkit import demo, hygiene, tiny_model
 from freshkit.data_model import RgbImage, grayscale_as_rgb
 from freshkit.demo import DEMO_GRID
 from freshkit.errors import (
@@ -672,7 +672,7 @@ def _per_candidate(monkeypatch):
     monkeypatch.setattr(hygiene, "_eval_configs", lambda folds, xs, labels, plan, *rest: [
         [_eval_candidate(c, xs, labels, plan, outer, *rest) for c in configs]
         for outer, configs in folds])
-    monkeypatch.setattr(hygiene, "train_streams", lambda streams: tuple(
+    monkeypatch.setattr(tiny_model, "train_streams", lambda streams: tuple(
         _stacked([train(model, xs, labels, c)[0] for c in configs])
         for model, xs, labels, configs in streams))
 
@@ -703,7 +703,7 @@ def test_nested_search_trains_in_three_stacked_calls(monkeypatch, n_outer, n_cpu
                                                      searched_here):
     # stage 1 of the folds searched here, stage 2 of them, the final fits of all
     _cpus(monkeypatch, n_cpus)
-    calls = _counted_calls(monkeypatch, hygiene)  # in this process only
+    calls = _counted_calls(monkeypatch, tiny_model)  # in this process only
     labels = np.arange(40) % 2
     xs = np.random.default_rng(3).normal(0.0, 1.0, (40, 3)) + labels[:, None]
     nested_cv_run(HyperGrid(), xs, labels, n_outer, 3, epochs=2, hidden_dim=4, seed=3)
@@ -729,7 +729,7 @@ def test_demo_trains_in_four_stacked_calls(monkeypatch):
     for n_cpus, expected in ((1, [15, 15, 5, 2]), (2, [9, 9, 5, 2])):
         with monkeypatch.context() as patch:
             _cpus(patch, n_cpus)
-            calls = _counted_calls(patch, hygiene, demo)
+            calls = _counted_calls(patch, tiny_model, demo)
             demo.run_demo(seed=7)
         assert calls == expected
 

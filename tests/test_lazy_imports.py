@@ -104,7 +104,7 @@ def inputs(tmp_path_factory):
 SCREEN_SKIPS = {"pseudomask", "maxflow", "seg_eval", "demo"}
 NO_MODEL = {"hygiene", "tiny_model"}
 NO_OOD = {"ood_eval"}  # only ood-eval, sweep, score's odin grid and demo run it
-NO_SHARES = {"shares"}  # only pseudomask and hygiene's users run it
+NO_SHARES = {"shares"}  # only pseudomask, dedup, nested-cv and demo run it
 
 
 # argv, modules the command must run, modules it must not run
@@ -126,9 +126,10 @@ CASES = [
      SCREEN_SKIPS | NO_MODEL | NO_OOD | NO_SHARES),
     (["bootstrap", "--values", "{d}/values.txt", "--b", "50"], {"stats"},
      SCREEN_SKIPS | NO_MODEL | NO_OOD | NO_SHARES),
-    (["split", "--labels", "{d}/labeled.csv"], {"hygiene"}, SCREEN_SKIPS | NO_OOD),
+    (["split", "--labels", "{d}/labeled.csv"], {"hygiene"},
+     SCREEN_SKIPS | NO_OOD | {"tiny_model"} | NO_SHARES),
     (["folds", "--labels", "{d}/labeled.csv", "--outer", "2", "--inner", "2"], {"hygiene"},
-     SCREEN_SKIPS | NO_OOD),
+     SCREEN_SKIPS | NO_OOD | {"tiny_model"} | NO_SHARES),
     (["seg-eval", "--pred", "{d}/pred", "--gt", "{d}/gt", "--boot", "20"], {"seg_eval"},
      NO_MODEL | NO_OOD | NO_SHARES),
     (["nested-cv", "--data", "{d}/labeled.csv", "--outer", "2", "--inner", "2",

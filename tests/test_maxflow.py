@@ -144,7 +144,9 @@ def _reachable(head, nxt, to, cap, s):
 
 
 def reference_solve_cut(problem: CutProblem) -> tuple[np.ndarray, tuple, float]:
-    """Labels, the graph arrays that Dinic starts from, and the flow."""
+    """Labels, the graph arrays that Dinic starts from, and the flow. Every
+    pixel has both t-links, a zero capacity included, as in the network that
+    solve_cut keeps across GrabCut's cuts."""
     n = problem.d_fg.size
     source, sink = n, n + 1
     graph = PerArcFlowGraph(n + 2)
@@ -154,15 +156,10 @@ def reference_solve_cut(problem: CutProblem) -> tuple[np.ndarray, tuple, float]:
     any_capacity = False
     for i in range(n):
         if problem.locked_bg[i]:
-            graph.add_edge(i, sink, _LOCK_CAP)
-            any_capacity = True
-            continue
-        if cap_src[i] > 0.0:
-            graph.add_edge(source, i, float(cap_src[i]))
-            any_capacity = True
-        if cap_snk[i] > 0.0:
-            graph.add_edge(i, sink, float(cap_snk[i]))
-            any_capacity = True
+            cap_src[i], cap_snk[i] = 0.0, _LOCK_CAP
+        graph.add_edge(source, i, float(cap_src[i]))
+        graph.add_edge(i, sink, float(cap_snk[i]))
+        any_capacity |= cap_src[i] > 0.0 or cap_snk[i] > 0.0
     for k in range(problem.pairs.shape[0]):
         w = float(problem.pair_w[k])
         if w > 0.0:
@@ -231,7 +228,8 @@ def _solve_recording(problem: CutProblem) -> tuple[np.ndarray, tuple, float]:
 
     class Recording(FlowGraph):
         def max_flow(self, s, t):
-            arrays = self._arrays()
+            start, order, to, _, residual = self._fix()
+            arrays = start, order, to, residual.copy()
             flow = super().max_flow(s, t)
             built.append((arrays, flow))
             return flow
@@ -280,7 +278,7 @@ def _assert_same_arcs(csr, linked):
     """Each CSR range, walked from its end, is the node's linked list."""
     start, order, to, cap = csr
     head, nxt, ref_to, ref_cap = linked
-    assert to.dtype == ref_to.dtype and np.array_equal(to, ref_to)
+    assert order.dtype == to.dtype == np.int32 and np.array_equal(to, ref_to)
     assert cap.dtype == ref_cap.dtype and np.array_equal(cap, ref_cap)
     assert start.shape == (head.size + 1,) and start[0] == 0 and start[-1] == order.size
     for u in range(head.size):
@@ -444,12 +442,16 @@ def _unpruned_dinic(start, order, to, cap, level, s, t):
 
 
 def _assert_walks_agree(graph, s, t):
-    """Flow, cut and every residual capacity equal the unpruned walk's."""
-    start, order, to, cap = graph._arrays()
-    ref_cap, ref_level = cap.copy(), np.empty(graph.n_nodes, np.int64)
+    """Flow, cut and every residual capacity equal the unpruned walk's, from
+    the flow the graph holds."""
+    start, order, to, _, residual = graph._fix()
+    cap, ref_cap = residual.copy(), residual.copy()
+    ref_level = np.empty(graph.n_nodes, np.int64)
     expected = _unpruned_dinic(start, order, to, ref_cap, ref_level, s, t)
-    assert graph.max_flow(s, t) == expected
+    held = graph._value
+    assert graph.max_flow(s, t) == held + expected
     assert np.array_equal(graph.source_side(), ref_level >= 0)
+    assert residual.tolist() == ref_cap.tolist()
     level = np.empty(graph.n_nodes, np.int64)
     assert maxflow._dinic(start, order, to, cap, level, s, t) == expected
     assert np.array_equal(level, ref_level)
@@ -540,7 +542,7 @@ def test_pruned_walk_matches_the_unpruned_walk_on_dead_end_graphs():
 
 def _grabcut_graphs(seed: int) -> list:
     """(graph, s, t) of every cut GrabCut solves on a random image with a
-    brighter block in it."""
+    brighter block in it, each holding the flow its cut starts from."""
     rng = np.random.default_rng(seed)
     h, w = (int(x) for x in rng.integers(8, 25, size=2))
     pixels = rng.integers(0, 160, size=(h, w, 3))
@@ -550,7 +552,7 @@ def _grabcut_graphs(seed: int) -> list:
     class Recording(FlowGraph):
         def max_flow(self, s, t):
             copy = FlowGraph(self.n_nodes)
-            copy._tail, copy._cap = list(self._tail), list(self._cap)
+            copy._fixed = tuple(a.copy() for a in self._fix())
             graphs.append((copy, s, t))
             return super().max_flow(s, t)
 
@@ -566,6 +568,144 @@ def test_pruned_walk_matches_the_unpruned_walk_on_grabcut_graphs(seed):
     assert graphs
     for graph, s, t in graphs:
         _assert_walks_agree(graph, s, t)
+
+
+# --- warm continuation ---------------------------------------------------------------
+
+def _t_linked_graph(m, u, v, n_caps, t_caps):
+    """Nodes 0..m-1 between source m and sink m + 1: edges 2i and 2i + 1 are
+    node i's source and sink links, with t_caps as (m, 2) rows, then the arcs
+    u -> v with n_caps; the layout of pseudomask's cut network."""
+    graph = FlowGraph(m + 2)
+    node = np.repeat(np.arange(m), 2)
+    to_sink = np.tile([False, True], m)
+    graph.add_edge(np.where(to_sink, node, m), np.where(to_sink, m + 1, node), t_caps.ravel())
+    graph.add_edge(u, v, *n_caps)
+    return graph
+
+
+def _lifted(graph, t_caps):
+    """t_caps raised, per node, by the least constant that keeps both links at
+    or above the flow they hold: solve_cut's reparametrization."""
+    held = graph.flow(slice(0, t_caps.size)).reshape(t_caps.shape)
+    slack = t_caps - held
+    slack -= np.minimum(slack.min(axis=1), 0.0)[:, None]
+    return held + slack
+
+
+def test_warm_flow_reads_the_cold_cut_on_random_graphs():
+    # Either every capacity is a small integer, so every flow is exact and
+    # ties between cuts are common, or none is, so no two cuts tie. (A tie
+    # met with a held flow that carries rounding may fall either way.)
+    rng = np.random.default_rng(2005)
+
+    def draw(*shape):
+        if trial % 2:
+            return rng.integers(0, 4, size=shape).astype(np.float64)
+        return rng.uniform(0.0, 5.0, size=shape) * (rng.random(shape) < 0.7)
+
+    warm_cuts = 0
+    for trial in range(200):
+        m = int(rng.integers(1, 40))
+        k = int(rng.integers(0, 4 * m)) if m > 1 else 0
+        u = rng.integers(0, m, size=k)
+        v = (u + rng.integers(1, max(m, 2), size=k)) % m
+        n_caps = draw(2, k)
+        warm = _t_linked_graph(m, u, v, n_caps, draw(m, 2))
+        warm.max_flow(m, m + 1)
+        for _ in range(int(rng.integers(1, 4))):
+            t_caps = draw(m, 2)
+            lifted = _lifted(warm, t_caps)
+            warm.set_capacities(slice(0, 2 * m), lifted.ravel())
+            warm.max_flow(m, m + 1)
+            cold = _t_linked_graph(m, u, v, n_caps, t_caps)
+            cold.max_flow(m, m + 1)
+            assert np.array_equal(warm.source_side(), cold.source_side()), trial
+            warm_cuts += bool((lifted != t_caps).any())
+    assert warm_cuts >= 200  # most rounds lower some link below its flow
+
+
+def _grabcut_image(seed: int) -> RgbImage:
+    """A random 8-32 px image with a brighter block; odd seeds add stripes and noise."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(x) for x in rng.integers(8, 33, size=2))
+    pixels = rng.integers(0, 100, size=(h, w, 3))
+    pixels[h // 4:h - h // 4, w // 4:w - w // 4] += rng.integers(60, 156, size=3)
+    if seed % 2:
+        yy, xx = np.mgrid[0:h, 0:w]
+        pixels += ((np.sin(xx * 0.9) + np.cos(yy * 0.7)) * 20).astype(np.int64)[..., None]
+        pixels += rng.integers(-20, 21, size=pixels.shape)
+    return RgbImage(np.clip(pixels, 0, 255).astype(np.uint8))
+
+
+def test_warm_cuts_read_the_cold_cut_on_grabcut_images():
+    outcomes = []
+
+    def both(problem, graph=None):
+        labels = solve_cut(problem, graph)
+        outcomes[-1].append(np.array_equal(labels, solve_cut(problem)))
+        return labels
+
+    with mock.patch.object(pseudomask, "solve_cut", both):
+        for seed in range(16):
+            outcomes.append([])
+            pseudomask.grabcut(_grabcut_image(seed), seed=seed, n_iter=6,
+                               n_components=seed % 5 + 1)
+    assert all(map(all, outcomes)), outcomes
+    assert sum(len(cuts) > 1 for cuts in outcomes) >= 12  # images with warm cuts
+
+
+def _solved_path() -> FlowGraph:
+    """0 -> 1 -> 2 at capacities 2 and 1, solved: edge 0 holds flow 1, and so
+    does edge 1, added as 2 -> 1 with its capacity on the reverse arc."""
+    graph = FlowGraph(3)
+    graph.add_edge(0, 1, 2.0)
+    graph.add_edge(2, 1, 0.0, 1.0)
+    assert graph.max_flow(0, 2) == 1.0
+    return graph
+
+
+def test_a_flow_above_its_new_capacity_raises():
+    graph = _solved_path()
+    assert graph.flow(slice(None)).tolist() == [1.0, -1.0]
+    for edges, cap_uv, cap_vu in ((slice(0, 1), 0.5, 0.0), (slice(1, 2), 0.0, 0.5),
+                                  (slice(None), 1.0, 0.9)):
+        with pytest.raises(DimensionMismatch, match="more flow"):
+            graph.set_capacities(edges, cap_uv, cap_vu)
+    # nothing of a rejected call is kept
+    assert graph.source_side().tolist() == [True, True, False]
+    graph.set_capacities(slice(None), [1.0, 0.0], [0.0, 3.0])
+    assert graph.flow(slice(None)).tolist() == [1.0, -1.0]
+    assert graph.max_flow(0, 2) == 1.0
+    assert graph.source_side().tolist() == [True, False, False]
+    graph.set_capacities(slice(0, 1), 4.0)
+    assert graph.max_flow(0, 2) == 3.0
+
+
+@pytest.mark.parametrize("edges, cap_uv, cap_vu", [
+    (0, 1.0, 0.0),                          # an edge number, not a slice
+    (np.array([0, 1]), 1.0, 0.0),           # edge numbers, not a slice
+    (slice(1, 5), [1.0, 1.0], 0.0),         # the slice holds one edge of two
+    (slice(None), [1.0, 1.0, 1.0], 0.0),    # length mismatch
+    (slice(None), [[2.0], [2.0]], 0.0),     # not 1-D
+    (slice(0, 1), -1.0, 0.0),               # negative capacity
+    (slice(0, 1), math.nan, 0.0),           # nan capacity
+    (slice(0, 1), 2.0, math.inf),           # inf reverse capacity
+])
+def test_set_capacities_rejects_bad_arrays(edges, cap_uv, cap_vu):
+    graph = _solved_path()
+    with pytest.raises(DimensionMismatch):
+        graph.set_capacities(edges, cap_uv, cap_vu)
+    assert graph.flow(slice(None)).tolist() == [1.0, -1.0]
+
+
+def test_a_solved_graph_keeps_its_arcs_and_terminals():
+    graph = _solved_path()
+    with pytest.raises(DimensionMismatch):
+        graph.add_edge(0, 2, 1.0)
+    with pytest.raises(DimensionMismatch):
+        graph.max_flow(2, 0)
+    assert graph.max_flow(0, 2) == 1.0  # nothing left to push
 
 
 def _reverse_arc_graph() -> FlowGraph:

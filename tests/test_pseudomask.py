@@ -30,6 +30,7 @@ from freshkit.pseudomask import (
     rgb_to_lab,
     solve_cut,
 )
+from freshkit.maxflow import FlowGraph
 from freshkit.pseudomask import _floor_covariance, _grid_pairs, _mixture_log_matrix
 from freshkit.scoring import stable_logsumexp
 from freshkit.seg_eval import mask_metrics
@@ -366,6 +367,29 @@ def test_warm_fit_survives_a_component_without_support():
     assert np.isfinite(gmm_nll(new, points)).all()
 
 
+def test_mixture_log_matrix_of_a_subset_is_the_matching_columns():
+    # GrabCut scores each mixture once, over the box interior or every pixel,
+    # and reads a subset's terms from that: a pixel's log density must not
+    # depend on which other pixels are scored with it. A lone pixel is the
+    # exception (numpy multiplies a single column by BLAS's gemv), so every
+    # subset here has two or more; GrabCut never scores fewer than 36.
+    rng = np.random.default_rng(46)
+    for trial in range(60):
+        k = int(rng.integers(1, 6))
+        n = int(rng.integers(4, 12)) if trial % 3 == 0 else int(rng.integers(12, 3000))
+        model = fit_gmm(_point_cloud(rng, "spread", 300), k, n_iter=2, seed=trial)
+        points = _point_cloud(rng, _CLOUDS[trial % len(_CLOUDS)], n)
+        mixture = (model.weights, model.means, model.covariances)
+        full = _mixture_log_matrix(np.ascontiguousarray(points.T), *mixture)
+        nll = gmm_nll(model, points)
+        some = rng.random(n) < rng.uniform(0.05, 0.95)
+        some[rng.choice(n, size=2, replace=False)] = True
+        for subset in (some, np.arange(n) >= n // 3, np.arange(n) < 2):
+            cols = np.ascontiguousarray(points[subset].T)
+            assert np.array_equal(_mixture_log_matrix(cols, *mixture), full[:, subset]), trial
+            assert np.array_equal(gmm_nll(model, points[subset]), nll[subset]), trial
+
+
 # --- exact min-cut ----------------------------------------------------------------
 
 def _random_problem(rng, h, w, lock_prob=0.2, zero_weight_prob=0.2):
@@ -621,11 +645,11 @@ def test_grabcut_stops_cutting_once_both_refits_are_rejected():
     first = grabcut(image, seed=3, n_iter=1)
     cuts = []
 
-    def counting(problem):
+    def counting(problem, graph=None):
         cuts.append(problem)
-        return solve_cut(problem)
+        return solve_cut(problem, graph)
 
-    with mock.patch.object(pseudomask, "_refit", lambda model, pixels: (model, False)), \
+    with mock.patch.object(pseudomask, "_refit", lambda model, nll, *_: (model, nll, False)), \
             mock.patch.object(pseudomask, "solve_cut", counting):
         result = grabcut(image, seed=3, n_iter=4)
     # nothing changes after the first cut, so its energy stands for the rest
@@ -634,15 +658,36 @@ def test_grabcut_stops_cutting_once_both_refits_are_rejected():
     assert result.mask == first.mask
 
 
+def test_grabcut_builds_one_network_and_scores_each_fit_once():
+    counts = {}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return mock.patch.object(owner, name, wrapper)
+
+    with counting(pseudomask, "fit_gmm"), counting(pseudomask, "gmm_nll"), \
+            counting(FlowGraph, "add_edge"), counting(FlowGraph, "max_flow"):
+        result = grabcut(_noisy_ellipse(64, seed=23), seed=7)
+    assert len(result.energies) == 5 and not result.degenerate
+    # two arc batches per image; two fits per iteration, each scored once
+    assert counts == {"add_edge": 2, "max_flow": 5, "fit_gmm": 10, "gmm_nll": 10}
+
+
 def test_refit_keeps_the_old_mixture_when_a_step_worsens_the_data_term():
     points = _two_blobs(80, seed=26)
     old = fit_gmm(points, n_components=2, seed=27)
     step = fit_gmm(points, 2, n_iter=1, init=old)
     worse = GmmModel(step.weights, step.means + 3.0, step.covariances, step.ll_trace)
+    nll, every = gmm_nll(old, points), np.ones(len(points), bool)
     with mock.patch.object(pseudomask, "fit_gmm", lambda *args, **kwargs: worse):
-        assert pseudomask._refit(old, points) == (old, False)
-    kept, accepted = pseudomask._refit(old, points)
+        assert pseudomask._refit(old, nll, points, every) == (old, nll, False)
+    kept, kept_nll, accepted = pseudomask._refit(old, nll, points, every)
     assert accepted and _same_model(kept, step)
+    assert np.array_equal(kept_nll, gmm_nll(step, points))
 
 
 def _random_scene(rng):

@@ -2,6 +2,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freshkit.data_model import BinaryMask
 from freshkit.errors import DimensionMismatch, EmptyInput
@@ -101,6 +103,39 @@ def test_dice_iou_identity():
 def test_shape_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         mask_metrics(np.zeros((2, 2), bool), np.zeros((3, 3), bool))
+
+
+@st.composite
+def _mask_pairs(draw):
+    """Two masks of one shape; each is empty, full or drawn pixel by pixel."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def one():
+        kind = draw(st.sampled_from(["empty", "full", "drawn", "drawn"]))
+        if kind != "drawn":
+            return np.full((h, w), kind == "full")
+        return np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
+    return one().reshape(h, w), one().reshape(h, w)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_mask_pairs())
+def test_metrics_match_set_counts(masks):
+    # the oracle counts pixels as sets of (row, column) coordinates
+    pred, gt = masks
+    cells = [(r, c) for r in range(pred.shape[0]) for c in range(pred.shape[1])]
+    p = {cell for cell in cells if pred[cell]}
+    g = {cell for cell in cells if gt[cell]}
+    both, either = len(p & g), len(p | g)
+    expected = MaskMetrics(
+        iou=both / either if either else 1.0,
+        dice=2 * both / (len(p) + len(g)) if either else 1.0,
+        precision=both / len(p) if p else float(not g),
+        recall=both / len(g) if g else float(not p),
+        pixel_acc=(len(cells) - len(p ^ g)) / len(cells),
+    )
+    assert mask_metrics(pred, gt) == expected
+    assert mask_metrics(BinaryMask(pred), BinaryMask(gt)) == expected
 
 
 def test_metrics_as_array_order():
