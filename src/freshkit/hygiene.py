@@ -14,10 +14,10 @@ inner fold per outer fold and sample, shape (n_outer, n), -1 where held out.
 
 nested_cv_run spreads its outer folds' searches over the usable CPUs
 (freshkit.shares): this process and one forked helper per further CPU each
-search a share of the folds, dealt by training-row count. Each fold's
-selection equals inner_select on that fold alone, so the report does not
-depend on how many CPUs there are, and a failing search raises what it
-raises on one CPU.
+run inner_select on a share of the folds, dealt by training-row count.
+Each fold's selection equals inner_select on that fold alone, so the report
+does not depend on how many CPUs there are, and a failing search raises
+what it raises on one CPU.
 """
 from __future__ import annotations
 
@@ -380,26 +380,22 @@ class SelectionResult:
     stage2: tuple[CandidateScore, ...]
 
 
+def _run_streams(run_seed: int, xs: np.ndarray, labels: np.ndarray, hidden_dim: int,
+                 n_classes: int, groups) -> list[tiny_model.Stream]:
+    """One stream per group of configs on the rows xs, all of one training
+    run: the run seed gives their initial model and their batch seed."""
+    model = tiny_model.init_model(xs.shape[1], hidden_dim, n_classes,
+                                  seed=derive_seed(run_seed, 0))
+    batch_seed = derive_seed(run_seed, 1)
+    return [tiny_model.Stream(model, xs, labels, [replace(c, seed=batch_seed) for c in group])
+            for group in groups]
+
+
 def _eval_configs(folds, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
                   hidden_dim: int, n_classes: int, stage: int,
-                  seed: int) -> list[list[float]]:
-    """Mean inner-validation accuracy of each config, per (outer fold, configs) pair.
-
-    Seeds depend on (outer fold, stage, inner fold) but never on a
-    candidate's position in the grid, so on each inner fold every candidate
-    trains from the same initialization on the same batches. Configs with
-    identical effect then score identically and the tie rules actually
-    decide. That is also what lets the stage of every listed outer fold
-    train in one stacked call: one stream per (outer fold, inner fold, mixup
-    alpha), since the batch draws depend on alpha; the streams of one inner
-    fold share its rows. The streams share epochs, batch size and
-    architecture; each has its inner fold's rows, initialization and batch
-    seed, and the folds may differ in size. In stage 1 no candidate moves
-    its backbone, so the stacked loop evaluates each stream's hidden layer
-    once for all its candidates. Trained slices are scored while stacked,
-    and scores come back per listed fold, in the order of its configs. The
-    loop's memory grows with outer folds x inner folds x candidates.
-    """
+                  seed: int) -> list[list[CandidateScore]]:
+    """One stage of inner_select: each (outer fold, configs) pair's configs
+    scored by mean inner-validation accuracy, in one stacked call."""
     streams, owners = [], []
     for slot, (outer, configs) in enumerate(folds):
         groups = [[i for i, c in enumerate(configs) if c.mixup_alpha == alpha]
@@ -407,22 +403,17 @@ def _eval_configs(folds, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
         for fold in range(plan.n_inner):
             fit_ids = plan.inner_fit(outer, fold)
             val_ids = plan.inner_val(outer, fold)
-            run_seed = derive_seed(seed, outer, stage, fold)
-            model = tiny_model.init_model(xs.shape[1], hidden_dim, n_classes,
-                                          seed=derive_seed(run_seed, 0))
-            batch_seed = derive_seed(run_seed, 1)
-            fit_xs, fit_labels = xs[fit_ids], labels[fit_ids]
-            for members in groups:
-                streams.append(tiny_model.Stream(
-                    model, fit_xs, fit_labels,
-                    [replace(configs[i], seed=batch_seed) for i in members]))
-                owners.append((slot, members, val_ids))
+            streams += _run_streams(derive_seed(seed, outer, stage, fold), xs[fit_ids],
+                                    labels[fit_ids], hidden_dim, n_classes,
+                                    [[configs[i] for i in members] for members in groups])
+            owners += [(slot, members, val_ids) for members in groups]
     accs = [[[] for _ in configs] for _, configs in folds]
     for fitted, (slot, members, val_ids) in zip(tiny_model.train_streams(streams), owners):
         hits = tiny_model.forward_stack(fitted, xs[val_ids]).argmax(axis=2) == labels[val_ids]
         for i, acc in zip(members, hits.mean(axis=1)):
             accs[slot][i].append(float(acc))
-    return [[float(np.mean(a)) for a in fold] for fold in accs]
+    return [[CandidateScore(c, float(np.mean(a))) for c, a in zip(configs, fold)]
+            for (_, configs), fold in zip(folds, accs)]
 
 
 def _ranked(cands: list[CandidateScore]) -> list[CandidateScore]:
@@ -430,20 +421,35 @@ def _ranked(cands: list[CandidateScore]) -> list[CandidateScore]:
     return sorted(cands, key=lambda c: (-c.mean_accuracy, c.config.weight_decay))
 
 
-def _select(grid: HyperGrid, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
-            outers: list[int], epochs: int, batch_size: int, hidden_dim: int,
-            seed: int) -> list[SelectionResult]:
-    """inner_select on each listed outer fold, each stage of all of them in
-    one stacked call; stage 2 of a fold still depends only on its stage 1."""
+def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outers: list[int],
+                 *, epochs: int = 20, batch_size: int = 32, hidden_dim: int = 8,
+                 seed: int = 42) -> list[SelectionResult]:
+    """Two-stage inner-loop search on each listed outer fold, one result per fold.
+
+    Stage 1 trains with the backbone frozen over head lr x weight decay x
+    label smoothing and keeps the top_k configs by mean inner accuracy.
+    Stage 2 crosses the survivors with backbone lr x mixup. Ties break
+    toward lower weight decay, then earlier enumeration order.
+
+    A run's seeds depend on (outer fold, stage, inner fold) but never on a
+    candidate's position in the grid, so on each inner fold every candidate
+    of a stage trains from the same initialization on the same batches.
+    Configs with identical effect then score identically and the tie rules
+    actually decide. That is also what lets each stage of all listed folds
+    train in one stacked SGD loop of streams, one per (outer fold, inner
+    fold, mixup alpha), since the batch draws depend on alpha; the streams
+    share epochs, batch size and architecture, while their rows,
+    initializations and batch seeds differ, and the folds may differ in
+    size. In stage 1 no candidate moves its backbone, so the loop evaluates
+    each stream's hidden layer once for all its candidates. A candidate's
+    score equals training it alone, and stage 2 of a fold depends only on
+    its own stage 1, so a fold's result does not depend on which other
+    folds are listed. Peak memory grows with listed folds x n_inner x grid
+    size.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    labels = np.asarray(labels)
     n_classes = int(labels.max()) + 1
-
-    def scored(stage: int,
-               candidates: list[list[tiny_model.TrainConfig]]) -> list[list[CandidateScore]]:
-        scores = _eval_configs(list(zip(outers, candidates)), xs, labels, plan,
-                               hidden_dim, n_classes, stage, seed)
-        return [[CandidateScore(c, s) for c, s in zip(configs, fold)]
-                for configs, fold in zip(candidates, scores)]
-
     configs1 = [
         tiny_model.TrainConfig(epochs=epochs, batch_size=batch_size, head_lr=head_lr,
                                backbone_lr=0.0, weight_decay=decay,
@@ -451,39 +457,16 @@ def _select(grid: HyperGrid, xs: np.ndarray, labels: np.ndarray, plan: FoldPlan,
         for head_lr, decay, smoothing in itertools.product(
             grid.head_lrs, grid.weight_decays, grid.label_smoothings)
     ]
-    stage1 = scored(1, [configs1] * len(outers))
-    stage2 = scored(2, [
-        [replace(survivor.config, backbone_lr=backbone_lr, mixup_alpha=mixup_alpha)
-         for survivor, backbone_lr, mixup_alpha in itertools.product(
-             _ranked(fold)[:grid.top_k], grid.backbone_lrs, grid.mixup_alphas)]
-        for fold in stage1
-    ])
+    stage1 = _eval_configs([(k, configs1) for k in outers], xs, labels, plan,
+                           hidden_dim, n_classes, 1, seed)
+    stage2 = _eval_configs([
+        (k, [replace(survivor.config, backbone_lr=backbone_lr, mixup_alpha=mixup_alpha)
+             for survivor, backbone_lr, mixup_alpha in itertools.product(
+                 _ranked(fold)[:grid.top_k], grid.backbone_lrs, grid.mixup_alphas)])
+        for k, fold in zip(outers, stage1)
+    ], xs, labels, plan, hidden_dim, n_classes, 2, seed)
     return [SelectionResult(_ranked(two)[0].config, tuple(one), tuple(two))
             for one, two in zip(stage1, stage2)]
-
-
-def inner_select(grid: HyperGrid, xs, labels, plan: FoldPlan, outer_index: int,
-                 *, epochs: int = 20, batch_size: int = 32, hidden_dim: int = 8,
-                 seed: int = 42) -> SelectionResult:
-    """Two-stage inner-loop search on one outer fold.
-
-    Stage 1 trains with the backbone frozen over head lr x weight decay x
-    label smoothing and keeps the top_k configs by mean inner accuracy.
-    Stage 2 crosses the survivors with backbone lr x mixup. Ties break
-    toward lower weight decay, then earlier enumeration order.
-
-    Every candidate of a stage shares its initialization and batch seed on
-    each inner fold, so each stage trains in one stacked SGD loop of
-    streams, one per inner fold and distinct mixup alpha, and stage 1's
-    frozen backbone is evaluated once per stream, not per candidate. The
-    streams share epochs, batch size and architecture; their rows,
-    initializations, batch seeds and mixup alpha differ. A candidate's
-    score equals training it alone. This is the one-fold case of the search
-    nested_cv_run runs over each share of the outer folds, whose peak memory
-    grows with the share's folds x n_inner x grid size.
-    """
-    return _select(grid, np.asarray(xs, dtype=np.float64), np.asarray(labels), plan,
-                   [outer_index], epochs, batch_size, hidden_dim, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -522,14 +505,12 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
     deviation (ddof 1). The audit block re-checks the fold plan for leakage.
 
     The outer folds are dealt by training-row count into one share per
-    usable CPU, min(n_outer, CPUs) shares. This process searches share 0 and
-    one forked helper each other share (freshkit.shares). Each share trains
-    in two stacked SGD calls, stage 1 of its folds and then stage 2, and
-    the final fits of every fold are one more stacked call here. Stage 1's
-    frozen backbone is evaluated once per (outer fold, inner fold) stream.
-    Each selection equals inner_select on its fold alone, so the result does
-    not depend on the CPU count. A share's peak memory grows with its folds
-    x n_inner x grid size. If a share fails, this process searches every
+    usable CPU, min(n_outer, CPUs) shares, and each share runs inner_select
+    on its folds, share 0 in this process and each other share in a forked
+    helper (freshkit.shares). The final fits of every fold are one more
+    stacked call here, each seeded as a search run of stage 3. Each
+    selection equals inner_select on its fold alone, so the result does not
+    depend on the CPU count. If a share fails, this process searches every
     fold itself, so a diverging candidate raises the TrainingDiverged a run
     on one CPU raises.
     """
@@ -542,18 +523,15 @@ def nested_cv_run(grid: HyperGrid, xs, labels, n_outer: int = 5, n_inner: int = 
     # read before the fork, so tiny_model executes once, here, not in each helper
     train_streams = tiny_model.train_streams
     selections = shares.map_shares(
-        lambda share: _select(grid, xs, labels, plan, share, epochs, batch_size,
-                              hidden_dim, seed),
+        functools.partial(inner_select, grid, xs, labels, plan, epochs=epochs,
+                          batch_size=batch_size, hidden_dim=hidden_dim, seed=seed),
         [plan.outer_train(k).size for k in range(n_outer)])
     # the final fits train as one stacked call, one stream per outer fold
     finals = []
     for k, choice in enumerate(selections):
         train_ids = plan.outer_train(k)
-        run_seed = derive_seed(seed, k, 3)
-        model = tiny_model.init_model(xs.shape[1], hidden_dim, n_classes,
-                                      seed=derive_seed(run_seed, 0))
-        finals.append(tiny_model.Stream(model, xs[train_ids], labels[train_ids],
-                                        [replace(choice.best, seed=derive_seed(run_seed, 1))]))
+        finals += _run_streams(derive_seed(seed, k, 3), xs[train_ids], labels[train_ids],
+                               hidden_dim, n_classes, [[choice.best]])
     accuracies = []
     for k, fitted in enumerate(train_streams(finals)):
         test_ids = plan.outer_test(k)

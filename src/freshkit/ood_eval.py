@@ -115,7 +115,8 @@ def threshold_sweep(confidences, taus=DEFAULT_TAUS) -> list[SweepPoint]:
     """Coverage (fraction with confidence >= tau) and rejection per threshold.
 
     rejection is computed as 1.0 - coverage, which makes
-    coverage + rejection == 1.0 hold exactly in float64.
+    coverage + rejection == 1.0 hold exactly in float64. A NaN confidence
+    or threshold is rejected by position, as it orders against no tau.
     """
     conf = np.asarray(confidences, dtype=np.float64)
     if conf.ndim != 1 or conf.size == 0:
@@ -123,6 +124,10 @@ def threshold_sweep(confidences, taus=DEFAULT_TAUS) -> list[SweepPoint]:
     taus = tuple(taus)
     if not taus:
         raise EmptyInput("need at least one threshold")
+    for name, values in (("confidence", conf), ("threshold", taus)):
+        nan = np.flatnonzero(np.isnan(np.asarray(values, dtype=np.float64)))
+        if nan.size:
+            raise BadParameter(f"{name} {nan[0]} is NaN")
     n = conf.size
     points = []
     for tau in taus:

@@ -44,7 +44,10 @@ class PairedOutcome:
     n00: int
 
     def __post_init__(self) -> None:
-        if min(self.n11, self.n10, self.n01, self.n00) < 0:
+        counts = (self.n11, self.n10, self.n01, self.n00)
+        if not all(isinstance(c, (int, np.integer)) for c in counts):
+            raise BadParameter(f"pair counts must be integers, got {self}")
+        if min(counts) < 0:
             raise BadParameter(f"pair counts must be >= 0, got {self}")
 
     @property
@@ -142,6 +145,8 @@ def bootstrap_replicates(values: np.ndarray, statistic: Callable[..., np.ndarray
     if n_boot < 1:
         raise BadParameter(f"n_boot must be >= 1, got {n_boot}")
     n = values.shape[0]
+    if n == 0:
+        raise EmptyInput("need at least one row to resample")
     out = np.empty((n_boot, *values.shape[1:]))
     rng = np.random.default_rng(seed)
     block = max(1, 2 ** 15 // n)

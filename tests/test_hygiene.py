@@ -18,6 +18,7 @@ from freshkit.errors import (
 )
 from freshkit.hygiene import (
     _DEDUP_BLOCK,
+    CandidateScore,
     FoldPlan,
     HyperGrid,
     NestedCvResult,
@@ -570,8 +571,8 @@ def test_inner_select_prefers_the_lr_that_learns():
     grid = HyperGrid(head_lrs=(0.0, 0.1), weight_decays=(0.0,),
                      label_smoothings=(0.0,), backbone_lrs=(0.0,),
                      mixup_alphas=(0.0,), top_k=1)
-    result = inner_select(grid, xs, labels, plan, outer_index=0,
-                          epochs=8, batch_size=16, hidden_dim=4, seed=14)
+    [result] = inner_select(grid, xs, labels, plan, [0],
+                            epochs=8, batch_size=16, hidden_dim=4, seed=14)
     assert result.best.head_lr == 0.1
     assert max(c.mean_accuracy for c in result.stage2) > 0.9
     # the zero-lr candidate was evaluated and lost
@@ -588,8 +589,8 @@ def test_inner_select_tie_breaks_to_lower_weight_decay():
     grid = HyperGrid(head_lrs=(0.0,), weight_decays=(0.1, 1e-4),
                      label_smoothings=(0.0,), backbone_lrs=(0.0,),
                      mixup_alphas=(0.0,), top_k=1)
-    result = inner_select(grid, xs, labels, plan, outer_index=0,
-                          epochs=2, batch_size=16, hidden_dim=4, seed=15)
+    [result] = inner_select(grid, xs, labels, plan, [0],
+                            epochs=2, batch_size=16, hidden_dim=4, seed=15)
     assert result.stage1[0].mean_accuracy == result.stage1[1].mean_accuracy
     assert result.best.weight_decay == 1e-4
 
@@ -619,8 +620,8 @@ def test_nested_cv_keeps_every_fold_selection():
     plan = nested_fold_plan(labels, 3, 2, seed=21)
     assert len(result.selections) == 3
     for k in range(3):
-        alone = inner_select(grid, xs, labels, plan, k, epochs=3, batch_size=16,
-                             hidden_dim=4, seed=21)
+        alone = inner_select(grid, xs, labels, plan, [k], epochs=3, batch_size=16,
+                             hidden_dim=4, seed=21)[0]
         assert result.selections[k] == alone
     assert result.selected == tuple(s.best for s in result.selections)
     assert list(result.to_dict()) == [
@@ -670,7 +671,7 @@ def _stacked(models):
 def _per_candidate(monkeypatch):
     """Route the search and the final fits through one `train` per config."""
     monkeypatch.setattr(hygiene, "_eval_configs", lambda folds, xs, labels, plan, *rest: [
-        [_eval_candidate(c, xs, labels, plan, outer, *rest) for c in configs]
+        [CandidateScore(c, _eval_candidate(c, xs, labels, plan, outer, *rest)) for c in configs]
         for outer, configs in folds])
     monkeypatch.setattr(tiny_model, "train_streams", lambda streams: tuple(
         _stacked([train(model, xs, labels, c)[0] for c in configs])
@@ -711,6 +712,29 @@ def test_nested_search_trains_in_three_stacked_calls(monkeypatch, n_outer, n_cpu
     assert calls == [searched_here * 3, searched_here * 3 * 2, n_outer]
 
 
+@pytest.mark.parametrize("n_cpus, expected", [
+    pytest.param(1, [[0, 1, 2, 3, 4]], id="one_cpu"),
+    pytest.param(2, [[0, 2, 4], [1, 3]], id="two_cpus")])
+def test_each_share_runs_inner_select_once(monkeypatch, tmp_path, n_cpus, expected):
+    # the spy appends to a file, since a helper's memory is lost when it exits
+    _cpus(monkeypatch, n_cpus)
+    log = tmp_path / "calls"
+    real = hygiene.inner_select
+
+    def spy(grid, xs, labels, plan, outers, **kwargs):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {' '.join(map(str, outers))}\n")
+        return real(grid, xs, labels, plan, outers, **kwargs)
+
+    monkeypatch.setattr(hygiene, "inner_select", spy)
+    labels = np.arange(40) % 2  # 32 training rows in every outer fold
+    xs = np.random.default_rng(3).normal(0.0, 1.0, (40, 3)) + labels[:, None]
+    nested_cv_run(HyperGrid(), xs, labels, 5, 3, epochs=2, hidden_dim=4, seed=3)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert len({pid for pid, *_ in calls}) == len(expected)  # one process per share
+    assert sorted([int(k) for k in folds] for _, *folds in calls) == expected
+
+
 def test_stacked_search_selects_as_inner_select_on_each_fold():
     # overlapping classes, so the stage-1 survivors differ between outer folds
     rng = np.random.default_rng(30)
@@ -719,7 +743,8 @@ def test_stacked_search_selects_as_inner_select_on_each_fold():
     xs[np.arange(53), labels % 3] += 1.5
     kwargs = {"epochs": 3, "batch_size": 8, "hidden_dim": 4, "seed": 31}
     plan = nested_fold_plan(labels, 3, 2, seed=31)
-    alone = tuple(inner_select(_SEARCH_GRID, xs, labels, plan, k, **kwargs) for k in range(3))
+    alone = tuple(inner_select(_SEARCH_GRID, xs, labels, plan, [k], **kwargs)[0]
+                  for k in range(3))
     assert len({tuple(c.config for c in _ranked(s.stage1)[:2]) for s in alone}) > 1
     assert nested_cv_run(_SEARCH_GRID, xs, labels, 3, 2, **kwargs).selections == alone
 
@@ -758,11 +783,11 @@ def test_grouped_search_equals_per_candidate_reference(monkeypatch, grid, n):
     plan = nested_fold_plan(labels, 3, 2, seed=31)
     fit_sizes = [{plan.inner_fit(k, fold).size for fold in range(2)} for k in range(3)]
     assert all(len(sizes) == (1 if n == 48 else 2) for sizes in fit_sizes)
-    grouped = inner_select(grid, xs, labels, plan, 1, **kwargs)
+    grouped = inner_select(grid, xs, labels, plan, [1], **kwargs)[0]
     grouped_cv = nested_cv_run(grid, xs, labels, 3, 2, **kwargs)
     with monkeypatch.context() as patch:
         _per_candidate(patch)
-        expected = inner_select(grid, xs, labels, plan, 1, **kwargs)
+        expected = inner_select(grid, xs, labels, plan, [1], **kwargs)[0]
         expected_cv = nested_cv_run(grid, xs, labels, 3, 2, **kwargs)
     assert grouped == expected
     assert grouped_cv == expected_cv

@@ -56,3 +56,26 @@ def test_imports_sit_at_module_level(path):
     nested = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
     assert not nested, "imports below module level: " + ", ".join(nested)
+
+
+def _defined_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_private_names_are_used(path):
+    # a private helper nothing in its module reads is dead code
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{line}: {name}" for line, name in _defined_names(tree)
+              if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert not unread, "private but never read: " + ", ".join(unread)

@@ -180,6 +180,14 @@ def test_nan_score_is_rejected_by_id():
         ood_metrics(rows)
 
 
+def test_nan_confidence_or_threshold_is_rejected_by_position():
+    nan = float("nan")
+    with pytest.raises(BadParameter, match="confidence 1 is NaN"):
+        threshold_sweep([0.9, nan, 0.2, nan])
+    with pytest.raises(BadParameter, match="threshold 2 is NaN"):
+        threshold_sweep([0.9, 0.2], taus=(0.5, 0.7, nan))
+
+
 def test_infinite_scores_are_ordered_and_tie():
     inf = float("inf")
     rows = [("a", inf, True), ("b", inf, False), ("c", 0.5, True), ("d", -inf, False)]

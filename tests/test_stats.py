@@ -7,6 +7,7 @@ from freshkit.errors import BadParameter, EmptyInput, LengthMismatch, NegativeSt
 from freshkit.stats import (
     BootstrapCi,
     PairedOutcome,
+    bootstrap_replicates,
     chi2_sf_df1,
     mcnemar,
     paired_acc_diff_ci,
@@ -112,7 +113,7 @@ def test_paired_outcomes_from_indicators():
 
 
 @pytest.mark.parametrize("counts", [(-1, 0, 0, 5), (3, -2, 1, 1), (3, 1, -1, 1),
-                                    (3, 1, 1, -4)])
+                                    (3, 1, 1, -4), (1.5, 0, 0, 0)])
 def test_paired_outcome_rejects_negative_counts(counts):
     with pytest.raises(BadParameter):
         PairedOutcome(*counts)
@@ -240,6 +241,12 @@ def test_bootstrap_blocks_equal_per_replicate_loop(n, n_boot, statistic):
 def test_bootstrap_rejects_empty():
     with pytest.raises(EmptyInput):
         percentile_bootstrap([], np.mean)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 5)])
+def test_bootstrap_replicates_rejects_zero_rows(shape):
+    with pytest.raises(EmptyInput):
+        bootstrap_replicates(np.empty(shape), np.mean, 10, seed=1)
 
 
 @pytest.mark.parametrize("n_boot", [0, -1])
