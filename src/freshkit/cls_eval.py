@@ -32,6 +32,15 @@ _NORM_TOL = 1e-9
 _LOG_FLOOR = 1e-300
 
 
+def _indices(labels: np.ndarray, name: str) -> np.ndarray:
+    """labels as int64; BadLabelIndex names the first that is not a finite integer."""
+    if labels.dtype.kind == "f":
+        whole = np.isfinite(labels) & (labels == np.floor(labels))
+        if not whole.all():
+            raise BadLabelIndex(f"{name} {float(labels[np.argmin(whole)])!r} is not an integer")
+    return labels.astype(np.int64)
+
+
 def cross_entropy(probs, labels, label_smoothing: float = 0.0) -> float:
     """Mean smoothed cross-entropy over probability rows.
 
@@ -56,7 +65,7 @@ def cross_entropy(probs, labels, label_smoothing: float = 0.0) -> float:
     if (p < 0.0).any():
         row = int(np.flatnonzero((p < 0.0).any(axis=1))[0])
         raise RowNotNormalized(f"row {row} has a negative probability")
-    y = y.astype(np.int64)
+    y = _indices(y, "label")
     if ((y < 0) | (y >= c)).any():
         bad_row = int(np.flatnonzero((y < 0) | (y >= c))[0])
         raise BadLabelIndex(f"label {y[bad_row]} at row {bad_row} outside [0, {c})")
@@ -91,8 +100,7 @@ def confusion(true_labels, pred_labels, n_classes: int, keep=None) -> np.ndarray
     abstained on; only those pairs are counted.
     """
     t, p = _kept_pairs(true_labels, pred_labels, keep, "count")
-    t = t.astype(np.int64)
-    p = p.astype(np.int64)
+    t, p = _indices(t, "true label"), _indices(p, "pred label")
     for name, arr in (("true", t), ("pred", p)):
         if ((arr < 0) | (arr >= n_classes)).any():
             bad = int(arr[(arr < 0) | (arr >= n_classes)][0])

@@ -154,6 +154,8 @@ def _mixture_log_matrix(cols, weights, means, covs) -> np.ndarray:
     and log det S_k = 2 * sum(log diag L_k), for all K components at once.
     Each channel is a row, so every elementwise step runs along n.
     """
+    if cols.shape[1] == 1:  # as two: numpy runs one column as a gemv, which rounds otherwise
+        return _mixture_log_matrix(np.repeat(cols, 2, axis=1), weights, means, covs)[:, :1]
     chol = np.linalg.cholesky(covs)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     out = np.empty((means.shape[0], cols.shape[1]))
@@ -402,10 +404,9 @@ def _refit(model: GmmModel, nll: np.ndarray, domain: np.ndarray,
 
     nll is model's gmm_nll over domain. Returns the kept mixture, its
     gmm_nll over domain, and whether the step was kept. Both data terms are
-    read off scores over all of domain. Scored among any two or more pixels,
-    a pixel gets the same NLL, so each sum is the one gmm_nll over
-    domain[select] gives, unless select holds a lone pixel: numpy multiplies
-    a single column by BLAS's gemv, which rounds otherwise.
+    read off scores over all of domain. A pixel gets the same NLL whichever
+    pixels it is scored with, so each sum is the one gmm_nll over
+    domain[select] gives.
     """
     new = fit_gmm(domain[select], model.n_components, _WARM_STEPS, init=model)
     new_nll = gmm_nll(new, domain)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tiny_model  # only odin_score reads it, so only odin runs execute it
 from .data_model import as_rows, stable_logsumexp
-from .errors import NonPositiveTemperature
+from .errors import BadParameter, NonPositiveTemperature
 
 __all__ = [
     "stable_logsumexp",
@@ -30,7 +30,7 @@ __all__ = [
 @np.errstate(over="ignore", invalid="ignore")
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """softmax(logits / T) over the last axis; strictly positive, rows sum to 1."""
-    if temperature <= 0.0:
+    if not temperature > 0.0:  # also rejects nan
         raise NonPositiveTemperature(f"temperature {temperature} must be > 0")
     arr = as_rows(logits) / temperature
     shifted = np.exp(arr - arr.max(axis=-1, keepdims=True))
@@ -49,7 +49,7 @@ def energy_score(logits, temperature: float = 1.0) -> float | np.ndarray:
 
     Detectors that want larger-is-more-ID should negate this value.
     """
-    if temperature <= 0.0:
+    if not temperature > 0.0:  # also rejects nan
         raise NonPositiveTemperature(f"temperature {temperature} must be > 0")
     return -temperature * stable_logsumexp(as_rows(logits) / temperature)
 
@@ -62,8 +62,10 @@ class OdinConfig:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0.0:
+        if not self.temperature > 0.0:  # also rejects nan
             raise NonPositiveTemperature(f"temperature {self.temperature} must be > 0")
+        if not 0.0 <= self.epsilon < np.inf:  # also rejects nan
+            raise BadParameter(f"epsilon {self.epsilon} must be finite and >= 0")
 
 
 @np.errstate(over="ignore", invalid="ignore")

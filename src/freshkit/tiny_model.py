@@ -35,7 +35,6 @@ __all__ = [
     "TrainConfig",
     "ParamGrads",
     "GradResult",
-    "EpochStats",
     "init_model",
     "forward",
     "forward_rows",
@@ -105,12 +104,6 @@ class GradResult(NamedTuple):
     loss: float
     params: ParamGrads
     inputs: np.ndarray
-
-
-@dataclass(frozen=True)
-class EpochStats:
-    loss: float
-    accuracy: float
 
 
 @dataclass(frozen=True)
@@ -246,15 +239,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _mean_nll(logp: np.ndarray, targets: np.ndarray) -> float:
-    return float(-(targets * logp).sum() / logp.shape[0])
-
-
 def _grads(params: tuple, xs: np.ndarray, targets: np.ndarray) -> GradResult:
     hidden, logits = _forward(params, xs)
     logp = _log_softmax(logits)
     param_grads, dx = _backward(params, hidden, (np.exp(logp) - targets) / xs.shape[0], xs)
-    return GradResult(_mean_nll(logp, targets), param_grads, dx)
+    return GradResult(float(-(targets * logp).sum() / xs.shape[0]), param_grads, dx)
 
 
 def grads_from_targets(model: TinyClassifier, xs: np.ndarray,
@@ -530,26 +519,15 @@ def _step(w: np.ndarray, b: np.ndarray, gw: np.ndarray, gb: np.ndarray,
 
 
 def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,
-          config: TrainConfig) -> tuple[TinyClassifier, list[EpochStats]]:
-    """Plain SGD over shuffled mini-batches; returns the model and a per-epoch trace.
+          config: TrainConfig) -> TinyClassifier:
+    """Plain SGD over shuffled mini-batches; returns the trained model.
 
-    The trace entry for an epoch is the full-dataset smoothed loss and
-    accuracy after that epoch's updates. Both learning rates at zero leave
-    the parameters bit-identical. Identical seed, config, and data give a
-    bit-identical model. Non-finite trained parameters raise TrainingDiverged.
+    Both learning rates at zero leave the parameters bit-identical.
+    Identical seed, config, and data give a bit-identical model. Non-finite
+    trained parameters raise TrainingDiverged.
     """
-    steps = _sgd([Stream(model, xs, labels, (config,))])
-    params = next(steps)
-    xs = np.asarray(xs, dtype=np.float64)
-    labels = np.asarray(labels)
-    targets = _smoothed(labels, model.n_classes, config.label_smoothing)
-    trace: list[EpochStats] = []
-    for _ in steps:
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = _forward([p[0] for p in params], xs)[1]
-            trace.append(EpochStats(_mean_nll(_log_softmax(logits), targets),
-                                    float((logits.argmax(axis=1) == labels).mean())))
-    return unstack(params)[0], trace
+    *_, params = _sgd([Stream(model, xs, labels, (config,))])
+    return unstack(params)[0]
 
 
 def train_streams(streams) -> tuple[list[np.ndarray], ...]:
@@ -560,8 +538,8 @@ def train_streams(streams) -> tuple[list[np.ndarray], ...]:
     (G, 1, .); slice g is bit-identical to training the stream alone under
     its config g. The streams must share epochs, batch_size and architecture
     (otherwise BadTrainConfig); their models, rows, seeds and mixup_alpha
-    may differ. No per-epoch trace is computed. TrainingDiverged names the
-    first config, in the given order, whose parameters are not all finite.
+    may differ. TrainingDiverged names the first config, in the given
+    order, whose parameters are not all finite.
     """
     streams = [Stream(*s[:3], tuple(s[3])) for s in streams]
     *_, params = _sgd(streams)  # the last yield, put in given order once training ends

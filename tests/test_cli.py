@@ -244,7 +244,7 @@ def write_odin_inputs(tmp_path):
     xs = np.concatenate([rng.normal(c, 0.4, (40, 2)) for c in centers])
     ys = np.repeat(np.arange(3), 40)
     model = init_model(2, 8, 3, seed=1)
-    fitted, _ = train(model, xs, ys, TrainConfig(epochs=30, head_lr=0.1, seed=2))
+    fitted = train(model, xs, ys, TrainConfig(epochs=30, head_lr=0.1, seed=2))
     model_path = tmp_path / "model.json"
     save_model(model_path, fitted)
 

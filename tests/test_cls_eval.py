@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -88,6 +89,24 @@ def test_confusion_validation():
         confusion([], [], 2)
     with pytest.raises(BadLabelIndex):
         confusion([0, 5], [0, 1], 2)
+
+
+@pytest.mark.filterwarnings("error")  # nan once cast to int64 with a RuntimeWarning
+@pytest.mark.parametrize("labels, first", [([0.7, 1.2], "0.7"), ([0.0, 1.5], "1.5"),
+                                           ([np.nan, 1.0], "nan"), ([1.0, -np.inf], "-inf")])
+def test_labels_that_are_not_finite_integers_are_rejected_by_value(labels, first):
+    # a cast to int64 used to read 0.7 as class 0 and 1.5 as class 1
+    for call, name in ((lambda y: confusion(y, [0, 1], 2), "true label"),
+                       (lambda y: confusion([0, 1], y, 2), "pred label"),
+                       (lambda y: cross_entropy([[0.5, 0.5]] * 2, y), "label")):
+        with pytest.raises(BadLabelIndex, match=rf"^{name} {re.escape(first)} is not an integer$"):
+            call(labels)
+
+
+def test_integral_float_labels_read_as_their_integers():
+    probs = [[0.8, 0.2], [0.3, 0.7]]
+    assert cross_entropy(probs, [0.0, 1.0]) == cross_entropy(probs, [0, 1])
+    assert confusion([0.0, 1.0, 1.0], [0.0, 0.0, 1.0], 2).tolist() == [[1, 0], [1, 1]]
 
 
 def test_confusion_keep_mask_drops_abstained():

@@ -655,8 +655,8 @@ def _eval_candidate(config, xs, labels, plan, outer_index, hidden_dim, n_classes
         run_seed = derive_seed(seed, outer_index, stage, fold)
         model = init_model(xs.shape[1], hidden_dim, n_classes,
                            seed=derive_seed(run_seed, 0))
-        fitted, _ = train(model, xs[fit_ids], labels[fit_ids],
-                          replace(config, seed=derive_seed(run_seed, 1)))
+        fitted = train(model, xs[fit_ids], labels[fit_ids],
+                       replace(config, seed=derive_seed(run_seed, 1)))
         pred = forward(fitted, xs[val_ids]).argmax(axis=1)
         accs.append(float((pred == labels[val_ids]).mean()))
     return float(np.mean(accs))
@@ -674,7 +674,7 @@ def _per_candidate(monkeypatch):
         [CandidateScore(c, _eval_candidate(c, xs, labels, plan, outer, *rest)) for c in configs]
         for outer, configs in folds])
     monkeypatch.setattr(tiny_model, "train_streams", lambda streams: tuple(
-        _stacked([train(model, xs, labels, c)[0] for c in configs])
+        _stacked([train(model, xs, labels, c) for c in configs])
         for model, xs, labels, configs in streams))
 
 

@@ -370,9 +370,7 @@ def test_warm_fit_survives_a_component_without_support():
 def test_mixture_log_matrix_of_a_subset_is_the_matching_columns():
     # GrabCut scores each mixture once, over the box interior or every pixel,
     # and reads a subset's terms from that: a pixel's log density must not
-    # depend on which other pixels are scored with it. A lone pixel is the
-    # exception (numpy multiplies a single column by BLAS's gemv), so every
-    # subset here has two or more; GrabCut never scores fewer than 36.
+    # depend on which other pixels, if any, are scored with it.
     rng = np.random.default_rng(46)
     for trial in range(60):
         k = int(rng.integers(1, 6))
@@ -384,7 +382,8 @@ def test_mixture_log_matrix_of_a_subset_is_the_matching_columns():
         nll = gmm_nll(model, points)
         some = rng.random(n) < rng.uniform(0.05, 0.95)
         some[rng.choice(n, size=2, replace=False)] = True
-        for subset in (some, np.arange(n) >= n // 3, np.arange(n) < 2):
+        lone = [np.arange(n) == i for i in np.linspace(0, n - 1, 5).astype(int)]
+        for subset in (some, np.arange(n) >= n // 3, np.arange(n) < 2, *lone):
             cols = np.ascontiguousarray(points[subset].T)
             assert np.array_equal(_mixture_log_matrix(cols, *mixture), full[:, subset]), trial
             assert np.array_equal(gmm_nll(model, points[subset]), nll[subset]), trial

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from freshkit.cli import ODIN_GRID_EPSILONS, ODIN_GRID_TEMPERATURES
-from freshkit.errors import EmptyVector, NonPositiveTemperature
+from freshkit.errors import BadParameter, EmptyVector, NonPositiveTemperature
 from freshkit.scoring import (
     OdinConfig,
     energy_score,
@@ -171,6 +171,20 @@ def test_odin_score_bounds():
 def test_odin_config_validation():
     with pytest.raises(NonPositiveTemperature):
         OdinConfig(temperature=0.0, epsilon=0.0)
+
+
+@pytest.mark.parametrize("call", [softmax, energy_score, lambda logits, t: OdinConfig(t)],
+                         ids=["softmax", "energy_score", "OdinConfig"])
+def test_nan_temperature_is_rejected(call):
+    # nan passed the old temperature <= 0 check, and softmax gave all-nan rows
+    with pytest.raises(NonPositiveTemperature, match="^temperature nan must be > 0$"):
+        call([1.0, 2.0], math.nan)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -1e-3])
+def test_odin_config_rejects_epsilon_that_is_not_finite_and_nonnegative(epsilon):
+    with pytest.raises(BadParameter, match=r"^epsilon .* must be finite and >= 0$"):
+        OdinConfig(temperature=10.0, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("hidden", [8, 0])

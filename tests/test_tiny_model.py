@@ -216,14 +216,27 @@ def _blobs(n_per_class, n_classes, dim, spread, seed):
     return xs[perm], labels[perm]
 
 
+def _epoch_trace(model, xs, labels, cfg):
+    """(whole-set smoothed loss, accuracy) after each epoch of training under
+    cfg. A k-epoch run draws the batches of the first k epochs of a longer
+    one (test_a_k_epoch_run_is_epoch_k_of_a_longer_one), so the model after
+    epoch k is the one train gives for epochs=k."""
+    trace = []
+    for k in range(1, cfg.epochs + 1):
+        current = train(model, xs, labels, replace(cfg, epochs=k))
+        trace.append((grads(current, xs, labels, cfg.label_smoothing).loss,
+                      float((forward(current, xs).argmax(axis=1) == labels).mean())))
+    return trace
+
+
 def test_training_separates_blobs():
     xs, labels = _blobs(40, 3, 2, spread=0.3, seed=5)
     model = init_model(2, 8, 3, seed=0)
     cfg = TrainConfig(epochs=40, batch_size=16, head_lr=0.05, backbone_lr=0.05, seed=1)
-    trained, trace = train(model, xs, labels, cfg)
-    assert trace[-1].accuracy >= 0.99
+    (first_loss, _), *_, (last_loss, last_accuracy) = _epoch_trace(model, xs, labels, cfg)
+    assert last_accuracy >= 0.99
     # loss came down substantially from the start of training
-    assert trace[-1].loss < 0.5 * trace[0].loss
+    assert last_loss < 0.5 * first_loss
 
 
 def test_zero_lr_freezes_parameter_group():
@@ -231,7 +244,7 @@ def test_zero_lr_freezes_parameter_group():
     model = init_model(4, 6, 3, seed=3)
     cfg = TrainConfig(epochs=5, batch_size=8, head_lr=0.05, backbone_lr=0.0,
                       weight_decay=0.01, seed=4)
-    trained, _ = train(model, xs, labels, cfg)
+    trained = train(model, xs, labels, cfg)
     # backbone group untouched bit for bit, decay included
     assert np.array_equal(trained.w_in, model.w_in)
     assert np.array_equal(trained.b_in, model.b_in)
@@ -245,8 +258,8 @@ def test_weight_decay_shrinks_weights_not_biases():
                            weight_decay=0.0, seed=8)
     decay = TrainConfig(epochs=10, batch_size=10, head_lr=0.01, backbone_lr=0.01,
                         weight_decay=1.0, seed=8)
-    plain, _ = train(model, xs, labels, no_decay)
-    shrunk, _ = train(model, xs, labels, decay)
+    plain = train(model, xs, labels, no_decay)
+    shrunk = train(model, xs, labels, decay)
     assert np.linalg.norm(shrunk.w_out) < np.linalg.norm(plain.w_out)
     assert np.linalg.norm(shrunk.w_in) < np.linalg.norm(plain.w_in)
 
@@ -256,11 +269,12 @@ def test_training_is_deterministic():
     model = init_model(3, 4, 3, seed=12)
     cfg = TrainConfig(epochs=6, batch_size=8, head_lr=0.02, backbone_lr=0.01,
                       mixup_alpha=0.2, label_smoothing=0.1, seed=13)
-    a, trace_a = train(model, xs, labels, cfg)
-    b, trace_b = train(model, xs, labels, cfg)
+    a = train(model, xs, labels, cfg)
+    b = train(model, xs, labels, cfg)
     assert np.array_equal(a.w_in, b.w_in)
     assert np.array_equal(a.w_out, b.w_out)
-    assert [e.loss for e in trace_a] == [e.loss for e in trace_b]
+    trace_a, trace_b = (_epoch_trace(model, xs, labels, cfg) for _ in range(2))
+    assert [loss for loss, _ in trace_a] == [loss for loss, _ in trace_b]
 
 
 def _reference_train(model, xs, labels, cfg):
@@ -297,11 +311,11 @@ def test_train_is_bit_identical_to_reference_loop():
     model = init_model(3, 5, 3, seed=22)
     cfg = TrainConfig(epochs=4, batch_size=8, head_lr=0.05, backbone_lr=0.03,
                       weight_decay=0.01, label_smoothing=0.1, mixup_alpha=0.3, seed=23)
-    trained, trace = train(model, xs, labels, cfg)
+    trained = train(model, xs, labels, cfg)
     expected, expected_trace = _reference_train(model, xs, labels, cfg)
     for name in ("w_in", "b_in", "w_out", "b_out"):
         assert np.array_equal(getattr(trained, name), getattr(expected, name))
-    assert [(e.loss, e.accuracy) for e in trace] == expected_trace
+    assert _epoch_trace(model, xs, labels, cfg) == expected_trace
 
 
 def _per_config_train(model, xs, labels, cfg):
@@ -372,10 +386,26 @@ def test_train_group_equals_per_config_loop_slice_for_slice(group):
             for name in ("w_in", "b_in", "w_out", "b_out"):
                 assert np.array_equal(getattr(got, name), getattr(model, name))
     if len(configs) == 1:
-        alone, trace = train(model, xs, labels, configs[0])
+        alone = train(model, xs, labels, configs[0])
         for name in ("w_in", "b_in", "w_out", "b_out"):
             assert np.array_equal(getattr(alone, name), getattr(fitted[0], name))
-        assert [(e.loss, e.accuracy) for e in trace] == expected_trace
+        assert _epoch_trace(model, xs, labels, configs[0]) == expected_trace
+
+
+@PROPERTY
+@given(training_groups(), st.integers(1, 4))
+def test_a_k_epoch_run_is_epoch_k_of_a_longer_one(group, epochs):
+    # each epoch draws its row order and mixup from the one generator, after
+    # the draws of the epochs before it; _epoch_trace rests on this
+    model, xs, labels, configs = group
+    config = replace(configs[0], epochs=epochs)
+    steps = tiny_model._sgd([Stream(model, xs, labels, (config,))])
+    next(steps)
+    for k in range(1, epochs + 1):
+        expected = unstack(next(steps))[0]
+        got = train(model, xs, labels, replace(config, epochs=k))
+        for name in ("w_in", "b_in", "w_out", "b_out"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
 
 
 def test_train_group_rejects_an_empty_config_list():
@@ -649,8 +679,8 @@ def test_mixup_changes_the_path():
     model = init_model(3, 4, 3, seed=15)
     base = TrainConfig(epochs=3, batch_size=8, head_lr=0.02, seed=16)
     mixed = TrainConfig(epochs=3, batch_size=8, head_lr=0.02, mixup_alpha=0.4, seed=16)
-    a, _ = train(model, xs, labels, base)
-    b, _ = train(model, xs, labels, mixed)
+    a = train(model, xs, labels, base)
+    b = train(model, xs, labels, mixed)
     assert not np.array_equal(a.w_out, b.w_out)
 
 
