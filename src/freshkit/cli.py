@@ -39,6 +39,7 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields, is_dataclass, replace
 from functools import partial
@@ -416,24 +417,54 @@ def _cmd_bootstrap(args):
         values.append(value)
     if not values:
         raise EmptyInput(f"{path}: no values")
-    statistic = {"mean": np.mean, "median": np.median}[args.stat]
+    statistic = {"mean": np.mean, "median": stats.median}[args.stat]
     result = stats.percentile_bootstrap(values, statistic, n_boot=args.b, seed=args.seed)
     return {"statistic": args.stat, "n": len(values), **asdict(result)}, []
 
 
-def _hash_file(phash64, path: Path) -> int:
-    image = read_ppm(path) if path.suffix == ".ppm" else grayscale_as_rgb(read_pgm_values(path))
-    return phash64(image)
+_HASH_PIXELS = 2 ** 16  # pixels per stacked hash chunk; a larger image is hashed alone
+
+
+def _hash_files(phash64_stack, files: list[Path], share: list[int]) -> list[int]:
+    """The hashes of the share's files, in share order.
+
+    Files are read in order, so the first unreadable one raises. A run of
+    same-shape images is hashed as one stack of at most _HASH_PIXELS pixels.
+    """
+    hashes, chunk = [], []
+    for i in share:
+        path = files[i]
+        pixels = (read_ppm(path) if path.suffix == ".ppm"
+                  else grayscale_as_rgb(read_pgm_values(path))).pixels
+        if chunk and (pixels.shape != chunk[0].shape
+                      or (len(chunk) + 1) * pixels[:, :, 0].size > _HASH_PIXELS):
+            hashes += phash64_stack(np.stack(chunk)).tolist()
+            chunk = []
+        chunk.append(pixels)
+    return hashes + phash64_stack(np.stack(chunk)).tolist()
 
 
 def _cmd_dedup(args):
+    """Hash every .ppm and .pgm file of the directory and cluster the hashes.
+
+    Files are listed with os.scandir, whose entries know their type and
+    cache their size, in name order. Each share reads its files and hashes
+    them in stacked chunks (_hash_files); an image's hash does not depend on
+    which images share its chunk, so the report does not depend on the CPU
+    count or the chunking.
+    """
     root = Path(args.images)
-    files = sorted(p for p in root.iterdir()
-                   if p.suffix in (".ppm", ".pgm") and p.is_file())
+    with os.scandir(root) as entries:
+        listed = sorted(entries, key=lambda entry: entry.name)
+    files, sizes = [], []
+    for entry in listed:
+        path = root / entry.name
+        if path.suffix in (".ppm", ".pgm") and entry.is_file():
+            files.append(path)
+            sizes.append(entry.stat().st_size)
     if not files:
         raise EmptyInput(f"{root}: no .ppm or .pgm files")
-    hashes = shares.map_items(partial(_hash_file, hygiene.phash64), files,
-                              [p.stat().st_size for p in files])
+    hashes = shares.map_shares(partial(_hash_files, hygiene.phash64_stack, files), sizes)
     return hygiene.cluster_near_duplicates(dict(zip((p.name for p in files), hashes)),
                                            max_dist=args.max_dist), []
 

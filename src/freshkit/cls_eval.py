@@ -33,11 +33,14 @@ _LOG_FLOOR = 1e-300
 
 
 def _indices(labels: np.ndarray, name: str) -> np.ndarray:
-    """labels as int64; BadLabelIndex names the first that is not a finite integer."""
+    """labels as int64; BadLabelIndex names the first that is not a finite
+    integer, or that int64 cannot hold."""
     if labels.dtype.kind == "f":
         whole = np.isfinite(labels) & (labels == np.floor(labels))
-        if not whole.all():
-            raise BadLabelIndex(f"{name} {float(labels[np.argmin(whole)])!r} is not an integer")
+        fits = (labels >= -2.0 ** 63) & (labels < 2.0 ** 63)
+        for ok, what in ((whole, "is not an integer"), (fits, "lies beyond int64")):
+            if not ok.all():
+                raise BadLabelIndex(f"{name} {float(labels[np.argmin(ok)])!r} {what}")
     return labels.astype(np.int64)
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from . import shares, tiny_model  # bound unexecuted under the cli: split and folds run neither
 from .data_model import RgbImage, derive_seed
 from .errors import (
+    BadLabelIndex,
     BadParameter,
     DimensionMismatch,
     EmptyInput,
@@ -41,6 +42,7 @@ from .errors import (
 
 __all__ = [
     "phash64",
+    "phash64_stack",
     "hamming",
     "DedupReport",
     "cluster_near_duplicates",
@@ -87,7 +89,39 @@ def _area_weights(length: int, bins: int = 32) -> np.ndarray:
     return weights
 
 
-_BIT_SHIFTS = np.arange(63, 0, -1, dtype=np.uint64)
+@functools.lru_cache(maxsize=64)
+def _luma_width_weights(width: int) -> np.ndarray:
+    """(3 * width, 32) read-only float64: luma numerators times width weights.
+
+    A row of w RGB pixels, flattened to 3w channel values, times this matrix
+    is its luma (299 R + 587 G + 114 B) resized to 32 bins, in one product.
+    """
+    weights = _area_weights(width).T[:, None, :] * np.array([299.0, 587.0, 114.0])[:, None]
+    weights = weights.reshape(3 * width, 32)
+    weights.flags.writeable = False
+    return weights
+
+
+def phash64_stack(pixels: np.ndarray) -> np.ndarray:
+    """phash64 of each image of a (k, h, w, 3) uint8 stack, as (k,) uint64.
+
+    Luma with the width resize is one (k*h, 3w) @ (3w, 32) product and the
+    height resize one stacked product; both run in float64 BLAS but stay
+    exact, since every partial sum is an integer <= 255000 * h * w, below
+    2**53 for any image under 3.5e10 px. The DCT is a stacked product, one
+    2-D product per image, so an image's hash does not depend on which
+    images share its stack.
+    """
+    k, h, w, _ = pixels.shape
+    rows = pixels.reshape(k * h, 3 * w).astype(np.float64) @ _luma_width_weights(w)
+    cells = (_area_weights(h) @ rows.reshape(k, h, 32)).astype(np.int64)
+    # exact integer centering: true cell values scaled by 1024 * 1000 * h * w
+    centered = 1024 * cells - cells.sum(axis=(1, 2), keepdims=True)
+    coeffs = _DCT32 @ centered.astype(np.float64) @ _DCT32.T
+    ac = coeffs[:, :8, :8].reshape(k, 64)[:, 1:]
+    median = np.partition(ac, 31, axis=1)[:, 31:32]  # the middle of 63 values, exactly np.median
+    # 63 bits, most significant first, and a zero pad bit last
+    return np.packbits(ac > median, axis=1).view(">u8")[:, 0].astype(np.uint64)
 
 
 def phash64(image: RgbImage) -> int:
@@ -96,20 +130,9 @@ def phash64(image: RgbImage) -> int:
     The top-left 8x8 DCT block supplies 63 coefficients (DC excluded); each
     bit is 1 when its coefficient strictly exceeds their median. Bits are
     packed row-major from the most significant end with a zero pad bit last.
+    This is phash64_stack of a one-image stack.
     """
-    px = image.pixels.astype(np.int64)
-    luma = 299 * px[:, :, 0] + 587 * px[:, :, 1] + 114 * px[:, :, 2]
-    # the resize runs in float64 BLAS but stays exact: every partial sum is
-    # an integer <= 255000 * h * w, below 2**53 for any image under 3.5e10 px
-    resized = _area_weights(image.height) @ luma.astype(np.float64) @ _area_weights(image.width).T
-    cells = resized.astype(np.int64)
-    # exact integer centering: true cell values scaled by 1024 * 1000 * h * w
-    centered = 1024 * cells - cells.sum()
-    coeffs = _DCT32 @ centered.astype(np.float64) @ _DCT32.T
-    ac = coeffs[:8, :8].ravel()[1:]
-    median = np.partition(ac, 31)[31]  # the middle of 63 values, exactly np.median
-    bits = (ac > median).astype(np.uint64)
-    return int((bits << _BIT_SHIFTS).sum())
+    return int(phash64_stack(image.pixels[None])[0])
 
 
 def hamming(a: int, b: int) -> int:
@@ -227,12 +250,28 @@ def _even_sizes(n: int, parts: int) -> list[int]:
     return [base + (part < extra) for part in range(parts)]
 
 
+def _check_labels(labels, verb: str) -> np.ndarray:
+    """labels as a nonempty 1-D array; BadLabelIndex names the first that is
+    not finite, since a NaN label would never equal its own class."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size == 0:
+        raise EmptyInput(f"no labels to {verb}")
+    if labels.dtype.kind in "fc":
+        finite = np.isfinite(labels)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise BadLabelIndex(f"label {labels[bad].item()!r} at position {bad} is not finite")
+    return labels
+
+
 def _deal(labels: np.ndarray, sizes, rng: np.random.Generator) -> np.ndarray:
     """Part index per sample: each class, in sorted order, is shuffled once
     and dealt to parts 0, 1, ... in runs of sizes(class count)."""
     parts = np.empty(labels.size, dtype=np.int64)
-    for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
+    # with return_inverse, np.unique skips a check that imports numpy.ma
+    classes, inverse = np.unique(labels, return_inverse=True)
+    for cls in range(classes.size):
+        members = np.flatnonzero(inverse == cls)
         counts = sizes(members.size)
         parts[members[rng.permutation(members.size)]] = np.repeat(np.arange(len(counts)), counts)
     return parts
@@ -244,9 +283,7 @@ def stratified_split(labels, ratios=(0.70, 0.15, 0.15), seed: int = 42) -> np.nd
     Returns one part index per sample; part sizes per class match
     largest-remainder rounding exactly.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise EmptyInput("no labels to split")
+    labels = _check_labels(labels, "split")
     ratios = _check_ratios(ratios)
     return _deal(labels, lambda n: _largest_remainder(n, ratios), np.random.default_rng(seed))
 
@@ -305,9 +342,7 @@ def nested_fold_plan(labels, n_outer: int = 5, n_inner: int = 3,
     validation sets, so no outer-test id can appear in any inner set of its
     own fold by construction.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size == 0:
-        raise EmptyInput("no labels to fold")
+    labels = _check_labels(labels, "fold")
     if n_outer < 2 or n_inner < 2:
         raise TooFewSamplesPerClass("fold counts must be at least 2")
     classes, counts = np.unique(labels, return_counts=True)

@@ -27,6 +27,7 @@ __all__ = [
     "BootstrapCi",
     "bootstrap_replicates",
     "percentile_bootstrap",
+    "median",
 ]
 
 
@@ -170,3 +171,34 @@ def percentile_bootstrap(values, statistic: Callable[..., np.ndarray],
     replicates = bootstrap_replicates(arr, statistic, n_boot, seed)
     lo, hi = np.percentile(replicates, [2.5, 97.5])
     return BootstrapCi(float(statistic(arr)), float(lo), float(hi), n_boot, seed)
+
+
+def median(values, axis=None):
+    """np.median(values, axis) of the values as float64, bit for bit, from one
+    selection per row.
+
+    np.median partitions at n/2 - 1, n/2 and -1 (its NaN check), and more
+    than one kth takes numpy off its one-kth selection path: about seven
+    times slower on (16, 2000) blocks. This selects once at n // 2; for even
+    n the lower middle is the max of the lower half. A row that holds a NaN,
+    whose middle values include a zero (the zero's sign depends on the
+    partition) or add up to NaN (-inf and inf), goes to np.median, as does
+    an empty input, so the warnings are np.median's too.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    rows = arr.ravel() if axis is None else np.moveaxis(arr, axis, -1)
+    if rows.size == 0:
+        return np.median(arr, axis=axis)
+    n = rows.shape[-1]
+    lanes = rows.reshape(-1, n)
+    part = np.partition(lanes, n // 2, axis=1)
+    mid = part[:, n // 2]
+    redo = np.isnan(lanes).any(axis=1) | (mid == 0.0)
+    if n % 2 == 0:
+        low = part[:, :n // 2].max(axis=1)
+        with np.errstate(invalid="ignore"):  # -inf + inf: np.median warns for itself
+            mid = (low + mid) / 2.0
+        redo |= (low == 0.0) | np.isnan(mid)
+    if redo.any():
+        mid[redo] = np.median(lanes[redo], axis=1)
+    return mid.reshape(rows.shape[:-1])[()]

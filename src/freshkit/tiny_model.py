@@ -427,7 +427,7 @@ def _sgd(streams):
     plan = []  # the steps of one epoch, the same in every epoch
     for lo in range(0, n, batch):
         lengths = np.clip(sizes - lo, 0, batch)
-        for length in np.unique(lengths[lengths > 0]).tolist():
+        for length in sorted(set(lengths[lengths > 0].tolist())):  # np.unique imports numpy.ma
             members = np.flatnonzero(lengths == length)
             first, last = int(members[0]), int(members[-1]) + 1
             a, b = int(ends[first] - counts[first]), int(ends[last - 1])

@@ -9,6 +9,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freshkit
-from freshkit import errors, tiny_model
+from freshkit import cli, errors, tiny_model
 from freshkit.cli import build_parser, main, render_json
 from freshkit.cls_eval import confusion, prf_report
 from freshkit.data_model import (
@@ -24,13 +25,14 @@ from freshkit.data_model import (
     RecordTable,
     RgbImage,
     Split,
+    grayscale_as_rgb,
     read_logit_csv,
     read_pgm,
     write_logit_csv,
     write_pgm,
     write_ppm,
 )
-from freshkit.hygiene import CandidateScore, cluster_near_duplicates
+from freshkit.hygiene import CandidateScore, cluster_near_duplicates, phash64, phash64_stack
 from freshkit.ood_eval import DEFAULT_TAUS, ScoredSample, ood_metrics, threshold_sweep
 from freshkit.pseudomask import init_box
 from freshkit.seg_eval import METRIC_NAMES, dataset_summary, mask_metrics
@@ -1156,6 +1158,34 @@ def test_dedup_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
     for n in (2, 4):
         assert runs[n][:3] == runs[1][:3]
         assert runs[n][3] == n - 1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(shapes=st.lists(st.sampled_from([(1, 1), (1, 9), (9, 1), (5, 7), (7, 5), (12, 12)]),
+                       min_size=1, max_size=10),
+       budget=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+def test_dedup_hashes_in_chunks_as_it_would_one_image_at_a_time(shapes, budget, seed):
+    # runs of one shape, cut into chunks at pixel budgets that fall between,
+    # on and beyond image sizes; every third file is a PGM
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        files, images = [], []
+        for i, (h, w) in enumerate(shapes):
+            if i % 3 == 2:
+                gray = rng.integers(0, 256, (h, w), dtype=np.uint8)
+                files.append(Path(tmp) / f"{i}.pgm")
+                files[-1].write_bytes(b"P5 %d %d 255\n" % (w, h) + gray.tobytes())
+                images.append(grayscale_as_rgb(gray))
+            else:
+                images.append(RgbImage(rng.integers(0, 256, (h, w, 3), dtype=np.uint8)))
+                files.append(Path(tmp) / f"{i}.ppm")
+                write_ppm(files[-1], images[-1])
+        want = [phash64(image) for image in images]
+        with mock.patch.object(cli, "_HASH_PIXELS", budget):
+            assert cli._hash_files(phash64_stack, files, list(range(len(files)))) == want
+            odd = list(range(1, len(files), 2))
+            if odd:
+                assert cli._hash_files(phash64_stack, files, odd) == want[1::2]
 
 
 def test_dedup_raises_the_first_failing_file_of_any_share(tmp_path, monkeypatch, capsys):

@@ -103,6 +103,23 @@ def test_labels_that_are_not_finite_integers_are_rejected_by_value(labels, first
             call(labels)
 
 
+@pytest.mark.filterwarnings("error")  # a cast beyond int64 warns
+@pytest.mark.parametrize("labels, first", [([1e30, 1.0], "1e+30"), ([-1e19, 1.0], "-1e+19"),
+                                           ([0.0, 2.0 ** 63], "9.223372036854776e+18")])
+def test_labels_beyond_int64_are_rejected_by_value(labels, first):
+    # such a label was read as INT64_MIN, which the range check then named
+    for call, name in ((lambda y: confusion(y, [0, 1], 2), "true label"),
+                       (lambda y: confusion([0, 1], y, 2), "pred label"),
+                       (lambda y: cross_entropy([[0.5, 0.5]] * 2, y), "label")):
+        with pytest.raises(BadLabelIndex, match=rf"^{name} {re.escape(first)} lies beyond int64$"):
+            call(labels)
+
+
+def test_smallest_int64_label_reads_as_itself():
+    with pytest.raises(BadLabelIndex, match=r"^pred label -9223372036854775808 outside \[0, 2\)$"):
+        confusion([0, 1], [-2.0 ** 63, 1.0], 2)
+
+
 def test_integral_float_labels_read_as_their_integers():
     probs = [[0.8, 0.2], [0.3, 0.7]]
     assert cross_entropy(probs, [0.0, 1.0]) == cross_entropy(probs, [0, 1])

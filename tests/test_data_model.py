@@ -1,13 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freshkit.data_model import (
     BinaryMask,
     RecordTable,
     RgbImage,
     Split,
+    _parse_pnm_header,
+    _scan_pnm_header,
     grayscale_as_rgb,
     read_feature_csv,
     read_logit_csv,
@@ -24,6 +29,7 @@ from freshkit.errors import (
     BadSplitTag,
     DimensionMismatch,
     InconsistentWidth,
+    InputFormatError,
     MalformedHeader,
     NonFiniteLogit,
     TruncatedPayload,
@@ -302,11 +308,60 @@ def test_pnm_unsupported_maxval(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("header, digits", [(b"P6\n" + b"1" * 19 + b" 1\n255\n", 19),
+                                            (b"P6 1 " + b"9" * 5000 + b" 255\n", 5000)])
+def test_pnm_header_number_too_long_to_read(tmp_path, header, digits):
+    # int() raised a raw ValueError past 4300 digits
+    path = tmp_path / "x.ppm"
+    path.write_bytes(header + bytes(3))
+    with pytest.raises(InputFormatError) as info:
+        read_ppm(path)
+    assert str(info.value) == f"{path}: header number has {digits} digits, over 18"
+
+
+def test_pnm_header_leading_zeros_do_not_count():
+    data = b"P5 " + b"0" * 5000 + b"2 1 255\n\x00\xff"
+    assert _parse_pnm_header(data, Path("z.pgm"), b"P5") == (2, 1, len(data) - 2)
+
+
 def test_pnm_truncated_payload(tmp_path):
     path = tmp_path / "x.pgm"
     path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
     with pytest.raises(TruncatedPayload):
         read_pgm(path)
+
+
+# header pieces: every whitespace byte, CR LF, comments, leading zeros,
+# zero dimensions and other maxvals, and no byte or a payload byte after maxval
+PNM_SPACES = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"  \n"])
+PNM_GAPS = st.one_of(PNM_SPACES, st.sampled_from([b"# note\n", b"\n#\tx\r\n ", b"#", b""]))
+PNM_DIGITS = st.one_of(st.integers(0, 70).map(lambda v: str(v).encode()),
+                       st.sampled_from([b"0", b"00", b"007", b"0255", b"255", b"256", b"65535",
+                                        b"9" * 18, b"1" * 19, b"0" * 5000 + b"7", b"9" * 5000]))
+PNM_NUMBERS = st.one_of(PNM_DIGITS, st.just(b"x"))
+PNM_ENDS = st.sampled_from([b"", b" ", b"\n", b"\r\n", b"\t\x00", b"\n\n\xff", b"\xff", b"#"])
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.data())
+def test_pnm_header_fast_path_agrees_with_the_byte_loop(data):
+    expect = data.draw(st.sampled_from([b"P5", b"P6"]), label="expect")
+    if data.draw(st.booleans(), label="plain"):  # the shape the regex reads, give or take
+        magic = data.draw(st.sampled_from([b"P5", b"P6"]))  # a PGM read as PPM, or not
+        gaps, numbers = PNM_SPACES, PNM_DIGITS
+    else:
+        magic = data.draw(st.sampled_from([expect, b"P5", b"P6", b"P7", b"P"]))
+        gaps, numbers = PNM_GAPS, PNM_NUMBERS
+    fields = [data.draw(numbers), data.draw(numbers),
+              data.draw(st.one_of(st.just(b"255"), numbers))]
+    header = magic + b"".join(data.draw(gaps) + field for field in fields) + data.draw(PNM_ENDS)
+    outcomes = []
+    for parse in (_parse_pnm_header, _scan_pnm_header):
+        try:
+            outcomes.append(parse(header, Path("h.pnm"), expect))
+        except Exception as exc:  # noqa: BLE001 - the type and message are compared
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_ppm_round_trip(tmp_path):

@@ -10,6 +10,7 @@ from freshkit import demo, hygiene, tiny_model
 from freshkit.data_model import RgbImage, grayscale_as_rgb
 from freshkit.demo import DEMO_GRID
 from freshkit.errors import (
+    BadLabelIndex,
     BadParameter,
     DimensionMismatch,
     InputFormatError,
@@ -31,6 +32,7 @@ from freshkit.hygiene import (
     nested_cv_run,
     nested_fold_plan,
     phash64,
+    phash64_stack,
     stratified_split,
 )
 from freshkit.tiny_model import derive_seed, forward, init_model, train, train_streams
@@ -112,6 +114,26 @@ def test_phash_equals_integer_reference(shape):
                    np.full((*shape, 3), 255, dtype=np.uint8)):
         image = RgbImage(pixels)
         assert phash64(image) == _reference_phash(image)
+
+
+# 1x1, 1xN, Nx1, square and non-square images
+PHASH_SHAPES = st.tuples(st.integers(1, 40), st.integers(1, 40))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(shape=PHASH_SHAPES, k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       flat=st.booleans())
+def test_phash64_stack_equals_per_image_hashes(shape, k, seed, flat):
+    # an image's hash does not depend on which images share its stack, and
+    # is the integer reference's
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, 256, size=(k, *shape, 3), dtype=np.uint8)
+    if flat:  # one colour per image: every AC coefficient ties at the median
+        stack[:] = stack[:, :1, :1]
+    hashes = phash64_stack(stack)
+    assert hashes.dtype == np.uint64 and hashes.shape == (k,)
+    assert hashes.tolist() == [phash64(RgbImage(pixels)) for pixels in stack]
+    assert hashes.tolist() == [_reference_phash(RgbImage(pixels)) for pixels in stack]
 
 
 def test_cached_area_weights_are_read_only():
@@ -286,6 +308,19 @@ def test_split_rejects_bad_ratios():
 def test_split_rejects_non_finite_ratios(ratios):
     with pytest.raises(RowNotNormalized):
         stratified_split(np.zeros(10, dtype=int), ratios=ratios)
+
+
+@pytest.mark.parametrize("labels, first", [
+    ([0.0, 1.0, float("nan"), 1.0, 0.0, 1.0], "nan at position 2"),
+    ([0.0, 1.0, 0.0, float("-inf"), float("inf"), 1.0], "-inf at position 3"),
+])
+def test_split_and_folds_reject_labels_that_are_not_finite(labels, first):
+    # a NaN label never equals its own class: the split read uninitialized
+    # memory, and the fold plan asked for terabytes
+    with pytest.raises(BadLabelIndex, match=f"^label {first} is not finite$"):
+        stratified_split(labels)
+    with pytest.raises(BadLabelIndex, match=f"^label {first} is not finite$"):
+        nested_fold_plan(labels * 3, n_outer=2, n_inner=2)
 
 
 def test_split_total_is_preserved_per_class():

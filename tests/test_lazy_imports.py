@@ -168,6 +168,31 @@ print(json.dumps([code, executed(), "numpy.ma" in sys.modules]))
     assert not numpy_ma
 
 
+NUMPY_MA = """
+import json, sys
+import numpy
+def numpy_ma():
+    return sorted(key for key in sys.modules if key == "numpy.ma" or key.startswith("numpy.ma."))
+before = numpy_ma()  # what import numpy loads, which may differ by numpy version
+from freshkit.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(numpy_ma()) - set(before))]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "--labels", "{d}/labeled.csv"],
+    ["folds", "--labels", "{d}/labeled.csv", "--outer", "2", "--inner", "2"],
+    ["nested-cv", "--data", "{d}/labeled.csv", "--outer", "2", "--inner", "2", "--epochs", "1"],
+    ["demo"],
+], ids=lambda argv: argv[0])
+def test_hygiene_commands_do_not_import_numpy_ma(inputs, tmp_path, argv):
+    # under numpy 2.4 a plain np.unique imports numpy.ma, at a cost to every such process
+    out = _child(NUMPY_MA, *[a.format(d=inputs) for a in argv],
+                 "--out", str(tmp_path / "report.json"))
+    assert json.loads(out) == [0, []]
+
+
 SPY = EXECUTED + """
 import json, os
 os.sched_getaffinity = lambda pid: {0, 1}

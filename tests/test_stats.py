@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freshkit.errors import BadParameter, EmptyInput, LengthMismatch, NegativeStatistic
 from freshkit.stats import (
@@ -10,6 +13,7 @@ from freshkit.stats import (
     bootstrap_replicates,
     chi2_sf_df1,
     mcnemar,
+    median,
     paired_acc_diff_ci,
     paired_outcomes,
     percentile_bootstrap,
@@ -229,13 +233,54 @@ def _bootstrap_per_replicate(values, statistic, n_boot, seed):
     pytest.param(2000, 999, id="2000-999"),
     pytest.param(2 ** 15 + 1, 5, id="32769-5"),
 ])
-@pytest.mark.parametrize("statistic", [np.mean, np.median])
+@pytest.mark.parametrize("statistic", [np.mean, np.median,
+                                       pytest.param(median, id="stats.median")])
 def test_bootstrap_blocks_equal_per_replicate_loop(n, n_boot, statistic):
     # n_boot spans several blocks of max(1, 2**15 // n) rows for n >= 100,
     # the last one partial, and one-row blocks of an odd length past 2**15
     values = np.random.default_rng(n).lognormal(size=n)
     got = percentile_bootstrap(values, statistic, n_boot=n_boot, seed=n + 1)
     assert got == _bootstrap_per_replicate(values, statistic, n_boot, n + 1)
+
+
+# ties, both zeros, NaN and both infinities, alone or among arbitrary floats
+MEDIAN_SPECIALS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan])
+MEDIAN_VALUES = st.one_of(MEDIAN_SPECIALS, st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _median_and_warnings(func, values, axis):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = func(values, axis=axis)
+    return result, [str(w.message) for w in seen]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_median_equals_np_median_bit_for_bit(data):
+    # odd and even, and past the few rows numpy selects from by sorting
+    n = data.draw(st.one_of(st.integers(1, 12), st.integers(13, 60)), label="n")
+    shape = data.draw(st.sampled_from([(n,), (n, 3), (3, n), (2, n)]), label="shape")
+    elements = data.draw(st.sampled_from([MEDIAN_SPECIALS, MEDIAN_VALUES]), label="elements")
+    values = np.array(data.draw(st.lists(elements, min_size=math.prod(shape),
+                                         max_size=math.prod(shape))), dtype=np.float64)
+    values = values.reshape(shape)
+    axis = data.draw(st.sampled_from([None, 0, -1]), label="axis")
+    want, want_warnings = _median_and_warnings(np.median, values, axis)
+    got, got_warnings = _median_and_warnings(median, values, axis)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+    assert got_warnings == want_warnings
+
+
+@pytest.mark.parametrize("n", [500, 501, 2000, 2001])
+def test_median_of_wide_rows_equals_np_median(n):
+    # bootstrap --stat median's resampled rows, and rows without ties, where
+    # the selection does not always leave the lower middle at n // 2 - 1
+    rng = np.random.default_rng(n)
+    values = rng.lognormal(size=n)
+    for rows in (values[rng.integers(0, n, size=(16, n))], rng.normal(size=(512, n))):
+        assert np.array_equal(median(rows, axis=1), np.median(rows, axis=1))
 
 
 def test_bootstrap_rejects_empty():
