@@ -307,15 +307,19 @@ def _cmd_cls_eval(args):
 
 
 def _read_class_map(path: str) -> dict[str, str]:
-    lines = [ln for ln in read_utf8(path).splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "id,class":
+    rows = [(no, ln) for no, ln in enumerate(read_utf8(path).splitlines(), start=1)
+            if ln.strip()]  # blank lines are skipped but counted
+    if not rows or rows[0][1].strip() != "id,class":
         raise InputFormatError(f"{path}: expected header 'id,class'")
     mapping = {}
-    for row_no, line in enumerate(lines[1:], start=2):
+    for row_no, line in rows[1:]:
         parts = line.split(",")
         if len(parts) != 2:
             raise InputFormatError(f"{path}:{row_no}: expected two fields")
-        mapping[parts[0].strip()] = parts[1].strip()
+        rec_id = parts[0].strip()
+        if rec_id in mapping:
+            raise InputFormatError(f"{path}:{row_no}: duplicate id {rec_id!r}")
+        mapping[rec_id] = parts[1].strip()
     return mapping
 
 

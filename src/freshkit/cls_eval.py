@@ -33,14 +33,22 @@ _LOG_FLOOR = 1e-300
 
 
 def _indices(labels: np.ndarray, name: str) -> np.ndarray:
-    """labels as int64; BadLabelIndex names the first that is not a finite
-    integer, or that int64 cannot hold."""
-    if labels.dtype.kind == "f":
+    """labels as int64; BadLabelIndex names a dtype other than bool, integer
+    or float, or the first label that is not a finite integer or that int64
+    cannot hold."""
+    kind = labels.dtype.kind
+    if kind not in "biuf":  # a cast would parse strings, or warn or fail on the rest
+        raise BadLabelIndex(f"{name} dtype {labels.dtype} is not bool, integer or float")
+    if kind == "f":
         whole = np.isfinite(labels) & (labels == np.floor(labels))
         fits = (labels >= -2.0 ** 63) & (labels < 2.0 ** 63)
         for ok, what in ((whole, "is not an integer"), (fits, "lies beyond int64")):
             if not ok.all():
                 raise BadLabelIndex(f"{name} {float(labels[np.argmin(ok)])!r} {what}")
+    elif kind == "u":
+        fits = labels <= np.iinfo(np.int64).max
+        if not fits.all():
+            raise BadLabelIndex(f"{name} {int(labels[np.argmin(fits)])} lies beyond int64")
     return labels.astype(np.int64)
 
 

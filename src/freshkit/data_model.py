@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -254,27 +253,11 @@ def write_logit_csv(path: str | Path, table: RecordTable,
 
 # --- PGM / PPM ------------------------------------------------------------
 
-# magic, width, height (up to 18 digits) and maxval 255, each after whitespace,
-# then one whitespace byte: \s and \d of a bytes pattern are bytes.isspace and isdigit
-_PLAIN_PNM_HEADER = re.compile(rb"(P[56])\s+(\d{1,18})\s+(\d{1,18})\s+255\s")
-
-
 def _parse_pnm_header(data: bytes, path: Path, magic: bytes) -> tuple[int, int, int]:
     """Return (width, height, payload_offset); validates magic and maxval.
 
-    A plain header with nonzero dimensions is read by one regex; any other
-    header goes to the byte loop, which raises every error.
+    Reads byte by byte: whitespace, comments and digits.
     """
-    plain = _PLAIN_PNM_HEADER.match(data)
-    if plain and plain[1] == magic:
-        width, height = int(plain[2]), int(plain[3])
-        if width >= 1 and height >= 1:
-            return width, height, plain.end()
-    return _scan_pnm_header(data, path, magic)
-
-
-def _scan_pnm_header(data: bytes, path: Path, magic: bytes) -> tuple[int, int, int]:
-    """_parse_pnm_header byte by byte: whitespace, comments and digits."""
     if not data.startswith(magic):
         raise BadMagic(f"{path}: expected {magic.decode()} file")
     pos = len(magic)

@@ -354,6 +354,10 @@ def nested_fold_plan(labels, n_outer: int = 5, n_inner: int = 3,
     inner = np.full((n_outer, labels.size), -1, dtype=np.int64)
     for k in range(n_outer):
         train = np.flatnonzero(outer != k)
+        # more inner sets than rows leave one empty; dealing first would
+        # allocate n_inner sizes per class
+        if n_inner > train.size:
+            raise TooFewSamplesPerClass(f"outer fold {k} leaves an empty inner set")
         inner[k, train] = _deal(labels[train], lambda n: _even_sizes(n, n_inner), rng)
         if np.bincount(inner[k, train], minlength=n_inner).min() == 0:
             raise TooFewSamplesPerClass(f"outer fold {k} leaves an empty inner set")

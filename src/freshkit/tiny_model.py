@@ -329,9 +329,6 @@ def _checked(stream) -> Stream:
     return Stream(model, xs, labels, configs)
 
 
-_ALL = slice(None)  # a step whose slices all move
-
-
 def _sgd(streams):
     """Plain SGD of several streams at once, one stacked slice per (stream, config).
 
@@ -348,10 +345,9 @@ def _sgd(streams):
     length groups. numpy runs a stacked matmul as one 2-D product per slice,
     so each slice is bit-identical to training its stream alone.
 
-    Rows are stored once per distinct rows array and targets once per
-    distinct (labels array, label smoothing), so streams handed the same
-    arrays share one copy. Each step takes its batch per stream (targets per
-    stream and smoothing), mixes it, and only then repeats it per slice; no
+    Rows are stored once per stream and targets once per (stream, label
+    smoothing). Each step takes its batch per stream (targets per stream and
+    smoothing), mixes it, and only then repeats it per slice; no
     array holds the rows once per slice. Every slice of a stream starts from
     the stream's model and a zero backbone lr never moves the backbone, so
     in a step where no slice moves its backbone (hidden_dim > 0) each slice
@@ -383,22 +379,17 @@ def _sgd(streams):
     n, dims = int(sizes[-1]), runs[0].model
     epochs, batch = configs[0].epochs, configs[0].batch_size
 
-    # rows and targets padded to the largest stream; no batch reaches the
-    # padding. Streams given one rows or labels array share one copy of it.
-    row_slots = {}
-    row_of = np.array([row_slots.setdefault(id(run.xs), len(row_slots)) for run in runs])
-    xs = np.zeros((len(row_slots), n, dims.input_dim))
+    # rows once per stream and targets once per kind, padded to the largest
+    # stream; no batch reaches the padding
+    xs = np.zeros((len(runs), n, dims.input_dim))
     for r, run in enumerate(runs):
-        xs[row_of[r], :sizes[r]] = run.xs
+        xs[r, :sizes[r]] = run.xs
     kinds = {}  # (run, label smoothing) -> index; a run's slices share their kinds
     target_of = np.array([kinds.setdefault((int(r), c.label_smoothing), len(kinds))
                           for r, c in zip(run_of, configs)], dtype=np.intp)
     target_run = np.array([r for r, _ in kinds], dtype=np.intp)
-    target_slots = {}
-    store_of = np.array([target_slots.setdefault((id(runs[r].labels), smoothing),
-                                                 len(target_slots)) for r, smoothing in kinds])
-    targets = np.zeros((len(target_slots), n, dims.n_classes))
-    for t, (r, smoothing) in zip(store_of, kinds):
+    targets = np.zeros((len(kinds), n, dims.n_classes))
+    for t, (r, smoothing) in enumerate(kinds):
         targets[t, :sizes[r]] = _smoothed(runs[r].labels, dims.n_classes, smoothing)
     inits = [run.model for run in runs for _ in run.configs]
     params = [np.stack([m.w_in for m in inits]), np.stack([m.b_in[None] for m in inits]),
@@ -415,7 +406,7 @@ def _sgd(streams):
         live = np.flatnonzero(lr[a:b])
         if not live.size:
             return None
-        return lr[a:b], decay[a:b], _ALL if live.size == b - a else live
+        return lr[a:b], decay[a:b], slice(None) if live.size == b - a else live
 
     alphas = np.array([run.configs[0].mixup_alpha for run in runs])
     every_run = np.arange(len(runs))
@@ -442,9 +433,9 @@ def _sgd(streams):
                              entries(k0, k1, target_run), target_of[a:b] - k0,
                              [p[a:b] for p in params], frozen, backbone, head))
 
-    # one flat row per (stored array, row), so a batch is one take
+    # one flat row per (run or kind, row), so a batch is one take
     xs, targets = xs.reshape(-1, dims.input_dim), targets.reshape(-1, dims.n_classes)
-    x_base, t_base = row_of[:, None] * n, store_of[:, None] * n
+    x_base, t_base = every_run[:, None] * n, np.arange(len(kinds))[:, None] * n
 
     def gather(values: np.ndarray, at, rows: slice, span: slice,
                mixes: np.ndarray) -> np.ndarray:
@@ -510,12 +501,8 @@ def _step(w: np.ndarray, b: np.ndarray, gw: np.ndarray, gb: np.ndarray,
           lr: np.ndarray, decay: np.ndarray, live) -> None:
     # only slices with a nonzero group lr move, and the lr scales the decay
     # too, so lr 0 freezes its group exactly even when a gradient is not finite
-    if live is _ALL:
-        w -= lr * (gw + decay * w)
-        b -= lr * gb
-    else:
-        w[live] -= lr[live] * (gw[live] + decay[live] * w[live])
-        b[live] -= lr[live] * gb[live]
+    w[live] -= lr[live] * (gw[live] + decay[live] * w[live])
+    b[live] -= lr[live] * gb[live]
 
 
 def train(model: TinyClassifier, xs: np.ndarray, labels: np.ndarray,

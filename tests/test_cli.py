@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freshkit
-from freshkit import cli, errors, tiny_model
+from freshkit import cli, errors, hygiene, tiny_model
 from freshkit.cli import build_parser, main, render_json
 from freshkit.cls_eval import confusion, prf_report
 from freshkit.data_model import (
@@ -1280,6 +1280,28 @@ def test_too_few_samples_names_the_plain_class(tmp_path, capsys, command, flag):
                    "class 0 has 1 samples, needs >= 5\n")
 
 
+
+@pytest.mark.parametrize("command, flag", [("folds", "--labels"), ("nested-cv", "--data")])
+@pytest.mark.parametrize("inner", [10**6, 10**18])
+def test_more_inner_sets_than_rows_fail_before_dealing(tmp_path, capsys, monkeypatch,
+                                                       command, flag, inner):
+    # dealing first allocated `inner` sizes per class: 64 MiB at 10**6
+    records = [(f"s{i:03d}", Split.TRAIN, i % 3, (float(i),)) for i in range(45)]
+    src = tmp_path / "labels.csv"
+    write_logit_csv(src, table(records), column_prefix="x")
+    deal = hygiene._even_sizes
+
+    def bounded(n, parts):
+        assert parts <= len(records), f"asked for {parts} parts"
+        return deal(n, parts)
+
+    monkeypatch.setattr(hygiene, "_even_sizes", bounded)
+    code, out, err = run_cli([command, flag, str(src), "--inner", str(inner)], capsys)
+    assert (code, out) == (3, "")
+    assert err == (f"freshkit {command}: TooFewSamplesPerClass: "
+                   "outer fold 0 leaves an empty inner set\n")
+
+
 # --- contract on malformed record CSVs -------------------------------------------
 
 # every subcommand that reads a record CSV, with the file under test as {f}
@@ -1391,6 +1413,24 @@ def test_class_map_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
                    "not UTF-8: byte 14 (invalid continuation byte)\n")
     assert not out.exists()
 
+
+
+def test_class_map_with_a_duplicate_id_exits_2_with_one_line(tmp_path, capsys):
+    # the last row used to win: a then reported only 'spoiled'. The row
+    # counts the blank line, as the values file's line numbers do.
+    for d in ("pred", "gt"):
+        (tmp_path / d).mkdir()
+        for name in ("a", "b"):
+            write_pgm(tmp_path / d / f"{name}.pgm", BinaryMask(np.ones((4, 4), dtype=bool)))
+    class_map = tmp_path / "classes.csv"
+    class_map.write_text("id,class\na,fresh\n\na,spoiled\nb,fresh\n")
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(["seg-eval", "--pred", str(tmp_path / "pred"),
+                                 "--gt", str(tmp_path / "gt"), "--classes", str(class_map),
+                                 "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"freshkit seg-eval: InputFormatError: {class_map}:4: duplicate id 'a'\n"
+    assert not out.exists()
 
 def test_values_file_that_is_not_utf8_exits_2_with_one_line(tmp_path, capsys):
     values = tmp_path / "v.txt"

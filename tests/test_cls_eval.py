@@ -115,6 +115,28 @@ def test_labels_beyond_int64_are_rejected_by_value(labels, first):
             call(labels)
 
 
+
+@pytest.mark.filterwarnings("error")  # a complex cast warns
+@pytest.mark.parametrize("labels, message", [
+    (["1", "0"], "dtype <U1 is not bool, integer or float"),
+    ([1 + 0j, 0j], "dtype complex128 is not bool, integer or float"),
+    ([None, 1], "dtype object is not bool, integer or float"),
+    ([2 ** 64, 1], "dtype object is not bool, integer or float"),
+    (np.array([1, 2 ** 63], dtype=np.uint64), "9223372036854775808 lies beyond int64")],
+    ids=["str", "complex", "none", "beyond-uint64", "uint64-beyond-int64"])
+def test_labels_that_are_not_numbers_are_rejected(labels, message):
+    # strings were parsed, a complex label warned and None raised a raw TypeError;
+    # a uint64 beyond int64 wrapped to a negative class
+    for call, name in ((lambda y: confusion(y, [0, 1], 2), "true label"),
+                       (lambda y: confusion([0, 1], y, 2), "pred label"),
+                       (lambda y: cross_entropy([[0.5, 0.5]] * 2, y), "label")):
+        with pytest.raises(BadLabelIndex, match=rf"^{name} {re.escape(message)}$"):
+            call(labels)
+
+
+def test_bool_labels_read_as_classes():
+    assert confusion([True, False], np.array([1, 0], dtype=np.uint8), 2).tolist() == [[1, 0], [0, 1]]
+
 def test_smallest_int64_label_reads_as_itself():
     with pytest.raises(BadLabelIndex, match=r"^pred label -9223372036854775808 outside \[0, 2\)$"):
         confusion([0, 1], [-2.0 ** 63, 1.0], 2)
