@@ -699,10 +699,10 @@ def build_parser() -> argparse.ArgumentParser:
             "counts directly, or two labeled logit CSVs whose rows are "
             "matched by id (correctness = argmax equals label). "
             + LOGIT_CSV_HELP % ("logit", "logit"))
-    p.add_argument("--n11", type=_bounded(int, 0), default=None, help="both correct")
-    p.add_argument("--n10", type=_bounded(int, 0), default=None, help="only A correct")
-    p.add_argument("--n01", type=_bounded(int, 0), default=None, help="only B correct")
-    p.add_argument("--n00", type=_bounded(int, 0), default=None, help="both wrong")
+    p.add_argument("--n11", type=_bounded(int, 0, 2 ** 63), default=None, help="both correct")
+    p.add_argument("--n10", type=_bounded(int, 0, 2 ** 63), default=None, help="only A correct")
+    p.add_argument("--n01", type=_bounded(int, 0, 2 ** 63), default=None, help="only B correct")
+    p.add_argument("--n00", type=_bounded(int, 0, 2 ** 63), default=None, help="both wrong")
     p.add_argument("--pred-a", metavar="CSV", default=None)
     p.add_argument("--pred-b", metavar="CSV", default=None)
     p.add_argument("--prefix", default="logit")

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import class_indices
 from .errors import (
-    BadLabelIndex,
     BadParameter,
     EmptyBatch,
     EmptyMatrix,
@@ -22,7 +22,6 @@ from .errors import (
 __all__ = [
     "cross_entropy",
     "confusion",
-    "accuracy",
     "ClassReport",
     "PrfReport",
     "prf_report",
@@ -30,26 +29,6 @@ __all__ = [
 
 _NORM_TOL = 1e-9
 _LOG_FLOOR = 1e-300
-
-
-def _indices(labels: np.ndarray, name: str) -> np.ndarray:
-    """labels as int64; BadLabelIndex names a dtype other than bool, integer
-    or float, or the first label that is not a finite integer or that int64
-    cannot hold."""
-    kind = labels.dtype.kind
-    if kind not in "biuf":  # a cast would parse strings, or warn or fail on the rest
-        raise BadLabelIndex(f"{name} dtype {labels.dtype} is not bool, integer or float")
-    if kind == "f":
-        whole = np.isfinite(labels) & (labels == np.floor(labels))
-        fits = (labels >= -2.0 ** 63) & (labels < 2.0 ** 63)
-        for ok, what in ((whole, "is not an integer"), (fits, "lies beyond int64")):
-            if not ok.all():
-                raise BadLabelIndex(f"{name} {float(labels[np.argmin(ok)])!r} {what}")
-    elif kind == "u":
-        fits = labels <= np.iinfo(np.int64).max
-        if not fits.all():
-            raise BadLabelIndex(f"{name} {int(labels[np.argmin(fits)])} lies beyond int64")
-    return labels.astype(np.int64)
 
 
 def cross_entropy(probs, labels, label_smoothing: float = 0.0) -> float:
@@ -76,10 +55,7 @@ def cross_entropy(probs, labels, label_smoothing: float = 0.0) -> float:
     if (p < 0.0).any():
         row = int(np.flatnonzero((p < 0.0).any(axis=1))[0])
         raise RowNotNormalized(f"row {row} has a negative probability")
-    y = _indices(y, "label")
-    if ((y < 0) | (y >= c)).any():
-        bad_row = int(np.flatnonzero((y < 0) | (y >= c))[0])
-        raise BadLabelIndex(f"label {y[bad_row]} at row {bad_row} outside [0, {c})")
+    y = class_indices(y, c, "label")
     logp = np.log(np.maximum(p, _LOG_FLOOR))
     alpha = label_smoothing
     picked = logp[np.arange(n), y]
@@ -87,44 +63,19 @@ def cross_entropy(probs, labels, label_smoothing: float = 0.0) -> float:
     return float(-((1.0 - alpha) * picked + alpha * uniform).mean())
 
 
-def _kept_pairs(true_labels, pred_labels, keep, verb: str) -> tuple[np.ndarray, np.ndarray]:
-    """The two label vectors, checked to pair up and cut to the kept samples;
-    when none are left, EmptyBatch says there are no samples to verb."""
+def confusion(true_labels, pred_labels, n_classes: int) -> np.ndarray:
+    """Counts matrix with rows true, columns predicted."""
     t = np.asarray(true_labels)
     p = np.asarray(pred_labels)
     if t.shape != p.shape or t.ndim != 1:
         raise LengthMismatch(f"shapes {t.shape} and {p.shape} do not pair up")
-    if keep is not None:
-        k = np.asarray(keep, dtype=bool)
-        if k.shape != t.shape:
-            raise LengthMismatch("keep mask must pair with the labels")
-        t, p = t[k], p[k]
     if t.size == 0:
-        raise EmptyBatch(f"no samples to {verb}")
-    return t, p
-
-
-def confusion(true_labels, pred_labels, n_classes: int, keep=None) -> np.ndarray:
-    """Counts matrix with rows true, columns predicted.
-
-    keep, when given, is a boolean mask selecting the samples that were not
-    abstained on; only those pairs are counted.
-    """
-    t, p = _kept_pairs(true_labels, pred_labels, keep, "count")
-    t, p = _indices(t, "true label"), _indices(p, "pred label")
-    for name, arr in (("true", t), ("pred", p)):
-        if ((arr < 0) | (arr >= n_classes)).any():
-            bad = int(arr[(arr < 0) | (arr >= n_classes)][0])
-            raise BadLabelIndex(f"{name} label {bad} outside [0, {n_classes})")
+        raise EmptyBatch("no samples to count")
+    t = class_indices(t, n_classes, "true label")
+    p = class_indices(p, n_classes, "pred label")
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(cm, (t, p), 1)
     return cm
-
-
-def accuracy(true_labels, pred_labels, keep=None) -> float:
-    """Fraction correct, over kept samples when a mask is supplied."""
-    t, p = _kept_pairs(true_labels, pred_labels, keep, "score")
-    return float((t == p).mean())
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,7 @@ __all__ = [
     "write_ppm",
     "grayscale_as_rgb",
     "derive_seed",
+    "class_indices",
     "as_rows",
     "stable_logsumexp",
 ]
@@ -261,6 +262,8 @@ def _parse_pnm_header(data: bytes, path: Path, magic: bytes) -> tuple[int, int, 
     if not data.startswith(magic):
         raise BadMagic(f"{path}: expected {magic.decode()} file")
     pos = len(magic)
+    if data[pos:pos + 1].isdigit():
+        raise BadMagic(f"{path}: no whitespace after {magic.decode()}")
     fields: list[int] = []
     while len(fields) < 3:
         if pos >= len(data):
@@ -349,6 +352,21 @@ def derive_seed(*parts: int) -> int:
     """
     state = np.random.SeedSequence([len(parts), *parts]).generate_state(2, dtype=np.uint32)
     return int(state[0]) << 32 | int(state[1])
+
+
+def class_indices(labels, n_classes: int, name: str) -> np.ndarray:
+    """labels as int64 class indices in [0, n_classes); BadLabelIndex names a
+    dtype other than bool, integer or float, else by value the first label that
+    is not a finite integer, else the first outside the range. The checks run
+    before the cast, so a label that int64 cannot hold is outside the range."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biuf":  # a cast would parse strings, or warn or fail on the rest
+        raise BadLabelIndex(f"{name} dtype {labels.dtype} is not bool, integer or float")
+    for ok, what in ((np.isfinite(labels) & (labels == np.floor(labels)), "is not an integer"),
+                     ((labels >= 0) & (labels < n_classes), f"outside [0, {n_classes})")):
+        if not ok.all():
+            raise BadLabelIndex(f"{name} {labels.flat[np.argmin(ok)].item()!r} {what}")
+    return labels.astype(np.int64)
 
 
 def as_rows(values) -> np.ndarray:

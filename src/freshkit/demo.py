@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cls_eval import accuracy
+from .cls_eval import confusion, prf_report
 from .hygiene import HyperGrid, nested_cv_run, stratified_split
 from .ood_eval import DEFAULT_TAUS, ood_metrics, threshold_sweep
 from .scoring import OdinConfig, energy_score, msp_score, odin_score
@@ -93,7 +93,7 @@ def run_demo(seed: int = 42) -> dict:
     test_x = xs[test_ids]
     test_y = labels[test_ids]
     test_pred = forward(model, test_x).argmax(axis=1)
-    test_accuracy = accuracy(test_y, test_pred)
+    test_accuracy = prf_report(confusion(test_y, test_pred, N_CLASSES)).accuracy
 
     odin_config = OdinConfig(temperature=ODIN_TEMPERATURE, epsilon=ODIN_EPSILON)
 

@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 
+_Z95 = 1.96  # two-sided normal quantile of the Wald interval
+
+
 @dataclass(frozen=True)
 class PairedOutcome:
     """2x2 agreement counts for two models on the same samples.
@@ -48,8 +51,10 @@ class PairedOutcome:
         counts = (self.n11, self.n10, self.n01, self.n00)
         if not all(isinstance(c, (int, np.integer)) for c in counts):
             raise BadParameter(f"pair counts must be integers, got {self}")
-        if min(counts) < 0:
-            raise BadParameter(f"pair counts must be >= 0, got {self}")
+        if min(counts) < 0 or max(counts) >= 2 ** 63:  # int64, well below a float overflow
+            raise BadParameter(f"pair counts must lie in [0, 2**63), got {self}")
+        for name, count in zip(("n11", "n10", "n01", "n00"), counts):
+            object.__setattr__(self, name, int(count))  # numpy counts would wrap in sums
 
     @property
     def n(self) -> int:
@@ -110,8 +115,8 @@ class DeltaAccuracyCi:
     hi: float
 
 
-def paired_acc_diff_ci(outcome: PairedOutcome, z: float = 1.96) -> DeltaAccuracyCi:
-    """Wald CI for the accuracy difference of paired predictions.
+def paired_acc_diff_ci(outcome: PairedOutcome) -> DeltaAccuracyCi:
+    """95% Wald CI for the accuracy difference of paired predictions.
 
     delta = (n10 - n01) / N and SE = sqrt((n10 + n01) - (n10 - n01)^2 / N) / N.
     """
@@ -121,7 +126,7 @@ def paired_acc_diff_ci(outcome: PairedOutcome, z: float = 1.96) -> DeltaAccuracy
     diff = outcome.n10 - outcome.n01
     delta = diff / n
     se = math.sqrt((outcome.n10 + outcome.n01) - diff * diff / n) / n
-    return DeltaAccuracyCi(delta, se, delta - z * se, delta + z * se)
+    return DeltaAccuracyCi(delta, se, delta - _Z95 * se, delta + _Z95 * se)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data_model import derive_seed, read_utf8
+from .data_model import class_indices, derive_seed, read_utf8
 from .errors import (
     BadLabelIndex,
     BadTrainConfig,
@@ -220,12 +220,9 @@ def forward_rows(model: TinyClassifier, xs: np.ndarray) -> np.ndarray:
 def _smoothed(labels, n_classes: int, alpha: float) -> np.ndarray:
     """(N, C) rows of (1 - alpha) * onehot + alpha / C, one per label."""
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.dtype.kind not in "iu":
-        raise BadLabelIndex(f"labels must be a 1-D integer array, got {labels.dtype} "
-                            f"of shape {labels.shape}")
-    bad = (labels < 0) | (labels >= n_classes)
-    if bad.any():
-        raise BadLabelIndex(f"label {int(labels[bad][0])} outside [0, {n_classes})")
+    if labels.ndim != 1:
+        raise BadLabelIndex(f"labels must be 1-D, got shape {labels.shape}")
+    labels = class_indices(labels, n_classes, "label")
     targets = np.full((labels.size, n_classes), alpha / n_classes)
     targets[np.arange(labels.size), labels] += 1.0 - alpha
     return targets

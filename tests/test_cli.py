@@ -838,6 +838,18 @@ def test_replicate_count_past_2_pow_40_fails_at_parse_time(tmp_path, capsys, com
     assert not report.exists()
 
 
+@pytest.mark.parametrize("count", [2 ** 63, 10 ** 400], ids=["2**63", "10**400"])
+def test_mcnemar_counts_beyond_int64_fail_at_parse_time(count):
+    # 10**400 printed an OverflowError traceback from the chi2 formula
+    for flag in ("--n11", "--n10", "--n01", "--n00"):
+        counts = {"--n11": "0", "--n10": "0", "--n01": "0", "--n00": "0", flag: str(count)}
+        proc = run_script(["mcnemar", *(part for item in counts.items() for part in item)])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (f"freshkit mcnemar: error: argument {flag}: values must lie "
+                               f"in [0, {2 ** 63}), got '{count}'\n")
+
+
 @pytest.mark.parametrize("command, flag, limit", [("nested-cv", "--epochs", 10 ** 5),
                                                   ("pseudomask", "--iters", 10 ** 4)])
 def test_training_lengths_are_bounded_at_parse_time(tmp_path, capsys, command, flag, limit):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from freshkit.data_model import (
     RgbImage,
     Split,
     _parse_pnm_header,
+    class_indices,
     grayscale_as_rgb,
     read_feature_csv,
     read_logit_csv,
@@ -371,6 +373,78 @@ def test_pnm_header_parser_reads_plain_headers_as_the_regex_does(data):
         return
     assert header.startswith(expect) and width >= 1 and height >= 1
     assert 0 < offset <= len(header) and header[offset - 1:offset].isspace()
+
+
+@pytest.mark.parametrize("header, magic", [(b"P52 1 255\n\x00\x00", b"P5"),
+                                           (b"P61 1 255\n\x00\x00\x00", b"P6"),
+                                           (b"P5007 1 255\n", b"P5")])
+def test_pnm_header_number_glued_to_the_magic_is_rejected(header, magic):
+    # P52 1 255 was read as width 2, though Netpbm requires whitespace after the magic
+    with pytest.raises(BadMagic, match=rf"^g\.pnm: no whitespace after {magic.decode()}$"):
+        _parse_pnm_header(header, Path("g.pnm"), magic)
+
+
+def test_pnm_comment_right_after_the_magic_parses():
+    data = b"P5#c\n2 1 255\n\x00\x00"
+    assert _parse_pnm_header(data, Path("c.pgm"), b"P5") == (2, 1, len(data) - 2)
+
+
+# --- class indices -----------------------------------------------------------
+
+def _class_indices_reference(labels: np.ndarray, n_classes: int, name: str):
+    """The int64 indices, or the BadLabelIndex message, read one Python label at a time."""
+    if labels.dtype.kind not in "biuf":
+        return f"{name} dtype {labels.dtype} is not bool, integer or float"
+    values = labels.tolist()  # Python bool, int or float, each exactly as stored
+    for v in values:
+        if not (math.isfinite(v) and v == math.floor(v)):
+            return f"{name} {v!r} is not an integer"
+    for v in values:
+        if not 0 <= v < n_classes:
+            return f"{name} {v!r} outside [0, {n_classes})"
+    return [int(v) for v in values]
+
+
+INT_EDGES = [-2 ** 63, -2 ** 63 + 1, -1, 0, 1, 2, 3, 4, 5, 127, 255, 2 ** 31, 2 ** 63 - 1,
+             2 ** 63, 2 ** 64 - 1]
+FLOAT_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 0.5, 1.5, -1.0, 1.0, 2.0, 3.0,
+               4.0, 5.0, -2.0 ** 63, 2.0 ** 63, 1e30, -1e-300, 4.000000000000001]
+
+
+@st.composite
+def label_arrays(draw):
+    dtype = np.dtype(draw(st.sampled_from(
+        ["b", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "f2", "f4", "f8", "U", "c16", "O"])))
+    if dtype.kind == "b":
+        return np.array(draw(st.lists(st.booleans(), max_size=6)), dtype=dtype)
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        ints = st.sampled_from([v for v in INT_EDGES if info.min <= v <= info.max])
+        return np.array(draw(st.lists(ints, max_size=6)), dtype=dtype)
+    if dtype.kind == "f":
+        floats = st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(-10.0, 10.0))
+        with np.errstate(over="ignore"):  # float16 holds 1e30 and 2**63 as inf
+            return np.array(draw(st.lists(floats, max_size=6)), dtype=dtype)
+    if dtype.kind == "U":
+        return np.array([str(v) for v in draw(st.lists(st.integers(0, 3), max_size=6))])
+    if dtype.kind == "c":
+        return np.array(draw(st.lists(st.integers(0, 3), max_size=6)), dtype=dtype)
+    return np.array(draw(st.lists(st.sampled_from([0, 1, None, 2 ** 64]), max_size=6)),
+                    dtype=object)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(labels=label_arrays(), n_classes=st.integers(1, 5))
+def test_class_indices_equal_a_per_label_reference(labels, n_classes):
+    expected = _class_indices_reference(labels, n_classes, "y")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a cast that warns is a failure
+        try:
+            got = class_indices(labels, n_classes, "y")
+        except BadLabelIndex as err:
+            assert str(err) == expected
+        else:
+            assert got.dtype == np.int64 and got.tolist() == expected
 
 
 def test_ppm_round_trip(tmp_path):

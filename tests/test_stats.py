@@ -123,6 +123,31 @@ def test_paired_outcome_rejects_negative_counts(counts):
         PairedOutcome(*counts)
 
 
+@pytest.mark.parametrize("big", [2 ** 63, np.uint64(2 ** 63), 10 ** 400],
+                         ids=["2**63", "uint64-2**63", "10**400"])
+@pytest.mark.parametrize("cell", range(4))
+def test_paired_outcome_rejects_counts_beyond_int64(cell, big):
+    # 10**400 raised a raw OverflowError in mcnemar and paired_acc_diff_ci
+    counts = [0, 0, 0, 0]
+    counts[cell] = big
+    with pytest.raises(BadParameter, match=r"^pair counts must lie in \[0, 2\*\*63\)"):
+        PairedOutcome(*counts)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("count", [int, np.int64, np.uint64])
+@pytest.mark.parametrize("cell", range(4))
+def test_largest_counts_give_finite_statistics(cell, count):
+    # numpy counts wrapped in n and in the squared difference, to a negative chi2
+    counts = [count(1)] * 4
+    counts[cell] = count(2 ** 63 - 1)
+    half = PairedOutcome(count(0), count(2 ** 62), count(2 ** 62), count(0))
+    assert half.n == 2 ** 63
+    for outcome in (PairedOutcome(*counts), PairedOutcome(*[count(2 ** 63 - 1)] * 4), half):
+        result, ci = mcnemar(outcome), paired_acc_diff_ci(outcome)
+        assert all(math.isfinite(v) for v in (result.chi2, result.p, ci.delta, ci.lo, ci.hi))
+
+
 def test_delta_ci_formula():
     out = PairedOutcome(50, 10, 5, 35)
     ci = paired_acc_diff_ci(out)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freshkit import tiny_model
+from freshkit.cls_eval import confusion, cross_entropy
 from freshkit.errors import (
     BadLabelIndex,
     BadTrainConfig,
@@ -171,6 +172,58 @@ def test_out_of_range_labels_are_rejected(bad):
         grads(model, xs, labels, label_smoothing=0.1)
     with pytest.raises(BadLabelIndex):
         train(model, xs, labels, TrainConfig(epochs=1, head_lr=0.1, seed=0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad, message", [
+    (np.array([0, -1]), "-1 outside [0, 2)"),
+    (np.array([0, 2]), "2 outside [0, 2)"),
+    (np.array([0.0, 0.5]), "0.5 is not an integer"),
+    (np.array([0.0, np.nan]), "nan is not an integer"),
+    (np.array([0.0, -np.inf]), "-inf is not an integer"),
+    (np.array([0.0, 1e30]), "1e+30 outside [0, 2)"),
+    (np.array([0, 2 ** 63], dtype=np.uint64), "9223372036854775808 outside [0, 2)"),
+    (np.array(["0", "1"]), "dtype <U1 is not bool, integer or float"),
+    (np.array([0, 1], dtype=complex), "dtype complex128 is not bool, integer or float")],
+    ids=["minus-one", "n", "half", "nan", "minus-inf", "1e30", "uint64-2**63", "str", "complex"])
+def test_every_label_reader_names_a_bad_label_alike(bad, message):
+    # the metrics and the training targets once kept separate label rules
+    model = init_model(3, 2, 2, seed=0)
+    xs = np.zeros((2, 3))
+    calls = {"true label": lambda y: confusion(y, [0, 1], 2),
+             "pred label": lambda y: confusion([0, 1], y, 2),
+             "label": lambda y: cross_entropy([[0.5, 0.5]] * 2, y)}
+    for name, call in calls.items():
+        with pytest.raises(BadLabelIndex) as info:
+            call(bad)
+        assert str(info.value) == f"{name} {message}"
+    for call in (lambda y: grads(model, xs, y), lambda y: nll_input_gradient(model, xs, y),
+                 lambda y: train(model, xs, y, TrainConfig(epochs=1, head_lr=0.1, seed=0))):
+        with pytest.raises(BadLabelIndex) as info:
+            call(bad)
+        assert str(info.value) == f"label {message}"
+
+
+@pytest.mark.parametrize("hidden", [0, 3])
+def test_integral_float_and_bool_labels_train_as_their_indices(hidden):
+    rng = np.random.default_rng(5)
+    xs = rng.normal(size=(12, 4))
+    labels = np.array([0, 1] * 6)
+    model = init_model(4, hidden, 2, seed=5)
+    configs = (TrainConfig(epochs=3, batch_size=5, head_lr=0.1, backbone_lr=0.05,
+                           label_smoothing=0.1, mixup_alpha=0.3, seed=5),)
+    want = train(model, xs, labels, configs[0])
+    (want_stack,) = train_streams([Stream(model, xs, labels, configs)])
+    probs = np.full((12, 2), 0.5)
+    for same in (labels.astype(np.float64), labels.astype(np.float32), labels.astype(bool),
+                 np.where(labels == 0, -0.0, labels)):
+        got = train(model, xs, same, configs[0])
+        for name in ("w_in", "b_in", "w_out", "b_out"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        (got_stack,) = train_streams([Stream(model, xs, same, configs)])
+        assert all(np.array_equal(a, b) for a, b in zip(got_stack, want_stack))
+        assert np.array_equal(confusion(same, same[::-1], 2), confusion(labels, labels[::-1], 2))
+        assert cross_entropy(probs, same, 0.1) == cross_entropy(probs, labels, 0.1)
 
 
 def test_label_targets_match_a_per_label_loop():
