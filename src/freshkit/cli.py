@@ -48,8 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import (
+    SPLITS,
     RecordTable,
-    Split,
     grayscale_as_rgb,
     read_feature_csv,
     read_logit_csv,
@@ -196,7 +196,7 @@ def _bounded(parse, lo: float, hi: float = math.inf, *, open_lo: bool = False):
 
 def _score_records(table: RecordTable, scores) -> list[dict]:
     return [
-        {"id": rec_id, "split": split.value, "label": label, "score": float(score)}
+        {"id": rec_id, "split": split, "label": label, "score": float(score)}
         for rec_id, split, label, score in zip(table.ids, table.splits,
                                                table.labels.tolist(), scores)
     ]
@@ -214,7 +214,7 @@ def _write_scores_csv(path: str, table: RecordTable, scores) -> None:
 
 def _is_id(table: RecordTable) -> list[bool]:
     # every row not tagged split=ood counts as in-distribution
-    return [split is not Split.OOD for split in table.splits]
+    return [split != "ood" for split in table.splits]
 
 
 def _odin(args, table: RecordTable):
@@ -473,7 +473,7 @@ def _cmd_dedup(args):
                                            max_dist=args.max_dist), []
 
 
-SPLIT_TAGS = ("train", "val", "test")
+SPLIT_TAGS = SPLITS[:3]  # the parts split assigns; it draws no row into ood
 
 
 def _cmd_split(args):
@@ -565,8 +565,9 @@ def _cmd_pseudomask(args):
     files = sorted(p for p in in_dir.glob("*.ppm") if p.is_file())
     if not files:
         raise EmptyInput(f"{in_dir}: no .ppm images")
-    results = shares.map_items(partial(_mask_tray, args, pseudomask.grabcut), files,
-                               [p.stat().st_size for p in files])
+    mask_tray = partial(_mask_tray, args, pseudomask.grabcut)  # read before the fork
+    results = shares.map_shares(lambda share: [mask_tray(files[i]) for i in share],
+                                [p.stat().st_size for p in files])
     writes = [partial(out_dir.mkdir, parents=True, exist_ok=True)]
     writes += [partial(write_pgm, out_dir / (p.stem + ".pgm"), mask)
                for p, (mask, _) in zip(files, results)]

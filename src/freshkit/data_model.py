@@ -21,7 +21,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import (
 )
 
 __all__ = [
-    "Split",
+    "SPLITS",
     "RecordTable",
     "BinaryMask",
     "RgbImage",
@@ -61,13 +60,7 @@ __all__ = [
 ]
 
 
-class Split(str, Enum):
-    """Which partition a record belongs to."""
-
-    TRAIN = "train"
-    VAL = "val"
-    TEST = "test"
-    OOD = "ood"
+SPLITS = ("train", "val", "test", "ood")  # the split tags a record may carry
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -81,7 +74,7 @@ class RecordTable:
     """Samples as columns; labels is -1 for unlabeled or OOD rows."""
 
     ids: tuple[str, ...]
-    splits: tuple[Split, ...]
+    splits: tuple[str, ...]  # each one of SPLITS
     labels: np.ndarray  # (n,) int64
     values: np.ndarray  # (n, C) float64
 
@@ -93,6 +86,9 @@ class RecordTable:
                 or values.shape[0] != n or values.shape[1] < 1):
             raise DimensionMismatch(f"columns do not line up: {n} ids, {len(self.splits)} "
                                     f"splits, labels {labels.shape}, values {values.shape}")
+        unknown = [split for split in self.splits if split not in SPLITS]
+        if unknown:  # write_logit_csv would write a file that read_logit_csv refuses
+            raise BadSplitTag(f"unknown split {unknown[0]!r}")
         object.__setattr__(self, "labels", _freeze(labels))
         object.__setattr__(self, "values", _freeze(values))
 
@@ -155,9 +151,6 @@ def read_utf8(path: str | Path, error: type[InputFormatError] = InputFormatError
 
 # --- logit CSV ------------------------------------------------------------
 
-_SPLIT_TAGS = {s.value: s for s in Split}
-
-
 def read_logit_csv(path: str | Path, column_prefix: str = "logit") -> RecordTable:
     """Parse a logit table.
 
@@ -201,7 +194,7 @@ def _read_table(path: str | Path, column_prefix: str, bounded: bool) -> RecordTa
         if len(row) != width:
             raise InconsistentWidth(f"{path}:{row_no}: expected {width} fields, got {len(row)}")
         rec_id, split_tag, label_text = row[0], row[1], row[2]
-        if split_tag not in _SPLIT_TAGS:
+        if split_tag not in SPLITS:
             raise BadSplitTag(f"{path}:{row_no}: unknown split {split_tag!r}")
         if label_text == "":
             label = -1
@@ -224,7 +217,7 @@ def _read_table(path: str | Path, column_prefix: str, bounded: bool) -> RecordTa
                 raise NonFiniteLogit(f"{path}:{row_no}: non-finite logit {cell!r}")
             values.append(value)
         ids.append(rec_id)
-        splits.append(_SPLIT_TAGS[split_tag])
+        splits.append(split_tag)
         labels.append(label)
     return RecordTable(tuple(ids), tuple(splits), np.array(labels, dtype=np.int64),
                        np.array(values, dtype=np.float64).reshape(len(ids), n_classes))
@@ -249,7 +242,7 @@ def write_logit_csv(path: str | Path, table: RecordTable,
         for rec_id, split, label, row in zip(table.ids, table.splits, table.labels.tolist(),
                                              table.values.tolist()):
             label_text = "" if label == -1 else str(label)
-            writer.writerow([rec_id, split.value, label_text] + [repr(v) for v in row])
+            writer.writerow([rec_id, split, label_text] + [repr(v) for v in row])
 
 
 # --- PGM / PPM ------------------------------------------------------------
@@ -298,7 +291,7 @@ def _parse_pnm_header(data: bytes, path: Path, magic: bytes) -> tuple[int, int, 
 
 def _read_pnm(path: str | Path, magic: bytes, channels: int) -> np.ndarray:
     """The uint8 payload of a binary PNM as (height, width, channels)."""
-    path = Path(path)
+    path = path if isinstance(path, Path) else Path(path)  # a Path is not parsed again
     data = path.read_bytes()
     width, height, offset = _parse_pnm_header(data, path, magic)
     need = width * height * channels

@@ -33,7 +33,7 @@ import os
 import pickle
 import signal
 
-__all__ = ["map_shares", "map_items"]
+__all__ = ["map_shares"]
 
 
 def _deal(sizes: list[int], n_shares: int) -> list[list[int]]:
@@ -136,8 +136,3 @@ def map_shares(func, sizes: list[int]) -> list:
                 os.close(read_fd)
                 os.waitpid(pid, 0)
     return func(list(range(len(sizes))))
-
-
-def map_items(func, items: list, sizes: list[int]) -> list:
-    """[func(item) for item in items], shared as map_shares shares them."""
-    return map_shares(lambda share: [func(items[i]) for i in share], sizes)

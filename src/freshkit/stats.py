@@ -143,10 +143,11 @@ def bootstrap_replicates(values: np.ndarray, statistic: Callable[..., np.ndarray
     """statistic(resampled, axis=1) for n_boot resamples of the rows of values.
 
     Every bootstrap CI in the package draws here. Blocks of max(1, 2**15 // n)
-    replicates fill one preallocated (n_boot, *values.shape[1:]) array, so a
-    count that memory cannot hold raises MemoryError at once. The blocks draw
-    in turn from one seeded generator, giving the indices of one (n_boot, n)
-    draw whatever the block size.
+    replicates are gathered in turn into one buffer and fill one preallocated
+    (n_boot, *values.shape[1:]) array, so a count that memory cannot hold
+    raises MemoryError at once. The blocks draw in turn from one seeded
+    generator, giving the indices of one (n_boot, n) draw whatever the block
+    size.
     """
     if n_boot < 1:
         raise BadParameter(f"n_boot must be >= 1, got {n_boot}")
@@ -156,9 +157,12 @@ def bootstrap_replicates(values: np.ndarray, statistic: Callable[..., np.ndarray
     out = np.empty((n_boot, *values.shape[1:]))
     rng = np.random.default_rng(seed)
     block = max(1, 2 ** 15 // n)
+    drawn = np.empty((min(block, n_boot), *values.shape), dtype=values.dtype)
     for start in range(0, n_boot, block):
         rows = rng.integers(0, n, size=(min(block, n_boot - start), n))
-        out[start:start + len(rows)] = statistic(values[rows], axis=1)
+        # rows lie in [0, n), so "clip" moves none; numpy buffers out in the default mode
+        resampled = np.take(values, rows, axis=0, out=drawn[:len(rows)], mode="clip")
+        out[start:start + len(rows)] = statistic(resampled, axis=1)
     return out
 
 

@@ -24,7 +24,6 @@ from freshkit.data_model import (
     BinaryMask,
     RecordTable,
     RgbImage,
-    Split,
     grayscale_as_rgb,
     read_logit_csv,
     read_pgm,
@@ -79,10 +78,10 @@ def write_labeled_logits(path, n_per_class=20, n_ood=10, seed=0):
         label = i % 3
         logits = rng.normal(0.0, 1.0, 3)
         logits[label] += 3.0
-        records.append((f"s{i:03d}", Split.TEST, label, tuple(logits)))
+        records.append((f"s{i:03d}", "test", label, tuple(logits)))
     for i in range(n_ood):
         logits = rng.normal(0.0, 0.3, 3)
-        records.append((f"o{i:03d}", Split.OOD, -1, tuple(logits)))
+        records.append((f"o{i:03d}", "ood", -1, tuple(logits)))
     write_logit_csv(path, table(records))
     return records
 
@@ -251,12 +250,12 @@ def write_odin_inputs(tmp_path):
     save_model(model_path, fitted)
 
     records = [
-        (f"f{i:03d}", Split.TEST, int(ys[i]), tuple(xs[i]))
+        (f"f{i:03d}", "test", int(ys[i]), tuple(xs[i]))
         for i in range(len(ys))
     ]
     ood = rng.normal(0.0, 0.2, (30, 2))
     records += [
-        (f"q{i:03d}", Split.OOD, -1, tuple(row)) for i, row in enumerate(ood)
+        (f"q{i:03d}", "ood", -1, tuple(row)) for i, row in enumerate(ood)
     ]
     src = tmp_path / "features.csv"
     write_logit_csv(src, table(records), column_prefix="x")
@@ -319,9 +318,9 @@ def test_score_report_key_order(tmp_path, capsys, flags, keys):
 
 def test_cls_eval_counts(tmp_path, capsys):
     records = [
-        ("a", Split.TEST, 0, (2.0, 0.0)),
-        ("b", Split.TEST, 0, (0.0, 2.0)),  # predicted 1, wrong
-        ("c", Split.TEST, 1, (0.0, 2.0)),
+        ("a", "test", 0, (2.0, 0.0)),
+        ("b", "test", 0, (0.0, 2.0)),  # predicted 1, wrong
+        ("c", "test", 1, (0.0, 2.0)),
     ]
     src = tmp_path / "p.csv"
     write_logit_csv(src, table(records))
@@ -343,8 +342,8 @@ def test_mcnemar_from_prediction_files(tmp_path, capsys):
         label = i % 2
         good = (2.0, 0.0) if label == 0 else (0.0, 2.0)
         bad = (0.0, 2.0) if label == 0 else (2.0, 0.0)
-        a_rows.append((f"r{i}", Split.TEST, label, bad if i == 9 else good))
-        b_rows.append((f"r{i}", Split.TEST, label, bad if i in (6, 7, 8) else good))
+        a_rows.append((f"r{i}", "test", label, bad if i == 9 else good))
+        b_rows.append((f"r{i}", "test", label, bad if i in (6, 7, 8) else good))
     write_logit_csv(tmp_path / "a.csv", table(a_rows))
     write_logit_csv(tmp_path / "b.csv", table(b_rows))
     code, out, _ = run_cli(
@@ -443,7 +442,7 @@ def test_dedup_clusters_brightness_twin(tmp_path, capsys):
 
 def test_split_counts_and_assignment(tmp_path, capsys):
     records = [
-        (f"s{i:03d}", Split.TRAIN, i % 3, (0.0,)) for i in range(60)
+        (f"s{i:03d}", "train", i % 3, (0.0,)) for i in range(60)
     ]
     src = tmp_path / "labels.csv"
     write_logit_csv(src, table(records), column_prefix="x")
@@ -474,7 +473,7 @@ def test_split_ratios_not_summing_to_one_exit_1_before_reading(tmp_path, capsys,
 
 def test_folds_audit_passes(tmp_path, capsys):
     records = [
-        (f"s{i:03d}", Split.TRAIN, i % 3, (0.0,)) for i in range(45)
+        (f"s{i:03d}", "train", i % 3, (0.0,)) for i in range(45)
     ]
     src = tmp_path / "labels.csv"
     write_logit_csv(src, table(records), column_prefix="x")
@@ -494,7 +493,7 @@ def test_nested_cv_on_separable_features(tmp_path, capsys):
     xs = np.concatenate([rng.normal(c, 0.3, (30, 2)) for c in centers])
     ys = np.repeat(np.arange(2), 30)
     records = [
-        (f"s{i:03d}", Split.TRAIN, int(ys[i]), tuple(xs[i]))
+        (f"s{i:03d}", "train", int(ys[i]), tuple(xs[i]))
         for i in range(60)
     ]
     src = tmp_path / "data.csv"
@@ -523,7 +522,7 @@ def test_nested_cv_diverging_rate_exits_3_with_one_line(tmp_path, flag, field):
     ys = np.arange(40) % 4
     xs[np.arange(40), ys % 3] += 4.0
     src = tmp_path / "data.csv"
-    write_logit_csv(src, table([(f"s{i:03d}", Split.TRAIN, int(ys[i]), tuple(xs[i]))
+    write_logit_csv(src, table([(f"s{i:03d}", "train", int(ys[i]), tuple(xs[i]))
                                 for i in range(40)]), column_prefix="x")
     report = tmp_path / "report.json"
     proc = run_script(["nested-cv", "--data", str(src), "--outer", "2", "--inner", "2",
@@ -546,7 +545,7 @@ def test_oversized_hidden_layer_exits_with_one_line(tmp_path, hidden, code, line
     rng = np.random.default_rng(8)
     xs = rng.normal(0.0, 1.0, (40, 512))
     src = tmp_path / "data.csv"
-    write_logit_csv(src, table([(f"s{i:03d}", Split.TRAIN, i % 4, tuple(xs[i]))
+    write_logit_csv(src, table([(f"s{i:03d}", "train", i % 4, tuple(xs[i]))
                                 for i in range(40)]), column_prefix="x")
     report = tmp_path / "report.json"
     proc = run_script(["nested-cv", "--data", str(src), "--outer", "2", "--inner", "2",
@@ -645,7 +644,7 @@ def test_demo_end_to_end(capsys):
 def test_column_checks_name_the_first_offending_record(tmp_path, capsys, argv, prefix,
                                                        rows, message):
     path = tmp_path / "records.csv"
-    write_logit_csv(path, table([(rec_id, Split.TEST, label, values)
+    write_logit_csv(path, table([(rec_id, "test", label, values)
                                  for rec_id, label, values in rows]), column_prefix=prefix)
     argv = [arg.format(path=path) for arg in argv] + [str(path), "--prefix", prefix]
     code, out, err = run_cli(argv, capsys)
@@ -1078,7 +1077,7 @@ def features(tmp_path):
     xs = rng.normal(0.0, 1.0, (90, 6))
     xs[np.arange(90), labels] += 1.5
     path = tmp_path / "features.csv"
-    write_logit_csv(path, table([(f"s{i:03d}", Split.TRAIN, int(labels[i]), tuple(xs[i]))
+    write_logit_csv(path, table([(f"s{i:03d}", "train", int(labels[i]), tuple(xs[i]))
                                  for i in range(90)]), column_prefix="x")
     return path
 
@@ -1202,17 +1201,21 @@ def test_dedup_hashes_in_chunks_as_it_would_one_image_at_a_time(shapes, budget, 
 
 def test_dedup_raises_the_first_failing_file_of_any_share(tmp_path, monkeypatch, capsys):
     # b.ppm is the larger file, so with two CPUs this process hashes it, and a
-    # helper hashes a_small.ppm: the helper's failure still comes first
-    (tmp_path / "a_small.ppm").write_bytes(b"P5\n4 4\n255\n" + bytes(16))
-    write_ppm(tmp_path / "b.ppm", _tray(24))
-    (tmp_path / "b.ppm").write_bytes((tmp_path / "b.ppm").read_bytes()[:-100])
-    runs = [_run_shared(["dedup", "--images", str(tmp_path)], n, monkeypatch, capsys)
-            for n in (1, 2, 4)]
-    assert [run[3] for run in runs] == [0, 1, 1]
-    for code, out, err, _ in runs:
-        assert (code, out) == (2, "")
-        assert err.startswith("freshkit dedup: BadMagic: ") and err.count("\n") == 1
-    assert runs[1][2] == runs[2][2] == runs[0][2]
+    # helper hashes a_small.ppm: the helper's failure still comes first. The
+    # message names the file as pathlib spells it, so ./images reads images
+    images = tmp_path / "images"
+    images.mkdir()
+    (images / "a_small.ppm").write_bytes(b"P5\n4 4\n255\n" + bytes(16))
+    write_ppm(images / "b.ppm", _tray(24))
+    (images / "b.ppm").write_bytes((images / "b.ppm").read_bytes()[:-100])
+    monkeypatch.chdir(tmp_path)
+    for arg, shown in ((str(images), images), ("./images", "images"), ("./images/", "images")):
+        runs = [_run_shared(["dedup", "--images", arg], n, monkeypatch, capsys)
+                for n in (1, 2, 4)]
+        assert [run[3] for run in runs] == [0, 1, 1]
+        for code, out, err, _ in runs:
+            assert (code, out) == (2, "")
+            assert err == f"freshkit dedup: BadMagic: {shown}/a_small.ppm: expected P6 file\n"
 
 
 def test_unrenderable_report_writes_no_scores(tmp_path, capsys):
@@ -1260,8 +1263,8 @@ def test_overflowing_temperature_prints_one_stderr_line(tmp_path, method):
 ], ids=["not-json", "missing-key", "list", "negative-dim", "nan-params"])
 def test_malformed_model_exits_2_with_one_line(tmp_path, capsys, edit):
     features = tmp_path / "features.csv"
-    write_logit_csv(features, table([("a", Split.TEST, 0, (0.5, 1.0)),
-                                     ("b", Split.OOD, -1, (0.0, 0.0))]), column_prefix="x")
+    write_logit_csv(features, table([("a", "test", 0, (0.5, 1.0)),
+                                     ("b", "ood", -1, (0.0, 0.0))]), column_prefix="x")
     model = tmp_path / "model.json"
     save_model(model, init_model(2, 0, 2, seed=0))
     model.write_text(edit(json.loads(model.read_text())))
@@ -1281,8 +1284,8 @@ def test_malformed_model_exits_2_with_one_line(tmp_path, capsys, edit):
 
 @pytest.mark.parametrize("command, flag", [("folds", "--labels"), ("nested-cv", "--data")])
 def test_too_few_samples_names_the_plain_class(tmp_path, capsys, command, flag):
-    records = [(f"s{i:03d}", Split.TRAIN, 1 + i % 2, (float(i),)) for i in range(20)]
-    records.append(("s999", Split.TRAIN, 0, (0.0,)))
+    records = [(f"s{i:03d}", "train", 1 + i % 2, (float(i),)) for i in range(20)]
+    records.append(("s999", "train", 0, (0.0,)))
     src = tmp_path / "few.csv"
     write_logit_csv(src, table(records), column_prefix="x")
     code, out, err = run_cli([command, flag, str(src)], capsys)
@@ -1298,7 +1301,7 @@ def test_too_few_samples_names_the_plain_class(tmp_path, capsys, command, flag):
 def test_more_inner_sets_than_rows_fail_before_dealing(tmp_path, capsys, monkeypatch,
                                                        command, flag, inner):
     # dealing first allocated `inner` sizes per class: 64 MiB at 10**6
-    records = [(f"s{i:03d}", Split.TRAIN, i % 3, (float(i),)) for i in range(45)]
+    records = [(f"s{i:03d}", "train", i % 3, (float(i),)) for i in range(45)]
     src = tmp_path / "labels.csv"
     write_logit_csv(src, table(records), column_prefix="x")
     deal = hygiene._even_sizes

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freshkit.data_model import (
+    SPLITS,
     BinaryMask,
     RecordTable,
     RgbImage,
-    Split,
     _parse_pnm_header,
     class_indices,
     grayscale_as_rgb,
@@ -39,11 +39,6 @@ from freshkit.errors import (
 )
 
 
-def test_split_values():
-    assert Split("train") is Split.TRAIN
-    assert {s.value for s in Split} == {"train", "val", "test", "ood"}
-
-
 def assert_same_table(a, b):
     assert a.ids == b.ids
     assert a.splits == b.splits
@@ -57,7 +52,7 @@ def assert_same_table(a, b):
 
 def test_logit_csv_round_trip(tmp_path):
     table = RecordTable(
-        ("a", "b", "c"), (Split.TRAIN, Split.TEST, Split.OOD), [0, 2, -1],
+        ("a", "b", "c"), ("train", "test", "ood"), [0, 2, -1],
         [(0.1, -2.5, 3.25), (1e-17, 0.30000000000000004, -0.0), (5.0, 5.0, 5.0)],
     )
     path = tmp_path / "logits.csv"
@@ -69,8 +64,25 @@ def test_logit_csv_round_trip(tmp_path):
     assert back.values[1, 1] == 0.30000000000000004
 
 
+def test_splits_read_back_as_the_tag_strings(tmp_path):
+    path = tmp_path / "tags.csv"
+    write_logit_csv(path, RecordTable(("a", "b", "c", "d"), ("train", "val", "test", "ood"),
+                                      [0, 0, 0, -1], [[1.0]] * 4))
+    back = read_logit_csv(path)
+    assert back.splits == SPLITS == ("train", "val", "test", "ood")
+    assert all(type(split) is str for split in back.splits)
+
+
+@pytest.mark.parametrize("split", ["holdout", "TEST", "", None])
+def test_record_table_rejects_a_split_that_is_not_a_tag(split):
+    # it would write a file that read_logit_csv refuses
+    with pytest.raises(BadSplitTag) as err:
+        RecordTable(("a", "b"), ("test", split), [0, 0], [[1.0], [2.0]])
+    assert str(err.value) == f"unknown split {split!r}"
+
+
 def test_record_table_columns_are_read_only():
-    table = RecordTable(("a",), (Split.TEST,), [1], [[0.5, 1.5]])
+    table = RecordTable(("a",), ("test",), [1], [[0.5, 1.5]])
     assert not table.labels.flags.writeable
     assert not table.values.flags.writeable
     with pytest.raises(ValueError):
@@ -78,11 +90,11 @@ def test_record_table_columns_are_read_only():
 
 
 @pytest.mark.parametrize("ids, splits, labels, values", [
-    (("a", "b"), (Split.TEST,), [0, 0], [[1.0], [2.0]]),
-    (("a", "b"), (Split.TEST, Split.TEST), [0], [[1.0], [2.0]]),
-    (("a", "b"), (Split.TEST, Split.TEST), [0, 0], [[1.0]]),
-    (("a", "b"), (Split.TEST, Split.TEST), [0, 0], [1.0, 2.0]),
-    (("a", "b"), (Split.TEST, Split.TEST), [0, 0], np.zeros((2, 0))),
+    (("a", "b"), ("test",), [0, 0], [[1.0], [2.0]]),
+    (("a", "b"), ("test", "test"), [0], [[1.0], [2.0]]),
+    (("a", "b"), ("test", "test"), [0, 0], [[1.0]]),
+    (("a", "b"), ("test", "test"), [0, 0], [1.0, 2.0]),
+    (("a", "b"), ("test", "test"), [0, 0], np.zeros((2, 0))),
 ])
 def test_record_table_rejects_misaligned_columns(ids, splits, labels, values):
     with pytest.raises(DimensionMismatch, match="columns do not line up"):
@@ -244,7 +256,7 @@ def test_reader_rejects_what_float_rejects_or_overflows(tmp_path, cell, message)
 
 def test_writer_accepts_numpy_scalars(tmp_path):
     value = np.float64(0.1) + np.float64(0.2)
-    table = RecordTable(("a",), (Split.TRAIN,), [np.int64(0)], [(value,)])
+    table = RecordTable(("a",), ("train",), [np.int64(0)], [(value,)])
     path = tmp_path / "np.csv"
     write_logit_csv(path, table)
     assert path.read_text().splitlines()[1] == "a,train,0,0.30000000000000004"
@@ -296,11 +308,16 @@ def test_pnm_header_comments(tmp_path):
     assert read_pgm(path).pixels.tolist() == [[False, True]]
 
 
-def test_pnm_bad_magic(tmp_path):
+def test_pnm_bad_magic(tmp_path, monkeypatch):
     path = tmp_path / "x.pgm"
     path.write_bytes(b"P7\n1 1\n255\n\x00")
-    with pytest.raises(BadMagic):
-        read_pgm(path)
+    monkeypatch.chdir(tmp_path)
+    # a str is named as its Path is, ./ and doubled slashes dropped
+    for given, shown in ((path, path), (str(path), path), ("./x.pgm", "x.pgm"),
+                         (Path("./x.pgm"), "x.pgm"), (f"{tmp_path}//./x.pgm", path)):
+        with pytest.raises(BadMagic) as err:
+            read_pgm(given)
+        assert str(err.value) == f"{shown}: expected P5 file"
 
 
 def test_pnm_unsupported_maxval(tmp_path):

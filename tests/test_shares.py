@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from freshkit import shares
-from freshkit.shares import map_items, map_shares
+from freshkit.shares import map_shares
 
 
 _affinity = os.sched_getaffinity  # the real one, where a test patches os's
@@ -103,9 +103,9 @@ def test_a_failing_run_raises_what_the_one_cpu_run_raises(monkeypatch, n_cpus):
 def test_values_come_back_in_index_order(monkeypatch, n_cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
     assert map_shares(lambda share: [-i for i in share], [4, 9, 2, 7]) == [0, -1, -2, -3]
-    assert map_items(lambda x: 2 * x, ["a", "b", "c"], [1, 3, 2]) == ["aa", "bb", "cc"]
+    items = ["a", "b", "c"]
+    assert map_shares(lambda share: [2 * items[i] for i in share], [1, 3, 2]) == ["aa", "bb", "cc"]
     assert map_shares(lambda share: [-i for i in share], []) == []
-    assert map_items(len, [], []) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
