@@ -252,6 +252,9 @@ def _cmd_score(args):
             raise UsageError("--epsilon only applies to --method odin")
     if args.method == "msp" and args.temperature is not None:
         raise UsageError("--temperature does not apply to --method msp")
+    if args.scores_out and args.report_path and \
+            Path(args.scores_out).resolve() == Path(args.report_path).resolve():
+        raise UsageError("--scores-out and --out name the same file")
 
     read = read_feature_csv if args.method == "odin" else read_logit_csv
     table = _load(read, args.logits, args.prefix)

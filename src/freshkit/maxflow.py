@@ -28,12 +28,13 @@ left to try.
 
 The first max_flow, flow or set_capacities call fixes the arcs: add_edge
 raises from then on, the batches go, and the graph keeps the sparse rows
-(node ids and positions as int32), each arc's capacity and residual, and the
-flow its solves pushed. set_capacities gives arcs new capacities and keeps
-their flow, so each residual becomes the new capacity less the flow, which
-must stay >= 0. flow reads an edge's flow off its reverse arc: for a zero
-reverse capacity that residual is the sum of the pushes along the edge, so
-two links that carried the same pushes read the same flow.
+(node ids, levels and positions as int32), each arc's residual, each edge's
+reverse-arc capacity (all that flow reads), and the flow its solves pushed.
+set_capacities gives arcs new capacities and keeps their flow, so each
+residual becomes the new capacity less the flow, which must stay >= 0.
+flow reads an edge's flow off its reverse arc: for a zero reverse capacity
+that residual is the sum of the pushes along the edge, so two links that
+carried the same pushes read the same flow.
 
 max_flow continues from the flow the graph holds. Dinic needs only a
 feasible flow to start from, and the argument above still holds: its last
@@ -57,6 +58,8 @@ from .errors import DimensionMismatch, FlowStalled
 
 __all__ = ["FlowGraph"]
 
+_INDEX = np.int32  # node ids, levels and arc positions, so the arrays stay compact
+
 
 def _bfs_levels(start, order, to, cap, level, s, t):
     """Label residual distances from s, up to the sink's level. None if t is
@@ -72,7 +75,8 @@ def _bfs_levels(start, order, to, cap, level, s, t):
         lo = start[frontier]
         counts = start[frontier + 1] - lo
         # positions of every frontier node's CSR range, concatenated
-        pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        pos = np.arange(counts.sum(), dtype=_INDEX)
+        pos += np.repeat(lo - np.cumsum(counts, dtype=_INDEX) + counts, counts)
         pos = pos[cap[order[pos]] > 0.0]
         heads = to[order[pos]]
         depth += 1
@@ -89,7 +93,9 @@ def _bfs_levels(start, order, to, cap, level, s, t):
         pos = deeper[d]
         pos = deeper[d] = pos[reaches[to[order[pos]]]]
         reaches[to[order[pos] ^ 1]] = True
-    return np.sort(np.concatenate(deeper))
+    kept = np.concatenate(deeper)
+    kept.sort()
+    return kept
 
 
 def _blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
@@ -146,19 +152,16 @@ def _blocking_flow(start, order, to, cap, level, iters, path, s, t, total):
 
 def _dinic(start, order, to, cap, level, s, t):
     n = start.size - 1
-    iters = np.empty(n, np.int64)
-    path = np.empty(n, np.int64)
+    iters = np.empty(n, _INDEX)
+    path = np.empty(n, _INDEX)
     views = [memoryview(a) for a in (to, cap, level, iters, path)]
     total = 0.0
     while (kept := _bfs_levels(start, order, to, cap, level, s, t)) is not None:
-        level_start = np.searchsorted(kept, start)
+        level_start = np.searchsorted(kept, start).astype(_INDEX)
         iters[:] = level_start[1:] - 1
-        total = _blocking_flow(memoryview(level_start), memoryview(order[kept]), *views,
-                               s, t, total)
+        kept = order[kept]  # the phase's arcs; their positions are done with
+        total = _blocking_flow(memoryview(level_start), memoryview(kept), *views, s, t, total)
     return total
-
-
-_INDEX = np.int32  # node ids and arc positions, so the held arrays stay compact
 
 
 def _capacity_rows(cap_uv, cap_vu) -> np.ndarray:
@@ -185,7 +188,8 @@ class FlowGraph:
         # per add_edge call: tails and capacities of arcs 2k, 2k+1
         self._tail = [np.empty(0, _INDEX)]
         self._cap = [np.empty(0, np.float64)]
-        self._fixed: tuple[np.ndarray, ...] | None = None  # start, order, to, capacity, residual
+        # start, order, to, reverse-arc capacity per edge, residual per arc
+        self._fixed: tuple[np.ndarray, ...] | None = None
         self._value = 0.0
         self._terminals: tuple[int, int] | None = None
         self._level: np.ndarray | None = None
@@ -214,38 +218,37 @@ class FlowGraph:
         self._tail.append(np.stack([u, v], axis=1).astype(_INDEX).ravel())
         self._cap.append(caps.ravel())
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """start, order, to and cap of every arc added so far."""
-        tail = np.concatenate(self._tail)
-        if tail.size > np.iinfo(_INDEX).max:
-            raise DimensionMismatch("a flow network holds at most 2**31 - 1 arcs")
-        order = np.argsort(tail, kind="stable").astype(_INDEX)
-        start = np.searchsorted(tail[order], np.arange(self.n_nodes + 1))
-        to = tail.reshape(-1, 2)[:, ::-1].ravel()  # arc e ends where arc e ^ 1 starts
-        return start, order, to, np.concatenate(self._cap)
-
     def _fix(self) -> tuple[np.ndarray, ...]:
-        """start, order, to, capacity and residual, made on first use, when
-        the add_edge batches go."""
+        """start, order, to, each edge's reverse-arc capacity, and every
+        arc's residual, made on first use. Each add_edge batch goes once it
+        is joined, and the int64 argsort before the capacities are."""
         if self._fixed is None:
-            start, order, to, cap = self._arrays()
-            self._tail = self._cap = None
-            self._fixed = start, order, to, cap, cap.copy()
+            tail = np.concatenate(self._tail)
+            if tail.size > np.iinfo(_INDEX).max:
+                raise DimensionMismatch("a flow network holds at most 2**31 - 1 arcs")
+            self._tail = None
+            order = np.argsort(tail, kind="stable").astype(_INDEX)
+            start = np.searchsorted(tail[order], np.arange(self.n_nodes + 1)).astype(_INDEX)
+            to = tail.reshape(-1, 2)[:, ::-1].ravel()  # arc e ends where arc e ^ 1 starts
+            del tail
+            residual = np.concatenate(self._cap)
+            self._cap = None
+            self._fixed = start, order, to, residual[1::2].copy(), residual
         return self._fixed
 
     def _rows(self, edges: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Capacity and residual of the edges a slice selects, as views of
-        (u->v, v->u) rows."""
+        """Reverse-arc capacity and (u->v, v->u) residual rows of the edges a
+        slice selects, as views."""
         if not isinstance(edges, slice):
             raise DimensionMismatch(f"edges must be a slice of edge numbers, got {edges!r}")
-        *_, capacity, residual = self._fix()
-        return capacity.reshape(-1, 2)[edges], residual.reshape(-1, 2)[edges]
+        *_, reverse, residual = self._fix()
+        return reverse[edges], residual.reshape(-1, 2)[edges]
 
     def flow(self, edges: slice) -> np.ndarray:
         """The flow held on the arc u->v of each edge in the slice edges (edge
         k is the k-th arc add_edge added), read off its reverse arc v->u."""
-        capacity, residual = self._rows(edges)
-        return residual[:, 1] - capacity[:, 1]
+        reverse, residual = self._rows(edges)
+        return residual[:, 1] - reverse
 
     def set_capacities(self, edges: slice, cap_uv, cap_vu=0.0) -> None:
         """New capacities for the arcs u->v and v->u of each edge in the slice
@@ -255,20 +258,22 @@ class FlowGraph:
         above its new capacity raises DimensionMismatch. The cut is read
         again after the next max_flow.
         """
-        capacity, residual = self._rows(edges)
+        reverse, residual = self._rows(edges)
         held = self.flow(edges)
         try:
             caps = _capacity_rows(np.broadcast_to(cap_uv, held.shape),
                                   np.broadcast_to(cap_vu, held.shape))
         except ValueError:
             raise DimensionMismatch(f"capacities must broadcast to {len(held)} edges") from None
-        left = caps + held[:, None] * [-1.0, 1.0]  # u->v less the flow, v->u plus it
+        left = caps.copy()
+        left[:, 0] -= held  # u->v less the flow
+        left[:, 1] += held  # v->u plus it
         if (left < 0.0).any():
             k = np.argmax((left < 0.0).any(axis=1))
-            edge = range(self._fixed[3].size // 2)[edges][k]
+            edge = range(self._fixed[3].size)[edges][k]
             raise DimensionMismatch(f"edge {edge} holds more flow than its new capacities "
                                     f"{caps[k].tolist()}")
-        capacity[:] = caps
+        reverse[:] = caps[:, 1]
         residual[:] = left
         self._level = None
 
@@ -281,7 +286,7 @@ class FlowGraph:
             raise DimensionMismatch(f"the graph holds a flow from {self._terminals[0]} to "
                                     f"{self._terminals[1]}, not from {s} to {t}")
         start, order, to, _, residual = self._fix()
-        level = np.empty(self.n_nodes, np.int64)
+        level = np.empty(self.n_nodes, _INDEX)
         self._value += float(_dinic(start, order, to, residual, level, s, t))
         self._terminals = s, t
         self._level = level

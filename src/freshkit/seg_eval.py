@@ -49,11 +49,14 @@ def _as_bool(mask) -> np.ndarray:
 
 
 def mask_metrics(pred, gt) -> MaskMetrics:
-    """IoU, Dice, precision, recall, pixel accuracy for one mask pair."""
+    """IoU, Dice, precision, recall, pixel accuracy for one mask pair of one
+    nonempty shape; EmptyInput for masks with no pixels."""
     p = _as_bool(pred)
     g = _as_bool(gt)
     if p.shape != g.shape:
         raise DimensionMismatch(f"mask shapes differ: {p.shape} vs {g.shape}")
+    if not p.size:  # pixel accuracy would divide by zero
+        raise EmptyInput(f"masks of shape {p.shape} hold no pixels")
     inter = int((p & g).sum())
     p_count = int(p.sum())
     g_count = int(g.sum())

@@ -166,13 +166,15 @@ def bootstrap_replicates(values: np.ndarray, statistic: Callable[..., np.ndarray
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def percentile_bootstrap(values, statistic: Callable[..., np.ndarray],
                          n_boot: int = 4000, seed: int = 42) -> BootstrapCi:
     """Percentile bootstrap CI of a statistic.
 
     Replicates come from bootstrap_replicates, so the statistic must take an
     `axis` argument. The CI is the 2.5/97.5 percentile with linear
-    interpolation.
+    interpolation. A statistic that overflows gives a non-finite bound
+    without a numpy warning; the CLI's renderer rejects such a bound.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:

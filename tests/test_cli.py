@@ -371,6 +371,19 @@ def test_bootstrap_mean(tmp_path, capsys):
     assert rep["n_boot"] == 500
 
 
+def test_bootstrap_overflowing_mean_prints_one_stderr_line(tmp_path):
+    # numpy's overflow and invalid-subtract warnings printed before the typed line
+    values = tmp_path / "v.txt"
+    values.write_text("1e308\n-1e308\n1e308\n")
+    report = tmp_path / "report.json"
+    proc = run_script(["bootstrap", "--values", str(values), "--stat", "mean",
+                       "--out", str(report)])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "freshkit bootstrap: ComputeError: non-finite number under key 'lo'\n"
+    assert not report.exists()
+
+
 def test_seg_eval_directories(tmp_path, capsys):
     pred_dir = tmp_path / "pred"
     gt_dir = tmp_path / "gt"
@@ -1216,6 +1229,28 @@ def test_dedup_raises_the_first_failing_file_of_any_share(tmp_path, monkeypatch,
         for code, out, err, _ in runs:
             assert (code, out) == (2, "")
             assert err == f"freshkit dedup: BadMagic: {shown}/a_small.ppm: expected P6 file\n"
+
+
+@pytest.mark.parametrize("scores_out, out", [
+    ("x.csv", "x.csv"),
+    ("x.csv", "./x.csv"),
+    ("./x.csv", "sub/../x.csv"),
+    ("{tmp}/x.csv", "x.csv"),
+    ("sub/x.csv", "link/x.csv"),  # link is a symlink to sub
+])
+def test_scores_and_report_on_one_path_fail_before_writing(tmp_path, monkeypatch, capsys,
+                                                           scores_out, out):
+    # the report overwrote the scores, and the run exited 0
+    write_labeled_logits(tmp_path / "logits.csv")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "sub")
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(["score", "--method", "msp", "--logits", "logits.csv",
+                                 "--scores-out", scores_out.format(tmp=tmp_path),
+                                 "--out", out], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == "freshkit score: error: --scores-out and --out name the same file\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["link", "logits.csv", "sub"]
 
 
 def test_unrenderable_report_writes_no_scores(tmp_path, capsys):

@@ -278,7 +278,7 @@ def _assert_same_arcs(csr, linked):
     """Each CSR range, walked from its end, is the node's linked list."""
     start, order, to, cap = csr
     head, nxt, ref_to, ref_cap = linked
-    assert order.dtype == to.dtype == np.int32 and np.array_equal(to, ref_to)
+    assert start.dtype == order.dtype == to.dtype == np.int32 and np.array_equal(to, ref_to)
     assert cap.dtype == ref_cap.dtype and np.array_equal(cap, ref_cap)
     assert start.shape == (head.size + 1,) and start[0] == 0 and start[-1] == order.size
     for u in range(head.size):
@@ -327,7 +327,11 @@ def test_solve_cut_matches_per_arc_reference_and_enumeration(problem):
 @given(flow_networks())
 def test_csr_ranges_walk_like_linked_lists(network):
     graph, reference = _build_both(network)
-    _assert_same_arcs(graph._arrays(), reference._arrays())
+    start, order, to, reverse, cap = graph._fix()
+    _assert_same_arcs((start, order, to, cap), reference._arrays())
+    # each edge keeps one capacity, its reverse arc's: all that flow reads
+    assert reverse.dtype == cap.dtype and np.array_equal(reverse, cap[1::2])
+    assert not np.shares_memory(reverse, cap)
 
 
 @PROPERTY
@@ -362,7 +366,7 @@ def test_residual_capacities_match_reference_arc_by_arc(network):
     # pins the float64 order of every bottleneck update and flow addition
     *_, s, t = network
     graph, reference = _build_both(network)
-    start, order, to, cap = graph._arrays()
+    start, order, to, _, cap = graph._fix()
     head, nxt, ref_to, ref_cap = reference._arrays()
     flow = maxflow._dinic(start, order, to, cap, np.empty(graph.n_nodes, np.int64), s, t)
     expected = _ref_dinic(head, nxt, ref_to, ref_cap, np.empty(graph.n_nodes, np.int64), s, t)

@@ -1,11 +1,17 @@
+import hashlib
+import importlib.util
 import itertools
+import json
 import math
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from freshkit import pseudomask
+from freshkit.cli import main
 from freshkit.data_model import BinaryMask, RgbImage
 from freshkit.errors import (
     BadParameter,
@@ -369,24 +375,36 @@ def test_warm_fit_survives_a_component_without_support():
 
 def test_mixture_log_matrix_of_a_subset_is_the_matching_columns():
     # GrabCut scores each mixture once, over the box interior or every pixel,
-    # and reads a subset's terms from that: a pixel's log density must not
-    # depend on which other pixels, if any, are scored with it.
+    # and reads a subset's terms from that, and mixture scoring runs _BLOCK
+    # pixels at a time: a pixel's log density must not depend on which other
+    # pixels, if any, are scored with it.
     rng = np.random.default_rng(46)
-    for trial in range(60):
-        k = int(rng.integers(1, 6))
-        n = int(rng.integers(4, 12)) if trial % 3 == 0 else int(rng.integers(12, 3000))
+    for trial, block in enumerate([1, 7, 4096] * 30):
+        k = int(rng.integers(1, 13))  # 8 or more terms is where numpy sums a row pairwise
+        # n < 12, or n up to three block edges past 12
+        n = int(rng.integers(4, 12)) if trial % 4 == 0 else int(rng.integers(12, 3 * block + 13))
         model = fit_gmm(_point_cloud(rng, "spread", 300), k, n_iter=2, seed=trial)
         points = _point_cloud(rng, _CLOUDS[trial % len(_CLOUDS)], n)
         mixture = (model.weights, model.means, model.covariances)
         full = _mixture_log_matrix(np.ascontiguousarray(points.T), *mixture)
-        nll = gmm_nll(model, points)
-        some = rng.random(n) < rng.uniform(0.05, 0.95)
-        some[rng.choice(n, size=2, replace=False)] = True
-        lone = [np.arange(n) == i for i in np.linspace(0, n - 1, 5).astype(int)]
-        for subset in (some, np.arange(n) >= n // 3, np.arange(n) < 2, *lone):
-            cols = np.ascontiguousarray(points[subset].T)
-            assert np.array_equal(_mixture_log_matrix(cols, *mixture), full[:, subset]), trial
-            assert np.array_equal(gmm_nll(model, points[subset]), nll[subset]), trial
+        with mock.patch.object(pseudomask, "_BLOCK", n):
+            nll = gmm_nll(model, points)  # one block
+            fits = [fit_gmm(points, k, 2, seed=trial), fit_gmm(points, k, 1, init=model)] \
+                if n >= k else []
+        with mock.patch.object(pseudomask, "_BLOCK", block):
+            assert np.array_equal(gmm_nll(model, points), nll), (trial, block)
+            if fits:
+                assert _same_model(fit_gmm(points, k, 2, seed=trial), fits[0]), (trial, block)
+                assert _same_model(fit_gmm(points, k, 1, init=model), fits[1]), (trial, block)
+            some = rng.random(n) < rng.uniform(0.05, 0.95)
+            some[rng.choice(n, size=2, replace=False)] = True
+            lone = [np.arange(n) == i for i in np.linspace(0, n - 1, 5).astype(int)]
+            for subset in (some, np.arange(n) >= n // 3, np.arange(n) < 2, *lone):
+                cols = np.ascontiguousarray(points[subset].T)
+                assert np.array_equal(_mixture_log_matrix(cols, *mixture), full[:, subset]), \
+                    (trial, block)
+                assert np.array_equal(gmm_nll(model, points[subset]), nll[subset]), (trial, block)
+    assert gmm_nll(model, np.zeros((0, 3))).shape == (0,)
 
 
 # --- exact min-cut ----------------------------------------------------------------
@@ -475,6 +493,13 @@ def test_build_cut_problem_rejects_bad_smoothness(smoothness):
     bg = fit_gmm(points[15:], n_components=2, seed=2)
     with pytest.raises(BadParameter):
         build_cut_problem(img, fg, bg, smoothness=smoothness)
+
+
+def test_grid_pairs_are_int32_and_refuse_what_int32_cannot_index():
+    pairs = _grid_pairs(3, 4)
+    assert pairs.dtype == np.int32 and pairs.shape == (3 * 3 + 2 * 4, 2)
+    with pytest.raises(DimensionMismatch, match="int32"):
+        _grid_pairs(2 ** 16, 2 ** 15)  # 2**31 pixels, refused before any allocation
 
 
 def test_build_cut_problem_fields():
@@ -676,6 +701,21 @@ def test_grabcut_builds_one_network_and_scores_each_fit_once():
     assert counts == {"add_edge": 2, "max_flow": 5, "fit_gmm": 10, "gmm_nll": 10}
 
 
+def test_grabcut_peak_working_set_per_pixel():
+    # about 265 bytes per pixel stay for the whole run: the flow network, the
+    # Lab pixels, the n-links and the data terms. Mixture scoring in blocks
+    # and the int32 flow bookkeeping keep what comes and goes small.
+    image, _ = _ellipse_image(128, 128, seed=5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grabcut(image)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (128 * 128) <= 380
+
+
 def test_refit_keeps_the_old_mixture_when_a_step_worsens_the_data_term():
     points = _two_blobs(80, seed=26)
     old = fit_gmm(points, n_components=2, seed=27)
@@ -773,3 +813,49 @@ def test_morphology_radius_is_clamped_exactly(shape):
     assert morph_open(mask, 10 ** 12) == morph_open(mask, side)
     assert morph_close(mask, 10 ** 12) == morph_close(mask, side)
 
+
+# --- the planted benchmark trays -------------------------------------------------
+
+def _perfbench_gen():
+    """perfbench/gen.py, loaded by path: the benchmark's own tray generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# per masks seed: sha256 of one "stem mask-sha256 energies" line per tray, the
+# energies to 6 decimals, from `pseudomask` run as the benchmark runs it
+_TRAY_DIGESTS = {
+    1: "a89da982b9324c197b94d6fefde0ecd9b0968b8e4238cb18cb8092a80b94c148",
+    2: "96034aa4b42a255cb0dd4213a31a5cdea069caec481181bacb572aa03cc6c3ac",
+    3: "4e91eff453bd2e15fb91c9ed4e05f121c601d5d9840cb340e9c6832b110e542d",
+    4: "d2cc0eca3338253dbff2abb2723a351e8ac3fa95b917d31ae7b093232f6cce8d",
+    5: "bce5beefbe5dae144b3ed2589bc0104ae4b815bb4967cba73343ac7ee8dfc94b",
+    6: "eb77f1cccab1319f35f6bf6bee1358cada67914617d45a73ac3d09d5251fe128",
+    7: "fbb10cbd38c01be22f714e427880d8ec43fa87e89033dae011517b8ba07cda81",
+    8: "eb0d3ea80341e3ecd543c7378d8ffcff01fddee432e472a88f1ebf9eda6224a4",
+    9: "eff82eabc65906a870bf2c659aef1a71f239815785c046ffc260312f4bfffbfb",
+    10: "6e5ac70e3953ee15cb4d5867a066c9f488306af8d6ca98946ad19401a5f37d96",
+}
+
+
+def test_planted_trays_keep_every_mask_byte_and_energy(tmp_path, capsys):
+    gen = _perfbench_gen()
+    digests = {}
+    for seed in _TRAY_DIGESTS:
+        root = tmp_path / str(seed)
+        planted = gen.generate("masks", root, seed)
+        argv = ["pseudomask", "--in", str(root / "trays"), "--out", str(root / "masks"),
+                "--seed", str(planted["program_seed"])]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = [f"{row['id']} "
+                 + hashlib.sha256((root / "masks" / row["mask"]).read_bytes()).hexdigest()
+                 + "".join(f" {energy:.6f}" for energy in row["energies"])
+                 for row in json.loads(out)["report"]["images"]]
+        assert len(lines) == len(planted["classes"]) == 4
+        digests[seed] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digests == _TRAY_DIGESTS

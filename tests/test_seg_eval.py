@@ -105,6 +105,14 @@ def test_shape_mismatch_rejected():
         mask_metrics(np.zeros((2, 2), bool), np.zeros((3, 3), bool))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4, 0)])
+def test_masks_without_pixels_are_rejected(shape):
+    # a BinaryMask cannot be empty, but a plain array can
+    with pytest.raises(EmptyInput, match="hold no pixels"):
+        mask_metrics(np.zeros(shape, bool), np.ones(shape, np.uint8))
+
+
 @st.composite
 def _mask_pairs(draw):
     """Two masks of one shape; each is empty, full or drawn pixel by pixel."""
